@@ -11,14 +11,12 @@ curvature formulas ever see.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .lie_core import LieAlgebra, killing
-
-DEFAULT_TOL = 1e-9
+from .lie_core import DEFAULT_TOL, RANK_RTOL, LieAlgebra, killing
 
 
 @dataclass(frozen=True)
@@ -53,13 +51,25 @@ class OrthonormalModel:
     """Structure constants in a basis orthonormal for a bi-invariant metric.
 
     ``t`` maps original to orthonormal coordinates (columns are the new
-    basis vectors); ``c`` is totally antisymmetric up to roundoff.
+    basis vectors); ``c`` is totally antisymmetric up to roundoff, checked
+    here once (``tol`` relative to the largest constant) for every consumer.
     """
 
     name: str
     n: int
     t: np.ndarray
     c: np.ndarray
+    tol: InitVar[float] = DEFAULT_TOL
+
+    def __post_init__(self, tol):
+        c = np.asarray(self.c, dtype=float)
+        n = self.n
+        if c.shape != (n, n, n):
+            raise ValueError(f"structure tensor must have shape ({n}, {n}, {n})")
+        if antisymmetry_defect(c) > tol * max(1.0, np.abs(c).max()):
+            raise ValueError("not bi-invariant-orthonormal: structure tensor "
+                             "is not totally antisymmetric")
+        object.__setattr__(self, "c", c)
 
 
 @dataclass(frozen=True)
@@ -89,7 +99,7 @@ def metric_invariance_defect(metric: BiInvariantMetric) -> float:
 def check_metric(metric: BiInvariantMetric, tol: float = DEFAULT_TOL) -> None:
     """Raise unless the Gram matrix is positive definite and ad-invariant."""
     eigs = np.linalg.eigvalsh(0.5 * (metric.gram + metric.gram.T))
-    if eigs[-1] <= 0 or eigs[0] <= 1e-9 * eigs[-1]:
+    if eigs[-1] <= 0 or eigs[0] <= RANK_RTOL * eigs[-1]:
         raise ValueError("not a metric: gram matrix is not positive definite")
     scale = max(1.0, np.abs(metric.base.c).max() * np.abs(metric.gram).max())
     if metric_invariance_defect(metric) > tol * scale:
@@ -101,17 +111,14 @@ def binormalize(algebra: LieAlgebra, metric: BiInvariantMetric, tol: float = DEF
 
     The change of basis comes from the Cholesky factor of the Gram matrix,
     so repeated runs are bit-for-bit reproducible.  Total antisymmetry of
-    the result is the skew-adjointness of every ad(x), and is re-checked.
+    the result is the skew-adjointness of every ad(x); the model checks it.
     """
     check_metric(metric, tol)
     L = np.linalg.cholesky(metric.gram)
     t = np.linalg.inv(L).T
     co = metric.gram @ t  # co[k, c] = <e_k, f_c>
     c_rot = np.einsum("ia,jb,kc,ijk->abc", t, t, co, algebra.c)
-    scale = max(1.0, np.abs(c_rot).max())
-    if antisymmetry_defect(c_rot) > tol * scale:
-        raise ValueError("not bi-invariant: rotated constants are not totally antisymmetric")
-    return OrthonormalModel(name=algebra.name, n=algebra.dim, t=t, c=c_rot)
+    return OrthonormalModel(name=algebra.name, n=algebra.dim, t=t, c=c_rot, tol=tol)
 
 
 def antisymmetry_defect(model_or_tensor) -> float:

@@ -25,8 +25,9 @@ from .homogeneous import (
     spec_from_file,
     sum_rule_defect,
 )
-from .lie_core import jacobi_defect, killing, resolve_algebra
-from .rigidity import CenterPresentError, su2_shrink_example, verify_rigidity
+from .lie_core import DEFAULT_TOL, jacobi_defect, killing, resolve_algebra
+from .rigidity import (DEFAULT_MAX_LAMBDA, DEFAULT_SAMPLES, DEFAULT_STARTS, DEFAULT_TOL_LAMBDA,
+                       DEFAULT_TOL_R, CenterPresentError, su2_shrink_example, verify_rigidity)
 
 SEED_ENV = "LIECURV_SEED"
 
@@ -139,8 +140,8 @@ def cmd_scalar(args) -> int:
         algebra = resolve_algebra(args.algebra)
         scale = args.scale if args.scale is not None else _default_scale(args.algebra)
         model = binormalize(algebra, killing_metric(algebra, scale), tol=args.tol)
-        closed = scalar_curvature_closed(model, lam, tol=args.tol)
-        koszul = scalar_curvature_koszul(model, lam, tol=args.tol)
+        closed = scalar_curvature_closed(model, lam)
+        koszul = scalar_curvature_koszul(model, lam)
         doc = {
             "command": "scalar",
             "config": {"algebra": args.algebra, "scale": scale,
@@ -184,7 +185,7 @@ def cmd_rigidity(args) -> int:
                 "center present: rigidity fails structurally "
                 f"({algebra.name} has a nontrivial center)")
         scale = args.scale if args.scale is not None else _default_scale(args.algebra)
-        model = binormalize(algebra, killing_metric(algebra, scale), tol=1e-9)
+        model = binormalize(algebra, killing_metric(algebra, scale), tol=DEFAULT_TOL)
         spec = group_as_homogeneous(model)
         source = {"algebra": args.algebra, "scale": scale}
     else:
@@ -307,51 +308,55 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, lam=False, rigidity=False):
+    def reference(p, tol):
         p.add_argument("--scale", type=float, default=None,
                        help="reference metric scale s (metric = s * negative Killing form); "
                             "default 0.125 for built-in su2, else 1")
-        p.add_argument("--tol", type=float, default=None, help="tolerance")
+        p.add_argument("--tol", type=float, default=tol, help=f"tolerance (default {tol})")
+
+    def common(p, lam=False):
         p.add_argument("--format", choices=("table", "structured"), default="table")
         if lam:
             p.add_argument("--lambda", dest="lam", required=True,
                            help="comma-separated eigenvalue ratios, or @file with one per line")
-        if rigidity:
-            p.add_argument("--max-lambda", dest="max_lambda", type=float, default=10.0)
-            p.add_argument("--starts", type=int, default=64)
-            p.add_argument("--samples", type=int, default=10_000)
-            p.add_argument("--seed", type=int, default=None,
-                           help=f"search seed (falls back to ${SEED_ENV}, then 0)")
-            p.add_argument("--tol-lambda", dest="tol_lambda", type=float, default=1e-6)
-            p.add_argument("--trajectories", action="store_true",
-                           help="include per-start ascent endpoints in the report")
 
     p = sub.add_parser("algebra", help="structural report for an algebra")
     p.add_argument("--algebra", required=True, help="built-in name (su2, so5, ...) or JSON file")
+    reference(p, DEFAULT_TOL)
     common(p)
-    p.set_defaults(func=cmd_algebra, default_tol=1e-9)
+    p.set_defaults(func=cmd_algebra)
 
     p = sub.add_parser("scalar", help="scalar curvature of a diagonal metric")
     p.add_argument("--algebra", help="built-in name or JSON file")
     p.add_argument("--homogeneous", help="homogeneous spec JSON file")
+    reference(p, DEFAULT_TOL)
     common(p, lam=True)
-    p.set_defaults(func=cmd_scalar, default_tol=1e-9)
+    p.set_defaults(func=cmd_scalar)
 
     p = sub.add_parser("rigidity", help="search certificate on the constrained box")
     p.add_argument("--algebra", help="built-in name or JSON file")
     p.add_argument("--homogeneous", help="homogeneous spec JSON file")
-    common(p, rigidity=True)
-    p.set_defaults(func=cmd_rigidity, default_tol=1e-8)
+    reference(p, DEFAULT_TOL_R)
+    common(p)
+    p.add_argument("--max-lambda", dest="max_lambda", type=float, default=DEFAULT_MAX_LAMBDA)
+    p.add_argument("--starts", type=int, default=DEFAULT_STARTS)
+    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+    p.add_argument("--seed", type=int, default=None,
+                   help=f"search seed (falls back to ${SEED_ENV}, then 0)")
+    p.add_argument("--tol-lambda", dest="tol_lambda", type=float, default=DEFAULT_TOL_LAMBDA)
+    p.add_argument("--trajectories", action="store_true",
+                   help="include per-start ascent endpoints in the report")
+    p.set_defaults(func=cmd_rigidity)
 
     p = sub.add_parser("homogeneous", help="inspect a homogeneous spec file")
     p.add_argument("--homogeneous", required=True, help="homogeneous spec JSON file")
     common(p)
-    p.set_defaults(func=cmd_homogeneous, default_tol=1e-9)
+    p.set_defaults(func=cmd_homogeneous)
 
     p = sub.add_parser("example", help="built-in worked examples")
     p.add_argument("which", help="example name (su2-shrink)")
     common(p, lam=True)
-    p.set_defaults(func=cmd_example, default_tol=1e-9)
+    p.set_defaults(func=cmd_example)
 
     return parser
 
@@ -359,8 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.tol is None:
-        args.tol = args.default_tol
     try:
         return args.func(args)
     except CenterPresentError as exc:

@@ -1,16 +1,16 @@
-"""Scalar curvature of diagonal left-invariant metrics on a compact group.
+"""Scalar curvature of diagonal invariant metrics: one formula, one oracle.
 
-Two independent routes are provided.  :func:`scalar_curvature_closed`
-evaluates the closed contraction
-
-    R = (1/4) sum_{i,j,k} c[i,j,k]^2 * (2/lam_i - lam_k / (lam_i lam_j))
-
-over a totally antisymmetric orthonormal structure tensor.
+The private kernel :func:`_block_curvature` (batched over rows of ``lams``)
+and its gradient :func:`_block_gradient` hold the one block formula, used
+for groups (:func:`scalar_curvature_closed`: singleton blocks, A = c^2),
+for homogeneous quotients and by the certificate search.
 :func:`scalar_curvature_koszul` rebuilds the same number from first
-principles: it forms the metric-orthonormal frame, derives the constant
-connection coefficients from Koszul's formula, assembles the full curvature
-tensor and traces it.  The two share no algebra beyond the frame brackets,
-which makes the Koszul route a genuine oracle for the closed formula.
+principles (frame, Koszul connection, full curvature tensor, trace) and
+shares no algebra with the kernel, which makes it a genuine oracle.
+
+Inputs are validated where they are built: :class:`OrthonormalModel` checks
+total antisymmetry, ``HomogeneousSpec`` its block data.  The evaluators
+check only the eigenvalue vector, plus any raw tensor passed for a model.
 """
 
 from __future__ import annotations
@@ -19,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binorm import DiagonalMetric, OrthonormalModel, antisymmetry_defect
-
-DEFAULT_TOL = 1e-9
+from .binorm import DiagonalMetric, OrthonormalModel
+from .lie_core import DEFAULT_TOL
 
 
 @dataclass(frozen=True)
@@ -43,10 +42,14 @@ class FrameConnection:
     riem: np.ndarray   # riem[i, j, k, l] = <R(F_i, F_j) F_k, F_l>
 
 
-def _tensor_and_name(model_or_tensor) -> tuple[np.ndarray, str]:
+def _model(model_or_tensor, tol: float) -> OrthonormalModel:
+    """A model as given; a raw tensor is wrapped in one, whose constructor
+    checks its total antisymmetry."""
     if isinstance(model_or_tensor, OrthonormalModel):
-        return model_or_tensor.c, model_or_tensor.name
-    return np.asarray(model_or_tensor, dtype=float), "tensor"
+        return model_or_tensor
+    c = np.asarray(model_or_tensor, dtype=float)
+    n = c.shape[0]
+    return OrthonormalModel(name="tensor", n=n, t=np.eye(n), c=c, tol=tol)
 
 
 def _lambda_vector(lam, n: int) -> np.ndarray:
@@ -58,26 +61,35 @@ def _lambda_vector(lam, n: int) -> np.ndarray:
     return values
 
 
-def _check_orthonormal(c: np.ndarray, tol: float) -> None:
-    if antisymmetry_defect(c) > tol * max(1.0, np.abs(c).max()):
-        raise ValueError("basis not bi-invariant-orthonormal: structure tensor "
-                         "is not totally antisymmetric")
+def _block_curvature(beta: np.ndarray, a: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """R = 1/2 sum_i beta_i / lam_i - 1/4 sum_ijk a[i,j,k] lam_k / (lam_i lam_j) per row of
+    ``lams``, with beta_i = b_i d_i (for a group, beta_i = sum_jk c[i,j,k]^2)."""
+    inv = 1.0 / lams
+    return 0.5 * inv @ beta - 0.25 * np.einsum("ijk,mi,mj,mk->m", a, inv, inv, lams)
+
+
+def _block_gradient(beta: np.ndarray, a: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Gradient of :func:`_block_curvature` at one point, accumulating the
+    three index roles a coordinate plays in the coupling term."""
+    inv = 1.0 / lam
+    inv2 = inv * inv
+    e1 = inv2 * np.einsum("mjk,j,k->m", a, inv, lam)
+    e2 = inv2 * np.einsum("imk,i,k->m", a, inv, lam)
+    e3 = np.einsum("ijm,i,j->m", a, inv, inv)
+    return -0.5 * beta * inv2 + 0.25 * (e1 + e2 - e3)
 
 
 def scalar_curvature_closed(model, lam, tol: float = DEFAULT_TOL) -> CurvatureResult:
     """Closed-form scalar curvature of the diagonal metric given by ``lam``.
 
     At lam = (1, ..., 1) this reduces to one quarter of the sum of squared
-    structure constants.
+    structure constants.  ``tol`` applies only to a raw tensor.
     """
-    c, name = _tensor_and_name(model)
-    values = _lambda_vector(lam, c.shape[0])
-    _check_orthonormal(c, tol)
-    c2 = c * c
-    inv = 1.0 / values
-    r = 0.25 * (2.0 * np.einsum("ijk,i->", c2, inv)
-                - np.einsum("ijk,i,j,k->", c2, inv, inv, values))
-    return CurvatureResult(R=float(r), method="closed-form", algebra=name, lam=values.copy())
+    model = _model(model, tol)
+    values = _lambda_vector(lam, model.n)
+    c2 = model.c * model.c
+    r = _block_curvature(c2.sum(axis=(1, 2)), c2, values[None, :])[0]
+    return CurvatureResult(R=float(r), method="closed-form", algebra=model.name, lam=values.copy())
 
 
 def frame_connection(model, lam, tol: float = DEFAULT_TOL) -> FrameConnection:
@@ -88,11 +100,10 @@ def frame_connection(model, lam, tol: float = DEFAULT_TOL) -> FrameConnection:
     the curvature tensor follows from R(X, Y) = [nabla_X, nabla_Y] -
     nabla_[X, Y] evaluated on frame fields.
     """
-    c, _ = _tensor_and_name(model)
-    values = _lambda_vector(lam, c.shape[0])
-    _check_orthonormal(c, tol)
+    model = _model(model, tol)
+    values = _lambda_vector(lam, model.n)
     inv_sqrt = 1.0 / np.sqrt(values)
-    cc = c * np.einsum("i,j,k->ijk", inv_sqrt, inv_sqrt, np.sqrt(values))
+    cc = model.c * np.einsum("i,j,k->ijk", inv_sqrt, inv_sqrt, np.sqrt(values))
     gamma = 0.5 * (cc - cc.transpose(2, 0, 1) + cc.transpose(1, 2, 0))
     t1 = np.einsum("jkl,ilm->ijkm", gamma, gamma)
     t3 = np.einsum("ijl,lkm->ijkm", cc, gamma)
@@ -102,27 +113,16 @@ def frame_connection(model, lam, tol: float = DEFAULT_TOL) -> FrameConnection:
 
 def scalar_curvature_koszul(model, lam, tol: float = DEFAULT_TOL) -> CurvatureResult:
     """Scalar curvature via the full frame curvature tensor (the oracle route)."""
-    c, name = _tensor_and_name(model)
-    values = _lambda_vector(lam, c.shape[0])
-    conn = frame_connection(model, lam, tol)
+    model = _model(model, tol)
+    values = _lambda_vector(lam, model.n)
+    conn = frame_connection(model, values)
     r = np.einsum("ijji->", conn.riem)
-    return CurvatureResult(R=float(r), method="koszul", algebra=name, lam=values.copy())
+    return CurvatureResult(R=float(r), method="koszul", algebra=model.name, lam=values.copy())
 
 
 def scalar_gradient(model, lam, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Analytic gradient of the closed-form scalar curvature in ``lam``.
-
-    Differentiates each term of the contraction, accumulating the three
-    index roles the coordinate can play.
-    """
-    c, _ = _tensor_and_name(model)
-    values = _lambda_vector(lam, c.shape[0])
-    _check_orthonormal(c, tol)
-    c2 = c * c
-    inv = 1.0 / values
-    inv2 = inv * inv
-    g_i = inv2 * (-2.0 * np.einsum("mjk->m", c2)
-                  + np.einsum("mjk,j,k->m", c2, inv, values))
-    g_j = inv2 * np.einsum("imk,i,k->m", c2, inv, values)
-    g_k = -np.einsum("ijm,i,j->m", c2, inv, inv)
-    return 0.25 * (g_i + g_j + g_k)
+    """Analytic gradient of the closed-form scalar curvature in ``lam``."""
+    model = _model(model, tol)
+    values = _lambda_vector(lam, model.n)
+    c2 = model.c * model.c
+    return _block_gradient(c2.sum(axis=(1, 2)), c2, values)

@@ -7,6 +7,9 @@ dimensions, the Killing-to-metric ratios, the Casimir constants of the
 subalgebra action, and the tensor of summed squared structure constants of
 brackets between blocks.  The group itself is the special case of singleton
 blocks with no subalgebra (:func:`group_as_homogeneous`).
+
+The formula lives once, in :mod:`liecurv.curvature`; a spec validates its
+data (shapes, signs, finiteness) when built, so evaluators check only lam.
 """
 
 from __future__ import annotations
@@ -17,11 +20,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .binorm import BiInvariantMetric, DiagonalMetric, OrthonormalModel, antisymmetry_defect, check_metric, killing_metric
-from .curvature import CurvatureResult
-from .lie_core import LieAlgebra, killing, resolve_algebra
+from .binorm import BiInvariantMetric, OrthonormalModel, check_metric, killing_metric
+from .curvature import CurvatureResult, _block_curvature, _block_gradient, _lambda_vector
+from .lie_core import DEFAULT_TOL, LieAlgebra, killing, resolve_algebra
 
-DEFAULT_TOL = 1e-9
 # Scalar-multiple test: off-diagonal max and diagonal spread relative to the
 # diagonal mean.
 SCALAR_RTOL = 1e-8
@@ -48,7 +50,7 @@ class HomogeneousSpec:
     provenance: str  # "from-algebra" | "raw-file"
 
     def __post_init__(self):
-        d = np.asarray(self.block_dims, dtype=int)
+        d = np.asarray(self.block_dims, dtype=float)
         b = np.asarray(self.killing_ratios, dtype=float)
         c = np.asarray(self.casimirs, dtype=float)
         a = np.asarray(self.coupling, dtype=float)
@@ -57,8 +59,11 @@ class HomogeneousSpec:
             raise ValueError("block data must all have length s")
         if a.shape != (s, s, s):
             raise ValueError(f"coupling tensor must have shape ({s}, {s}, {s})")
-        if np.any(d < 1):
+        if not np.all(np.isfinite(d) & (d == np.round(d)) & (d >= 1)):
             raise ValueError("block dimensions must be positive integers")
+        d = d.astype(int)
+        if not all(np.all(np.isfinite(x)) for x in (b, c, a)):
+            raise ValueError("Killing ratios, Casimir constants and coupling must be finite")
         if np.any(c < 0):
             raise ValueError("Casimir constants must be nonnegative")
         if np.any(a < 0):
@@ -213,17 +218,13 @@ def build_spec(embedding: SubalgebraEmbedding, metric: BiInvariantMetric,
     )
 
 
-def group_as_homogeneous(model: OrthonormalModel, tol: float = DEFAULT_TOL,
-                         name: str | None = None) -> HomogeneousSpec:
+def group_as_homogeneous(model: OrthonormalModel, name: str | None = None) -> HomogeneousSpec:
     """Homogeneous data of the group itself: singleton blocks, no subalgebra.
 
     Coupling entries are the squared structure constants, Casimirs vanish,
     and the Killing ratios come straight from the Killing form of the
     orthonormal tensor.
     """
-    if antisymmetry_defect(model) > tol * max(1.0, np.abs(model.c).max()):
-        raise ValueError("basis not bi-invariant-orthonormal: structure tensor "
-                         "is not totally antisymmetric")
     k = np.einsum("iba,jab->ij", model.c, model.c)
     return HomogeneousSpec(
         name=name or model.name,
@@ -236,34 +237,17 @@ def group_as_homogeneous(model: OrthonormalModel, tol: float = DEFAULT_TOL,
     )
 
 
-def _lambda_vector(lam, s: int) -> np.ndarray:
-    values = lam.values if isinstance(lam, DiagonalMetric) else np.asarray(lam, dtype=float)
-    if values.shape != (s,):
-        raise ValueError(f"metric eigenvalue vector must have length {s}")
-    if not np.all(values > 0):
-        raise ValueError("metric eigenvalues must be positive")
-    return values
-
-
 def scalar_curvature_homogeneous(spec: HomogeneousSpec, lam) -> CurvatureResult:
     """Scalar curvature of the diagonal invariant metric with block ratios ``lam``."""
     values = _lambda_vector(lam, spec.s)
-    inv = 1.0 / values
-    r = 0.5 * float(np.dot(spec.killing_ratios * spec.block_dims, inv)) \
-        - 0.25 * float(np.einsum("ijk,i,j,k->", spec.coupling, inv, inv, values))
-    return CurvatureResult(R=r, method="homogeneous", algebra=spec.name, lam=values.copy())
+    r = _block_curvature(spec.killing_ratios * spec.block_dims, spec.coupling, values[None, :])[0]
+    return CurvatureResult(R=float(r), method="homogeneous", algebra=spec.name, lam=values.copy())
 
 
 def scalar_gradient_homogeneous(spec: HomogeneousSpec, lam) -> np.ndarray:
     """Analytic gradient of :func:`scalar_curvature_homogeneous` in ``lam``."""
     values = _lambda_vector(lam, spec.s)
-    inv = 1.0 / values
-    inv2 = inv * inv
-    a = spec.coupling
-    e1 = inv2 * np.einsum("mjk,j,k->m", a, inv, values)
-    e2 = inv2 * np.einsum("imk,i,k->m", a, inv, values)
-    e3 = np.einsum("ijm,i,j->m", a, inv, inv)
-    return -0.5 * spec.killing_ratios * spec.block_dims * inv2 + 0.25 * (e1 + e2 - e3)
+    return _block_gradient(spec.killing_ratios * spec.block_dims, spec.coupling, values)
 
 
 def sum_rule_defect(spec: HomogeneousSpec) -> np.ndarray:
@@ -311,7 +295,7 @@ def spec_from_dict(obj: dict, base_dir: str | Path = ".", name: str = "homogeneo
             raise ValueError(f"raw homogeneous spec needs keys d, b, c: missing {exc}")
         return HomogeneousSpec(
             name=name, s=s,
-            block_dims=np.asarray(d, dtype=int),
+            block_dims=d,
             killing_ratios=np.asarray(b, dtype=float),
             casimirs=np.asarray(c, dtype=float),
             coupling=a,

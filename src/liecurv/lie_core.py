@@ -26,7 +26,8 @@ ZERO_DROP = 1e-12
 # Singular values / eigenvalues below RANK_RTOL * largest count as zero in
 # rank and signature decisions (scale-free).
 RANK_RTOL = 1e-9
-# Skew-Hermitian and closure checks on matrix bases.
+# The package-wide default tolerance of structural checks (closure,
+# invariance, antisymmetry, central blocks).
 DEFAULT_TOL = 1e-9
 
 

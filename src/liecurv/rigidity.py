@@ -20,15 +20,19 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .binorm import killing_metric, binormalize
-from .curvature import scalar_curvature_closed, scalar_curvature_koszul
+from .curvature import _block_curvature, _lambda_vector, scalar_curvature_closed, scalar_curvature_koszul
 from .homogeneous import (
     HomogeneousSpec,
     scalar_curvature_homogeneous,
     scalar_gradient_homogeneous,
 )
-from .lie_core import build_su
+from .lie_core import DEFAULT_TOL, build_su
 
-DEFAULT_TOL = 1e-8
+# Certificate defaults: box, search effort, allowed excess in R and in lambda.
+DEFAULT_MAX_LAMBDA = 10.0
+DEFAULT_STARTS = 64
+DEFAULT_SAMPLES = 10_000
+DEFAULT_TOL_R = 1e-8
 DEFAULT_TOL_LAMBDA = 1e-6
 ARMIJO = 1e-4
 SHRINK = 0.5
@@ -89,7 +93,7 @@ class GapBreakdown:
     residual: float
 
 
-def gap_breakdown(spec: HomogeneousSpec, lam, tol: float = 1e-9) -> GapBreakdown:
+def gap_breakdown(spec: HomogeneousSpec, lam, tol: float = DEFAULT_TOL) -> GapBreakdown:
     """Evaluate the deficit and its Casimir/polynomial split at ``lam``.
 
     The split is an algebraic identity for every positive ``lam`` provided
@@ -105,7 +109,7 @@ def gap_breakdown(spec: HomogeneousSpec, lam, tol: float = 1e-9) -> GapBreakdown
     if sym_defect > tol * max(1.0, np.abs(a3).max()):
         raise ValueError("decomposition identity requires bi-invariant reference: "
                          "coupling tensor is not symmetric")
-    values = lam.values if hasattr(lam, "values") else np.asarray(lam, dtype=float)
+    values = _lambda_vector(lam, spec.s)
     r0 = scalar_curvature_homogeneous(spec, np.ones(spec.s)).R
     rg = scalar_curvature_homogeneous(spec, values).R
     gap = r0 - rg
@@ -176,10 +180,7 @@ class _Tracker:
 
 
 def _r_batch(spec: HomogeneousSpec, lams: np.ndarray) -> np.ndarray:
-    inv = 1.0 / lams
-    term1 = 0.5 * inv @ (spec.killing_ratios * spec.block_dims)
-    term2 = 0.25 * np.einsum("ijk,mi,mj,mk->m", spec.coupling, inv, inv, lams)
-    return term1 - term2
+    return _block_curvature(spec.killing_ratios * spec.block_dims, spec.coupling, lams)
 
 
 def _projected_gradient(lam: np.ndarray, grad: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -216,9 +217,9 @@ def _ascend(spec: HomogeneousSpec, start: np.ndarray, lo: float, hi: float,
     return lam, r
 
 
-def verify_rigidity(spec: HomogeneousSpec, max_lambda: float = 10.0,
-                    n_starts: int = 64, n_samples: int = 10_000, seed: int = 0,
-                    tol: float = DEFAULT_TOL, tol_lambda: float = DEFAULT_TOL_LAMBDA) -> RigidityReport:
+def verify_rigidity(spec: HomogeneousSpec, max_lambda: float = DEFAULT_MAX_LAMBDA,
+                    n_starts: int = DEFAULT_STARTS, n_samples: int = DEFAULT_SAMPLES, seed: int = 0,
+                    tol: float = DEFAULT_TOL_R, tol_lambda: float = DEFAULT_TOL_LAMBDA) -> RigidityReport:
     """Search [1, max_lambda]^s for metrics beating the reference curvature.
 
     Dense uniform sampling plus multi-start projected gradient ascent (the

@@ -113,3 +113,15 @@ def test_diagonal_metric_requires_positive_entries():
 
 def test_metric_invariance_defect_zero_for_killing(su2):
     assert lc.metric_invariance_defect(lc.killing_metric(su2, 0.125)) <= 1e-12
+
+
+def test_orthonormal_model_checks_antisymmetry_when_built(su2_model):
+    c = su2_model.c.copy()
+    c[0, 1, 2] += 0.5  # antisymmetry now fails against (1, 0, 2) and the cyclic slots
+    with pytest.raises(ValueError, match="not bi-invariant-orthonormal"):
+        lc.OrthonormalModel(name="skewed", n=3, t=np.eye(3), c=c)
+
+
+def test_orthonormal_model_checks_shape(su2_model):
+    with pytest.raises(ValueError, match="shape"):
+        lc.OrthonormalModel(name="short", n=4, t=np.eye(4), c=su2_model.c)

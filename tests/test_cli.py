@@ -253,3 +253,48 @@ def test_malformed_raw_spec(capsys, tmp_path):
     code, _, err = run(capsys, "homogeneous", "--homogeneous", str(path))
     assert code == 2
     assert "missing" in err
+
+
+@pytest.mark.parametrize("fmt", ["table", "structured"])
+@pytest.mark.parametrize("raw", [
+    {"s": 2, "d": [1, 1], "b": [float("nan"), 1.0], "c": [0.0, 0.0], "A": []},
+    {"s": 2, "d": [1, 1], "b": [1.0, 1.0], "c": [0.0, 0.0], "A": [[0, 0, 1, float("inf")]]},
+    {"s": 2, "d": [1, float("inf")], "b": [1.0, 1.0], "c": [0.0, 0.0], "A": []},
+])
+def test_rigidity_non_finite_spec_is_input_error(capsys, tmp_path, fmt, raw):
+    path = tmp_path / "nonfinite.spec"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    code, out, err = run(capsys, "rigidity", "--homogeneous", str(path),
+                         "--starts", "2", "--samples", "10", "--format", fmt)
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("homogeneous", "--homogeneous", "x.spec", "--scale", "2"),
+    ("homogeneous", "--homogeneous", "x.spec", "--tol", "1e-6"),
+    ("example", "su2-shrink", "--lambda", "0.5", "--scale", "2"),
+    ("example", "su2-shrink", "--lambda", "0.5", "--tol", "1e-6"),
+])
+def test_unused_reference_options_are_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_tol_defaults_per_subcommand(capsys):
+    from liecurv import rigidity
+    from liecurv.lie_core import DEFAULT_TOL
+
+    code, out, _ = run(capsys, "algebra", "--algebra", "su2", "--format", "structured")
+    assert code == 0 and json.loads(out)["config"]["tol"] == DEFAULT_TOL
+    code, out, _ = run(capsys, "rigidity", "--algebra", "su2", "--starts", "2",
+                       "--samples", "10", "--format", "structured")
+    config = json.loads(out)["config"]
+    assert code == 0
+    assert config["tol"] == rigidity.DEFAULT_TOL_R
+    assert config["tol_lambda"] == rigidity.DEFAULT_TOL_LAMBDA
+    assert config["max_lambda"] == rigidity.DEFAULT_MAX_LAMBDA

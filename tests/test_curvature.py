@@ -144,3 +144,24 @@ def test_result_echoes_inputs(su2_model):
     assert res.method == "closed-form"
     assert_allclose(res.lam, [1.0, 1.0, 2.0])
     assert np.isfinite(res.R)
+
+
+def test_koszul_route_shares_no_curvature_kernel():
+    from liecurv import curvature
+
+    kernel = {"_block_curvature", "_block_gradient"}
+    for fn in (curvature.frame_connection, curvature.scalar_curvature_koszul):
+        assert not kernel & set(fn.__code__.co_names)
+    for fn in (curvature.scalar_curvature_closed, curvature.scalar_gradient):
+        assert kernel & set(fn.__code__.co_names)
+
+
+@pytest.mark.parametrize("name", ["su2", "su3"])
+def test_group_gradient_matches_singleton_block_gradient(name, group_models):
+    model = group_models[name]
+    spec = lc.group_as_homogeneous(model)
+    rng = np.random.default_rng(43)
+    for _ in range(20):
+        lam = rng.uniform(0.2, 8.0, size=model.n)
+        assert_allclose(lc.scalar_gradient(model, lam),
+                        lc.scalar_gradient_homogeneous(spec, lam), rtol=1e-12, atol=1e-12)

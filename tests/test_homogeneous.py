@@ -308,3 +308,25 @@ def test_raw_spec_duplicate_coupling_rejected(tmp_path):
 def test_spec_dict_requires_known_form():
     with pytest.raises(ValueError, match="raw .* or derived"):
         lc.spec_from_dict({"blocks": []})
+
+
+@pytest.mark.parametrize("field", ["killing_ratios", "casimirs", "coupling"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_spec_rejects_non_finite_data(field, bad):
+    data = {"killing_ratios": np.ones(2), "casimirs": np.zeros(2), "coupling": np.zeros((2, 2, 2))}
+    data[field].flat[0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        lc.HomogeneousSpec(name="bad", s=2, block_dims=[1, 1], provenance="raw-file", **data)
+
+
+@pytest.mark.parametrize("dims", [[1, np.nan], [1, np.inf], [1, 1.5], [0, 1]])
+def test_spec_rejects_bad_block_dims(dims):
+    with pytest.raises(ValueError, match="positive integers"):
+        lc.HomogeneousSpec(name="bad", s=2, block_dims=dims, killing_ratios=[1.0, 1.0],
+                           casimirs=[0.0, 0.0], coupling=np.zeros((2, 2, 2)), provenance="raw-file")
+
+
+def test_raw_spec_with_nan_is_rejected_not_certified():
+    raw = {"s": 2, "d": [1, 1], "b": [float("nan"), 1.0], "c": [0.0, 0.0], "A": []}
+    with pytest.raises(ValueError, match="finite"):
+        lc.spec_from_dict(raw)
