@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +90,12 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _check_no_scale(args) -> None:
+    if args.homogeneous is not None and args.scale is not None:
+        raise ValueError("--scale applies only with --algebra; a homogeneous spec "
+                         "carries its own reference scale")
+
+
 def cmd_algebra(args) -> int:
     algebra = resolve_algebra(args.algebra)
     scale = args.scale if args.scale is not None else _default_scale(args.algebra)
@@ -135,6 +143,7 @@ def cmd_algebra(args) -> int:
 def cmd_scalar(args) -> int:
     if (args.algebra is None) == (args.homogeneous is None):
         raise ValueError("scalar needs exactly one of --algebra or --homogeneous")
+    _check_no_scale(args)
     lam = _parse_lambda(args.lam)
     if args.algebra is not None:
         algebra = resolve_algebra(args.algebra)
@@ -177,6 +186,7 @@ def cmd_scalar(args) -> int:
 def cmd_rigidity(args) -> int:
     if (args.algebra is None) == (args.homogeneous is None):
         raise ValueError("rigidity needs exactly one of --algebra or --homogeneous")
+    _check_no_scale(args)
     seed = _resolve_seed(args)
     if args.algebra is not None:
         algebra = resolve_algebra(args.algebra)
@@ -194,6 +204,8 @@ def cmd_rigidity(args) -> int:
     report = verify_rigidity(spec, max_lambda=args.max_lambda, n_starts=args.starts,
                              n_samples=args.samples, seed=seed, tol=args.tol,
                              tol_lambda=args.tol_lambda)
+    if not math.isfinite(report.max_violation):
+        raise ValueError("curvature is not finite at some metric in the box: spec data out of range")
     doc = {
         "command": "rigidity",
         "config": {**source, "max_lambda": args.max_lambda, "starts": args.starts,
@@ -216,6 +228,10 @@ def cmd_rigidity(args) -> int:
     if args.trajectories:
         doc["result"]["ascent_finals"] = report.ascent_finals
         doc["result"]["ascent_values"] = report.ascent_values
+        doc["result"]["ascent_status"] = report.ascent_status
+        doc["result"]["ascent_iterations"] = report.ascent_iterations
+    status_counts = ", ".join(f"{n} {status}" for status, n in
+                              sorted(Counter(report.ascent_status).items()))
     lines = [
         f"rigidity search: {report.name} on [1, {report.box[1]}]^{spec.s}",
         f"  starts/samples/seed: {report.n_starts}/{report.n_samples}/{report.seed}",
@@ -224,13 +240,18 @@ def cmd_rigidity(args) -> int:
         f"  max violation:       {_fmt(report.max_violation)} (tol {report.tol})",
         f"  equality localized:  {report.equality_ok} "
         f"(worst offset {_fmt(report.worst_equality_offset)}, tol {report.tol_lambda})",
+        f"  ascent starts:       {status_counts} "
+        f"(at most {int(report.ascent_iterations.max())} steps)",
+        f"  curvature evals:     {report.n_evaluations}",
         f"  certified:           {report.certified}",
-        f"  wall time:           {report.wall_time:.3f}s",
+        f"  wall time:           {report.wall_time:.3f}s (sampling {report.sampling_time:.3f}s, "
+        f"ascent {report.ascent_time:.3f}s)",
         "  note: numerical certificate from sampling and ascent, not a proof",
     ]
     if args.trajectories:
-        for lam_f, r_f in zip(report.ascent_finals, report.ascent_values):
-            lines.append(f"    ascent final R={_fmt(r_f)} at {lam_f.tolist()}")
+        for lam_f, r_f, status, steps in zip(report.ascent_finals, report.ascent_values,
+                                             report.ascent_status, report.ascent_iterations):
+            lines.append(f"    ascent final R={_fmt(r_f)} at {lam_f.tolist()} ({status}, {steps} steps)")
     _emit(doc, lines, args.format)
     return 0 if report.certified else 1
 
@@ -311,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     def reference(p, tol):
         p.add_argument("--scale", type=float, default=None,
                        help="reference metric scale s (metric = s * negative Killing form); "
-                            "default 0.125 for built-in su2, else 1")
+                            "default 0.125 for built-in su2, else 1; --algebra only")
         p.add_argument("--tol", type=float, default=tol, help=f"tolerance (default {tol})")
 
     def common(p, lam=False):
@@ -345,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"search seed (falls back to ${SEED_ENV}, then 0)")
     p.add_argument("--tol-lambda", dest="tol_lambda", type=float, default=DEFAULT_TOL_LAMBDA)
     p.add_argument("--trajectories", action="store_true",
-                   help="include per-start ascent endpoints in the report")
+                   help="include per-start ascent endpoints, status and steps in the report")
     p.set_defaults(func=cmd_rigidity)
 
     p = sub.add_parser("homogeneous", help="inspect a homogeneous spec file")

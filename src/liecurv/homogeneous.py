@@ -15,6 +15,8 @@ data (shapes, signs, finiteness) when built, so evaluators check only lam.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -245,8 +247,12 @@ def scalar_curvature_homogeneous(spec: HomogeneousSpec, lam) -> CurvatureResult:
 
 
 def scalar_gradient_homogeneous(spec: HomogeneousSpec, lam) -> np.ndarray:
-    """Analytic gradient of :func:`scalar_curvature_homogeneous` in ``lam``."""
-    values = _lambda_vector(lam, spec.s)
+    """Analytic gradient of :func:`scalar_curvature_homogeneous` in ``lam``.
+
+    ``lam`` is one point, shape (s,), or a batch of rows, shape (m, s); the
+    result has the same shape.
+    """
+    values = _lambda_vector(lam, spec.s, batch=True)
     return _block_gradient(spec.killing_ratios * spec.block_dims, spec.coupling, values)
 
 
@@ -265,6 +271,21 @@ def sum_rule_defect(spec: HomogeneousSpec) -> np.ndarray:
 # Homogeneous spec files
 # ---------------------------------------------------------------------------
 
+def _real(value, what: str) -> float:
+    """A JSON number as a float; booleans, strings, lists and null are refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _whole_number(value, what: str) -> int:
+    """A JSON number that is a finite integer (3 or 3.0, not 2.5) as an int."""
+    x = _real(value, what)
+    if not (math.isfinite(x) and x == round(x)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(x)
+
+
 def spec_from_dict(obj: dict, base_dir: str | Path = ".", name: str = "homogeneous-spec") -> HomogeneousSpec:
     """Load a homogeneous spec from its JSON form.
 
@@ -275,29 +296,38 @@ def spec_from_dict(obj: dict, base_dir: str | Path = ".", name: str = "homogeneo
     ``base_dir``), ``scale``, ``h_basis`` and ``blocks``; runs
     :func:`build_spec`.
     """
+    if not isinstance(obj, dict):
+        raise ValueError("homogeneous spec must be a JSON object")
     if "s" in obj:
-        s = int(obj["s"])
+        s = _whole_number(obj["s"], "block count s")
+        if s < 1:
+            raise ValueError(f"block count s must be at least 1, got {s}")
+        try:
+            d, b, c = obj["d"], obj["b"], obj["c"]
+        except KeyError as exc:
+            raise ValueError(f"raw homogeneous spec needs keys d, b, c: missing {exc}")
+        if not all(isinstance(x, (list, tuple)) and len(x) == s for x in (d, b, c)):
+            raise ValueError("block data d, b, c must be lists of length s")
+        entries = obj.get("A", [])
+        if not isinstance(entries, (list, tuple)):
+            raise ValueError("coupling A must be a list of [i, j, k, value] entries")
         a = np.zeros((s, s, s))
         seen = set()
-        for entry in obj.get("A", []):
-            if len(entry) != 4:
+        for entry in entries:
+            if not isinstance(entry, (list, tuple)) or len(entry) != 4:
                 raise ValueError(f"coupling entries must be [i, j, k, value], got {entry}")
-            i, j, k = (int(v) for v in entry[:3])
+            i, j, k = (_whole_number(v, "coupling index") for v in entry[:3])
             if not (0 <= i < s and 0 <= j < s and 0 <= k < s):
                 raise ValueError(f"coupling index out of range in ({i}, {j}, {k})")
             if (i, j, k) in seen:
                 raise ValueError(f"duplicate coupling entry for ({i}, {j}, {k})")
             seen.add((i, j, k))
-            a[i, j, k] = float(entry[3])
-        try:
-            d, b, c = obj["d"], obj["b"], obj["c"]
-        except KeyError as exc:
-            raise ValueError(f"raw homogeneous spec needs keys d, b, c: missing {exc}")
+            a[i, j, k] = _real(entry[3], "coupling value")
         return HomogeneousSpec(
             name=name, s=s,
-            block_dims=d,
-            killing_ratios=np.asarray(b, dtype=float),
-            casimirs=np.asarray(c, dtype=float),
+            block_dims=[_real(x, "block dimension") for x in d],
+            killing_ratios=np.array([_real(x, "Killing ratio") for x in b]),
+            casimirs=np.array([_real(x, "Casimir constant") for x in c]),
             coupling=a,
             provenance="raw-file",
         )
@@ -306,8 +336,8 @@ def spec_from_dict(obj: dict, base_dir: str | Path = ".", name: str = "homogeneo
         candidate = Path(base_dir) / source
         algebra = resolve_algebra(candidate if candidate.exists() else source)
         scale = float(obj.get("scale", 1.0))
-        if "blocks" not in obj:
-            raise ValueError("derived homogeneous spec needs a 'blocks' key")
+        if not isinstance(obj.get("blocks"), (list, tuple)):
+            raise ValueError("derived homogeneous spec needs a 'blocks' list")
         embedding = SubalgebraEmbedding(
             parent=algebra,
             h_basis=np.asarray(obj.get("h_basis", []), dtype=float).reshape(-1, algebra.dim),

@@ -51,3 +51,14 @@ def s2_spec(su2):
         blocks=([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],),
     )
     return lc.build_spec(embedding, lc.killing_metric(su2, 0.125), name="s2")
+
+
+@pytest.fixture(scope="session")
+def flag_spec():
+    """SU(3) over its maximal torus: three 2-dim root blocks."""
+    su3 = lc.build_su(3)
+    e = np.eye(8)
+    embedding = lc.SubalgebraEmbedding(
+        parent=su3, h_basis=[e[6], e[7]],
+        blocks=(np.vstack([e[0], e[3]]), np.vstack([e[1], e[4]]), np.vstack([e[2], e[5]])))
+    return lc.build_spec(embedding, lc.killing_metric(su3, 1.0), name="flag")

@@ -298,3 +298,66 @@ def test_tol_defaults_per_subcommand(capsys):
     assert config["tol"] == rigidity.DEFAULT_TOL_R
     assert config["tol_lambda"] == rigidity.DEFAULT_TOL_LAMBDA
     assert config["max_lambda"] == rigidity.DEFAULT_MAX_LAMBDA
+
+
+@pytest.mark.parametrize("command", ["scalar", "rigidity"])
+def test_scale_with_homogeneous_spec_is_refused(capsys, s2_spec_file, command):
+    argv = [command, "--homogeneous", s2_spec_file, "--scale", "5"]
+    if command == "scalar":
+        argv += ["--lambda", "1"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:") and "--scale" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("raw", [
+    {"s": 2, "d": [1, 1], "b": [1, 1], "c": [0, 0], "A": 5},
+    {"s": 2.5, "d": [1, 1], "b": [1, 1], "c": [0, 0], "A": []},
+    {"s": 2, "d": [1, 1], "b": [1, 1], "c": [0, 0], "A": [[0, 1, 1.7, 1.0]]},
+])
+def test_rigidity_malformed_raw_spec_exits_2(capsys, tmp_path, raw):
+    path = tmp_path / "malformed.spec"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    code, out, err = run(capsys, "rigidity", "--homogeneous", str(path),
+                         "--starts", "2", "--samples", "10", "--format", "structured")
+    assert code == 2
+    assert err.startswith("error:")
+    assert out == ""
+
+
+@pytest.mark.parametrize("coupling", [
+    [[0, 1, 1, 1e308], [1, 0, 1, 1e308], [0, 0, 0, 1e308]],  # R(1) overflows
+    [[0, 0, 1, 1e308]],                                        # R(1) finite, R(1, 10) not
+])
+def test_rigidity_non_finite_curvature_exits_2(capsys, tmp_path, coupling):
+    raw = {"s": 2, "d": [1, 1], "b": [1.0, 1.0], "c": [0.0, 0.0], "A": coupling}
+    path = tmp_path / "huge.spec"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    code, out, err = run(capsys, "rigidity", "--homogeneous", str(path),
+                         "--starts", "4", "--samples", "100", "--format", "structured")
+    assert code == 2
+    assert err.startswith("error:") and "not finite" in err
+    assert "Infinity" not in out and out == ""
+
+
+def test_rigidity_table_shows_ascent_diagnostics(capsys):
+    code, out, _ = run(capsys, "rigidity", "--algebra", "su2", "--starts", "4", "--samples", "50")
+    assert code == 0
+    assert "4 converged" in out
+    assert "curvature evals:" in out
+    assert "sampling" in out and "ascent" in out
+
+
+def test_rigidity_trajectories_add_status_and_iterations(capsys):
+    argv = ["rigidity", "--algebra", "su2", "--starts", "4", "--samples", "50", "--format", "structured"]
+    code, out, _ = run(capsys, *argv)
+    plain = json.loads(out)["result"]
+    assert code == 0
+    assert not {"ascent_status", "ascent_iterations"} & set(plain)
+    assert not any("time" in key for key in plain)
+    code, out, _ = run(capsys, *argv, "--trajectories")
+    result = json.loads(out)["result"]
+    assert result["ascent_status"] == ["converged"] * 4
+    assert len(result["ascent_iterations"]) == 4
+    assert not any("time" in key for key in result)

@@ -165,3 +165,50 @@ def test_group_gradient_matches_singleton_block_gradient(name, group_models):
         lam = rng.uniform(0.2, 8.0, size=model.n)
         assert_allclose(lc.scalar_gradient(model, lam),
                         lc.scalar_gradient_homogeneous(spec, lam), rtol=1e-12, atol=1e-12)
+
+
+def test_koszul_route_does_not_use_the_hessian():
+    from liecurv import curvature
+
+    for fn in (curvature.frame_connection, curvature.scalar_curvature_koszul):
+        assert "_block_hessian" not in fn.__code__.co_names
+
+
+def _asymmetric_raw_spec():
+    rng = np.random.default_rng(5)
+    return lc.HomogeneousSpec(name="raw", s=4, block_dims=[1, 2, 3, 1],
+                              killing_ratios=rng.uniform(0.5, 2.0, 4), casimirs=np.zeros(4),
+                              coupling=rng.uniform(0.0, 1.0, (4, 4, 4)), provenance="raw-file")
+
+
+@pytest.mark.parametrize("which", ["su3", "flag", "raw"])
+def test_block_hessian_matches_central_differences(which, group_specs, flag_spec):
+    from liecurv.curvature import _block_gradient, _block_hessian
+
+    spec = {"su3": group_specs["su3"], "flag": flag_spec, "raw": _asymmetric_raw_spec()}[which]
+    beta = spec.killing_ratios * spec.block_dims
+    lams = np.random.default_rng(17).uniform(1.0, 6.0, size=(4, spec.s))
+    hess = _block_hessian(beta, spec.coupling, lams)
+    assert hess.shape == (4, spec.s, spec.s)
+    h = 1e-5
+    for lam, hs in zip(lams, hess):
+        steps = h * np.eye(spec.s)
+        fd = np.array([(_block_gradient(beta, spec.coupling, lam + e)
+                        - _block_gradient(beta, spec.coupling, lam - e)) / (2.0 * h) for e in steps])
+        assert np.abs(fd - hs).max() <= 1e-8 * (1.0 + np.abs(hs).max())
+        assert np.abs(hs - hs.T).max() <= 1e-12 * (1.0 + np.abs(hs).max())
+
+
+def test_batched_kernels_match_single_points(group_specs):
+    from liecurv.curvature import CHUNK_ENTRIES, _block_curvature, _block_gradient
+
+    spec = group_specs["so5"]
+    beta = spec.killing_ratios * spec.block_dims
+    rows = 2 * CHUNK_ENTRIES // spec.s**2 + 7  # two full chunks and a partial one
+    lams = np.random.default_rng(23).uniform(1.0, 10.0, size=(rows, spec.s))
+    values = _block_curvature(beta, spec.coupling, lams)
+    grads = lc.scalar_gradient_homogeneous(spec, lams)
+    assert grads.shape == lams.shape
+    for lam, r, g in zip(lams, values, grads):
+        assert r == pytest.approx(lc.scalar_curvature_homogeneous(spec, lam).R, rel=1e-13, abs=1e-13)
+        assert_allclose(g, _block_gradient(beta, spec.coupling, lam), rtol=1e-12, atol=1e-13)

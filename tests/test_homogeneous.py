@@ -330,3 +330,55 @@ def test_raw_spec_with_nan_is_rejected_not_certified():
     raw = {"s": 2, "d": [1, 1], "b": [float("nan"), 1.0], "c": [0.0, 0.0], "A": []}
     with pytest.raises(ValueError, match="finite"):
         lc.spec_from_dict(raw)
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"A": 5}, "list of"),
+    ({"A": [[0, 1, 1]]}, r"\[i, j, k, value\]"),
+    ({"A": [7]}, r"\[i, j, k, value\]"),
+    ({"A": [[0, 1, 1.7, 1.0]]}, "integer"),
+    ({"A": [[0, 1, None, 1.0]]}, "number"),
+    ({"A": [[0, 1, 1, "big"]]}, "number"),
+    ({"A": [[True, 1, 1, 1.0]]}, "number"),
+    ({"s": 2.5}, "integer"),
+    ({"s": "2"}, "number"),
+    ({"s": 0, "d": [], "b": [], "c": []}, "at least 1"),
+    ({"d": 2}, "lists of length s"),
+    ({"b": [1.0]}, "lists of length s"),
+    ({"c": [0.0, {"x": 1}]}, "number"),
+])
+def test_malformed_raw_spec_is_a_value_error(change, message):
+    raw = {"s": 2, "d": [1, 1], "b": [1.0, 1.0], "c": [0.0, 0.0], "A": [[0, 1, 1, 1.0]]}
+    raw.update(change)
+    with pytest.raises(ValueError, match=message):
+        lc.spec_from_dict(raw)
+
+
+def test_raw_spec_accepts_integral_floats():
+    raw = {"s": 2.0, "d": [1, 2.0], "b": [1.0, 1.0], "c": [0.0, 0.0], "A": [[0, 1.0, 1, 0.5]]}
+    spec = lc.spec_from_dict(raw)
+    assert spec.s == 2
+    assert spec.coupling[0, 1, 1] == 0.5
+    assert spec.block_dims.tolist() == [1, 2]
+
+
+def test_spec_must_be_an_object():
+    with pytest.raises(ValueError, match="JSON object"):
+        lc.spec_from_dict([1, 2])
+
+
+def test_gradient_accepts_a_batch(group_specs):
+    spec = group_specs["su3"]
+    lams = np.random.default_rng(3).uniform(1.0, 5.0, size=(3, spec.s))
+    batch = lc.scalar_gradient_homogeneous(spec, lams)
+    assert batch.shape == (3, spec.s)
+    for lam, row in zip(lams, batch):
+        assert_allclose(row, lc.scalar_gradient_homogeneous(spec, lam), rtol=1e-12, atol=1e-14)
+    with pytest.raises(ValueError, match="length"):
+        lc.scalar_gradient_homogeneous(spec, np.ones((2, 2, spec.s)))
+
+
+@pytest.mark.parametrize("blocks", [5, None, "abc"])
+def test_derived_spec_blocks_must_be_a_list(blocks):
+    with pytest.raises(ValueError, match="'blocks' list"):
+        lc.spec_from_dict({"algebra": "su2", "blocks": blocks})

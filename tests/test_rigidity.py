@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import liecurv as lc
-from liecurv.rigidity import _ascend, _projected_gradient, _r_batch
+from liecurv.rigidity import GRAD_STOP, _Tracker, _ascend, _ascend_all, _projected_gradient, _r_batch
 
 
 def test_gap_polynomial_values():
@@ -249,3 +249,92 @@ def test_report_records_configuration(group_specs):
     assert report.n_samples == 100
     assert report.ascent_finals.shape == (4, 3)
     assert report.wall_time > 0.0
+
+
+def test_lockstep_ascent_matches_one_start_at_a_time(group_specs, flag_spec):
+    for spec in (group_specs["so5"], flag_spec):
+        starts = np.random.default_rng(29).uniform(1.0, 10.0, size=(6, spec.s))
+        finals, values = _ascend(spec, starts, 1.0, 10.0, lambda lams, rs: None)
+        assert finals.shape == starts.shape and values.shape == (6,)
+        for start, final, value in zip(starts, finals, values):
+            one_final, one_value = _ascend(spec, start, 1.0, 10.0, lambda lams, rs: None)
+            assert_allclose(final, one_final, rtol=0.0, atol=1e-9)
+            assert value == pytest.approx(one_value, rel=1e-13)
+
+
+def test_lockstep_ascent_records_every_evaluation(group_specs):
+    spec = group_specs["su3"]
+    starts = np.random.default_rng(31).uniform(1.0, 10.0, size=(5, spec.s))
+    seen = []
+    ascent = _ascend_all(spec, starts, 1.0, 10.0, lambda lams, rs: seen.append((lams.copy(), rs.copy())))
+    assert np.array_equal(seen[0][0], starts)
+    for lam, r in zip(ascent.lam, ascent.r):
+        # each final point was recorded with the value reported for it
+        assert any(np.any(np.all(lams == lam, axis=1) & (rs == r)) for lams, rs in seen)
+    assert list(ascent.status) == ["converged"] * 5
+    assert np.all(ascent.iterations >= 1)
+
+
+@pytest.mark.parametrize("name", ["su3", "so5", "su4"])
+@pytest.mark.parametrize("seed", [11, 2020])
+def test_every_start_converges(name, seed):
+    algebra = lc.resolve_algebra(name)
+    spec = lc.group_as_homogeneous(lc.binormalize(algebra, lc.killing_metric(algebra, 1.0)))
+    report = lc.verify_rigidity(spec, seed=seed)
+    assert report.certified
+    assert report.ascent_status == ("converged",) * report.n_starts
+    for lam in report.ascent_finals:
+        grad = lc.scalar_gradient_homogeneous(spec, lam)
+        assert np.linalg.norm(_projected_gradient(lam, grad, 1.0, 10.0)) <= GRAD_STOP
+
+
+def test_report_diagnostics(group_specs):
+    report = lc.verify_rigidity(group_specs["su2"], n_starts=8, n_samples=300, seed=3)
+    assert len(report.ascent_status) == 8
+    assert report.ascent_iterations.shape == (8,)
+    assert report.ascent_iterations[0] == 0  # the reference start is already stationary
+    # r0, the samples, the starts and at least one trial point per step
+    assert report.n_evaluations >= 1 + 300 + 8 + int(report.ascent_iterations.sum())
+    assert report.sampling_time > 0.0 and report.ascent_time > 0.0
+    assert report.sampling_time + report.ascent_time <= report.wall_time
+
+
+def test_unconverged_search_does_not_certify(group_specs, monkeypatch):
+    from liecurv import rigidity
+
+    monkeypatch.setattr(rigidity, "MAX_ITER", 1)
+    report = lc.verify_rigidity(group_specs["su3"], n_starts=8, n_samples=100, seed=0)
+    assert "max-iter" in report.ascent_status
+    assert report.max_violation <= report.tol and report.equality_ok
+    assert not report.certified
+
+
+def test_non_finite_reference_curvature_is_an_input_error():
+    a = np.zeros((2, 2, 2))
+    a[0, 1, 1] = a[1, 0, 1] = a[0, 0, 0] = 1e308
+    spec = lc.HomogeneousSpec(name="huge", s=2, block_dims=[1, 1], killing_ratios=[1.0, 1.0],
+                              casimirs=[0.0, 0.0], coupling=a, provenance="raw-file")
+    with pytest.raises(ValueError, match="not finite"):
+        lc.verify_rigidity(spec, n_starts=2, n_samples=10)
+
+
+def test_tracker_counts_non_finite_curvature_as_violation():
+    tracker = _Tracker(r0=1.0, tol=1e-8, tol_lambda=1e-6)
+    tracker.record(np.array([[2.0, 2.0], [3.0, 3.0]]), np.array([0.5, np.nan]))
+    assert tracker.max_violation == math.inf
+    tracker = _Tracker(r0=1.0, tol=1e-8, tol_lambda=1e-6)
+    tracker.record(np.array([[2.0, 2.0]]), np.array([-np.inf]))
+    assert tracker.max_violation == math.inf
+    assert tracker.evaluations == 1
+
+
+def test_overflow_inside_the_box_is_not_certified():
+    # Finite reference curvature, but lam_k = 10 overflows the coupling sum.
+    a = np.zeros((2, 2, 2))
+    a[0, 0, 1] = 1e308
+    spec = lc.HomogeneousSpec(name="overflow", s=2, block_dims=[1, 1], killing_ratios=[1.0, 1.0],
+                              casimirs=[0.0, 0.0], coupling=a, provenance="raw-file")
+    report = lc.verify_rigidity(spec, n_starts=4, n_samples=100, seed=0)
+    assert math.isfinite(report.r0)
+    assert report.max_violation == math.inf
+    assert not report.certified
