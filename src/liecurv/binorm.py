@@ -106,6 +106,13 @@ def check_metric(metric: BiInvariantMetric, tol: float = DEFAULT_TOL) -> None:
         raise ValueError("not bi-invariant: ad-invariance fails on the gram matrix")
 
 
+def _in_frame(c: np.ndarray, t: np.ndarray, co: np.ndarray) -> np.ndarray:
+    """Structure constants in the frame f_a = sum_i t[i, a] e_i, read off with
+    ``co[k, g] = <e_k, f_g>``: out[a, b, g] = <[f_a, f_b], f_g>.  Every change
+    of basis in the package is this one contraction."""
+    return np.einsum("ia,jb,kc,ijk->abc", t, t, co, c)
+
+
 def binormalize(algebra: LieAlgebra, metric: BiInvariantMetric, tol: float = DEFAULT_TOL) -> OrthonormalModel:
     """Rotate the structure constants into a metric-orthonormal basis.
 
@@ -116,8 +123,7 @@ def binormalize(algebra: LieAlgebra, metric: BiInvariantMetric, tol: float = DEF
     check_metric(metric, tol)
     L = np.linalg.cholesky(metric.gram)
     t = np.linalg.inv(L).T
-    co = metric.gram @ t  # co[k, c] = <e_k, f_c>
-    c_rot = np.einsum("ia,jb,kc,ijk->abc", t, t, co, algebra.c)
+    c_rot = _in_frame(algebra.c, t, metric.gram @ t)
     return OrthonormalModel(name=algebra.name, n=algebra.dim, t=t, c=c_rot, tol=tol)
 
 
@@ -154,5 +160,5 @@ def diagonalize_metric(model: OrthonormalModel, operator, tol: float = DEFAULT_T
     w, q = np.linalg.eigh(0.5 * (s + s.T))
     if w[0] <= tol * max(1.0, w[-1]):
         raise ValueError("metric operator must be positive definite")
-    c_rot = np.einsum("ia,jb,kc,ijk->abc", q, q, q, model.c)
+    c_rot = _in_frame(model.c, q, q)
     return DiagonalizedMetric(rotation=q, metric=DiagonalMetric(w), c=c_rot)

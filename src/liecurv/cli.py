@@ -90,10 +90,11 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _check_no_scale(args) -> None:
-    if args.homogeneous is not None and args.scale is not None:
-        raise ValueError("--scale applies only with --algebra; a homogeneous spec "
-                         "carries its own reference scale")
+def _check_algebra_only(args, *options) -> None:
+    for option in options:
+        if args.homogeneous is not None and getattr(args, option) is not None:
+            raise ValueError(f"--{option} applies only with --algebra; a homogeneous spec carries "
+                             "its own reference scale and is checked when loaded")
 
 
 def cmd_algebra(args) -> int:
@@ -143,18 +144,19 @@ def cmd_algebra(args) -> int:
 def cmd_scalar(args) -> int:
     if (args.algebra is None) == (args.homogeneous is None):
         raise ValueError("scalar needs exactly one of --algebra or --homogeneous")
-    _check_no_scale(args)
+    _check_algebra_only(args, "scale", "tol")
     lam = _parse_lambda(args.lam)
     if args.algebra is not None:
         algebra = resolve_algebra(args.algebra)
         scale = args.scale if args.scale is not None else _default_scale(args.algebra)
-        model = binormalize(algebra, killing_metric(algebra, scale), tol=args.tol)
+        tol = args.tol if args.tol is not None else DEFAULT_TOL
+        model = binormalize(algebra, killing_metric(algebra, scale), tol=tol)
         closed = scalar_curvature_closed(model, lam)
         koszul = scalar_curvature_koszul(model, lam)
         doc = {
             "command": "scalar",
             "config": {"algebra": args.algebra, "scale": scale,
-                       "lambda": lam, "tol": args.tol},
+                       "lambda": lam, "tol": tol},
             "result": {
                 "R_closed": closed.R,
                 "R_koszul": koszul.R,
@@ -172,7 +174,7 @@ def cmd_scalar(args) -> int:
         result = scalar_curvature_homogeneous(spec, lam)
         doc = {
             "command": "scalar",
-            "config": {"homogeneous": str(args.homogeneous), "lambda": lam, "tol": args.tol},
+            "config": {"homogeneous": str(args.homogeneous), "lambda": lam},
             "result": {"R": result.R, "method": result.method},
         }
         lines = [
@@ -186,7 +188,7 @@ def cmd_scalar(args) -> int:
 def cmd_rigidity(args) -> int:
     if (args.algebra is None) == (args.homogeneous is None):
         raise ValueError("rigidity needs exactly one of --algebra or --homogeneous")
-    _check_no_scale(args)
+    _check_algebra_only(args, "scale")
     seed = _resolve_seed(args)
     if args.algebra is not None:
         algebra = resolve_algebra(args.algebra)
@@ -329,11 +331,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def reference(p, tol):
+    def reference(p, tol, algebra_only_tol=False):
         p.add_argument("--scale", type=float, default=None,
                        help="reference metric scale s (metric = s * negative Killing form); "
                             "default 0.125 for built-in su2, else 1; --algebra only")
-        p.add_argument("--tol", type=float, default=tol, help=f"tolerance (default {tol})")
+        p.add_argument("--tol", type=float, default=None if algebra_only_tol else tol,
+                       help=f"tolerance (default {tol})" + ("; --algebra only" if algebra_only_tol else ""))
 
     def common(p, lam=False):
         p.add_argument("--format", choices=("table", "structured"), default="table")
@@ -350,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scalar", help="scalar curvature of a diagonal metric")
     p.add_argument("--algebra", help="built-in name or JSON file")
     p.add_argument("--homogeneous", help="homogeneous spec JSON file")
-    reference(p, DEFAULT_TOL)
+    reference(p, DEFAULT_TOL, algebra_only_tol=True)
     common(p, lam=True)
     p.set_defaults(func=cmd_scalar)
 

@@ -5,8 +5,11 @@ decomposition of its complement.  :func:`build_spec` reduces that geometry
 to the quadruple consumed by the scalar curvature formula: block
 dimensions, the Killing-to-metric ratios, the Casimir constants of the
 subalgebra action, and the tensor of summed squared structure constants of
-brackets between blocks.  The group itself is the special case of singleton
-blocks with no subalgebra (:func:`group_as_homogeneous`).
+brackets between blocks.  All four, and the closure and invariance checks,
+are slices of the structure constants rotated into the adapted frame
+(subalgebra first, then the blocks), cut at the block edges.  The group
+itself is the case of singleton blocks with no subalgebra
+(:func:`group_as_homogeneous`).
 
 The formula lives once, in :mod:`liecurv.curvature`; a spec validates its
 data (shapes, signs, finiteness) when built, so evaluators check only lam.
@@ -15,16 +18,14 @@ data (shapes, signs, finiteness) when built, so evaluators check only lam.
 from __future__ import annotations
 
 import json
-import math
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .binorm import BiInvariantMetric, OrthonormalModel, check_metric, killing_metric
+from .binorm import BiInvariantMetric, OrthonormalModel, _in_frame, check_metric, killing_metric
 from .curvature import CurvatureResult, _block_curvature, _block_gradient, _lambda_vector
-from .lie_core import DEFAULT_TOL, LieAlgebra, killing, resolve_algebra
+from .lie_core import DEFAULT_TOL, LieAlgebra, _real, _sparse_entries, _whole_number, killing, resolve_algebra
 
 # Scalar-multiple test: off-diagonal max and diagonal spread relative to the
 # diagonal mean.
@@ -98,9 +99,8 @@ class SubalgebraEmbedding:
         blocks = tuple(np.asarray(b, dtype=float).reshape(-1, n) for b in self.blocks)
         if not blocks:
             raise ValueError("at least one complement block is required")
-        for b in blocks:
-            if b.shape[0] == 0:
-                raise ValueError("complement blocks must be non-empty")
+        if any(b.shape[0] == 0 for b in blocks):
+            raise ValueError("complement blocks must be non-empty")
         object.__setattr__(self, "h_basis", h)
         object.__setattr__(self, "blocks", blocks)
 
@@ -131,8 +131,11 @@ def build_spec(embedding: SubalgebraEmbedding, metric: BiInvariantMetric,
                tol: float = DEFAULT_TOL, name: str | None = None) -> HomogeneousSpec:
     """Reduce a quotient description to homogeneous curvature data.
 
-    Verifies the two necessary conditions the formulas rely on (Casimir
-    scalar on each block, Killing ratio constant on each block) rather than
+    The orthonormalized subalgebra and blocks, h first, form the adapted
+    frame F; every datum and check is a slice, cut at the block edges, of
+    cf[a, b, g] = <[F_a, F_b], F_g> (the Killing ratios: of the Killing form
+    in F).  Verifies the two necessary conditions the formulas rely on
+    (Casimir scalar, Killing ratio constant on each block) rather than
     irreducibility itself; failures ask the caller to refine the blocks.
     """
     algebra = embedding.parent
@@ -145,72 +148,51 @@ def build_spec(embedding: SubalgebraEmbedding, metric: BiInvariantMetric,
     z = _orthonormal_rows(embedding.h_basis, gram, "subalgebra")
     frames = [_orthonormal_rows(b, gram, f"block {i}") for i, b in enumerate(embedding.blocks)]
     dims = np.array([f.shape[0] for f in frames], dtype=int)
-    s = len(frames)
-
-    # h must close under the bracket.
-    for a in range(z.shape[0]):
-        for b in range(a + 1, z.shape[0]):
-            v = algebra.bracket(z[a], z[b])
-            resid = v - (z @ gram @ v) @ z
-            if np.sqrt(resid @ gram @ resid) > tol:
-                raise ValueError("h is not a subalgebra: bracket leaves its span")
+    s, h = len(frames), z.shape[0]
 
     # Mutual orthogonality and completeness in one Gram check.
     full = np.vstack([z] + frames)
     if full.shape[0] != n:
         raise ValueError(f"subalgebra and blocks span dimension {full.shape[0]}, expected {n}")
-    g_full = full @ gram @ full.T
-    if np.abs(g_full - np.eye(n)).max() > tol:
+    if np.abs(full @ gram @ full.T - np.eye(n)).max() > tol:
         raise ValueError("subalgebra and blocks are not mutually orthogonal")
+    cf = _in_frame(algebra.c, full.T, gram @ full.T)
+    edges = np.cumsum([h, *dims])
+    block_of = np.repeat(np.arange(-1, s), [h, *dims])  # -1 on h
 
-    # Each block must be preserved by the subalgebra action.
-    for i, frame in enumerate(frames):
-        for a in range(z.shape[0]):
-            for x in frame:
-                v = algebra.bracket(z[a], x)
-                resid = v - (frame @ gram @ v) @ frame
-                if np.sqrt(resid @ gram @ resid) > tol:
-                    raise ValueError(f"block {i} is not invariant under the subalgebra action")
+    # h must close under the bracket, and preserve each block.
+    if np.any(np.linalg.norm(cf[:h, :h, h:], axis=2) > tol):
+        raise ValueError("h is not a subalgebra: bracket leaves its span")
+    leak = np.where(block_of[h:, None] == block_of, 0.0, cf[:h, h:])
+    moved = np.any(np.linalg.norm(leak, axis=2) > tol, axis=0)
+    if moved.any():
+        raise ValueError(f"block {block_of[h + moved.argmax()]} is not invariant under the subalgebra action")
 
-    # Summed squared structure constants of complement brackets.
-    em = np.vstack(frames)
-    proj = em @ gram  # proj[g, k] = <e_k, E_g>
-    cm = np.einsum("ai,bj,ijk,ck->abc", em, em, algebra.c, proj)
-    owner = np.zeros((s, em.shape[0]))
-    pos = 0
-    for i, d in enumerate(dims):
-        owner[i, pos:pos + d] = 1.0
-        pos += d
-    coupling = np.einsum("ia,jb,kc,abc->ijk", owner, owner, owner, cm * cm)
-
-    # Killing ratio per block, verified constant.
-    b_mat = killing(algebra).B
-    ratios = np.zeros(s)
-    for i, frame in enumerate(frames):
-        restriction = frame @ b_mat @ frame.T
-        ok, value = _scalar_multiple(restriction)
+    # Killing ratio and Casimir constant per block, each verified scalar;
+    # -sum_a M_a^2 with M_a[g, x] = cf[a, x, g] is the Casimir on the block.
+    kf = full @ killing(algebra).B @ full.T
+    ratios, casimirs = np.zeros(s), np.zeros(s)
+    for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+        ok, ratios[i] = _scalar_multiple(kf[lo:hi, lo:hi])
         if not ok:
             raise ValueError(
                 f"block {i} not irreducible-compatible: refine decomposition "
                 "(Killing ratio not constant on the block)")
-        ratios[i] = value
-
-    # Casimir constant per block, verified scalar.
-    casimirs = np.zeros(s)
-    for i, frame in enumerate(frames):
-        cas = np.zeros((frame.shape[0], frame.shape[0]))
-        for a in range(z.shape[0]):
-            act = np.array([frame @ gram @ algebra.bracket(z[a], x) for x in frame]).T
-            cas -= act @ act
-        ok, value = _scalar_multiple(cas)
+        act = cf[:h, lo:hi, lo:hi].swapaxes(1, 2)
+        ok, value = _scalar_multiple(-(act @ act).sum(axis=0))
         if not ok:
             raise ValueError(
                 f"block {i} not irreducible-compatible: refine decomposition "
                 "(Casimir operator not scalar on the block)")
         casimirs[i] = max(value, 0.0)
 
+    # Summed squared structure constants of brackets between blocks.
+    coupling = cf[h:, h:, h:] ** 2
+    for axis in range(3):
+        coupling = np.add.reduceat(coupling, edges[:-1] - h, axis=axis)
+
     return HomogeneousSpec(
-        name=name or f"{algebra.name}/h{z.shape[0]}",
+        name=name or f"{algebra.name}/h{h}",
         s=s,
         block_dims=dims,
         killing_ratios=ratios,
@@ -271,21 +253,6 @@ def sum_rule_defect(spec: HomogeneousSpec) -> np.ndarray:
 # Homogeneous spec files
 # ---------------------------------------------------------------------------
 
-def _real(value, what: str) -> float:
-    """A JSON number as a float; booleans, strings, lists and null are refused."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{what} must be a number, got {value!r}")
-    return float(value)
-
-
-def _whole_number(value, what: str) -> int:
-    """A JSON number that is a finite integer (3 or 3.0, not 2.5) as an int."""
-    x = _real(value, what)
-    if not (math.isfinite(x) and x == round(x)):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return int(x)
-
-
 def spec_from_dict(obj: dict, base_dir: str | Path = ".", name: str = "homogeneous-spec") -> HomogeneousSpec:
     """Load a homogeneous spec from its JSON form.
 
@@ -308,21 +275,9 @@ def spec_from_dict(obj: dict, base_dir: str | Path = ".", name: str = "homogeneo
             raise ValueError(f"raw homogeneous spec needs keys d, b, c: missing {exc}")
         if not all(isinstance(x, (list, tuple)) and len(x) == s for x in (d, b, c)):
             raise ValueError("block data d, b, c must be lists of length s")
-        entries = obj.get("A", [])
-        if not isinstance(entries, (list, tuple)):
-            raise ValueError("coupling A must be a list of [i, j, k, value] entries")
         a = np.zeros((s, s, s))
-        seen = set()
-        for entry in entries:
-            if not isinstance(entry, (list, tuple)) or len(entry) != 4:
-                raise ValueError(f"coupling entries must be [i, j, k, value], got {entry}")
-            i, j, k = (_whole_number(v, "coupling index") for v in entry[:3])
-            if not (0 <= i < s and 0 <= j < s and 0 <= k < s):
-                raise ValueError(f"coupling index out of range in ({i}, {j}, {k})")
-            if (i, j, k) in seen:
-                raise ValueError(f"duplicate coupling entry for ({i}, {j}, {k})")
-            seen.add((i, j, k))
-            a[i, j, k] = _real(entry[3], "coupling value")
+        for index, value in _sparse_entries(obj.get("A", []), s, "coupling A").items():
+            a[index] = value
         return HomogeneousSpec(
             name=name, s=s,
             block_dims=[_real(x, "block dimension") for x in d],

@@ -15,6 +15,8 @@ signature, semi-simplicity and the center are all decided numerically.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -273,39 +275,66 @@ def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
 # Structure-constant files
 # ---------------------------------------------------------------------------
 
+def _real(value, what: str) -> float:
+    """A JSON number as a float; booleans, strings, lists and null are refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f"{what} is out of range")
+
+
+def _whole_number(value, what: str) -> int:
+    """A JSON number that is a finite integer (3 or 3.0, not 2.5) as an int."""
+    x = _real(value, what)
+    if not (math.isfinite(x) and x == round(x)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(x)
+
+
+def _sparse_entries(entries, size: int, what: str) -> dict[tuple[int, int, int], float]:
+    """Sparse ``[i, j, k, value]`` entries of a (size, size, size) tensor in a
+    JSON file: integer indices in range, number values, no index twice."""
+    if not isinstance(entries, (list, tuple)):
+        raise ValueError(f"{what} must be a list of [i, j, k, value] entries")
+    out = {}
+    for entry in entries:
+        if not isinstance(entry, (list, tuple)) or len(entry) != 4:
+            raise ValueError(f"{what} entries must be [i, j, k, value], got {entry}")
+        index = tuple(_whole_number(v, f"{what} index") for v in entry[:3])
+        if not all(0 <= x < size for x in index):
+            raise ValueError(f"{what} index out of range in {index}")
+        if index in out:
+            raise ValueError(f"duplicate {what} entry for {index}")
+        out[index] = _real(entry[3], f"{what} value")
+    return out
+
+
 def algebra_from_dict(obj: dict) -> LieAlgebra:
     """Build an algebra from the JSON structure-constant format.
 
     Expected keys: ``name``, ``dim`` and ``structure_constants`` as a list of
     ``[i, j, k, value]`` with 0-based indices.  Only i < j entries need be
     listed; the antisymmetric completion is applied.  Exact duplicates and
-    mirror entries inconsistent with antisymmetry are rejected.
+    mirror entries inconsistent with antisymmetry are rejected; ``dim`` and
+    the indices must be integers and the values numbers.
     """
     try:
         name = str(obj["name"])
-        dim = int(obj["dim"])
+        dim = _whole_number(obj["dim"], "dim")
         entries = obj["structure_constants"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"algebra file must define name, dim, structure_constants: {exc}")
     if dim < 1:
         raise ValueError("dim must be a positive integer")
-    seen: dict[tuple[int, int, int], float] = {}
-    for entry in entries:
-        if len(entry) != 4:
-            raise ValueError(f"structure constant entries must be [i, j, k, value], got {entry}")
-        i, j, k = (int(v) for v in entry[:3])
-        value = float(entry[3])
-        if not np.isfinite(value):
-            raise ValueError(f"non-finite structure constant at ({i}, {j}, {k})")
-        if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
-            raise ValueError(f"index out of range in entry ({i}, {j}, {k})")
-        if i == j:
-            raise ValueError(f"diagonal entry ({i}, {i}, {k}) violates antisymmetry")
-        if (i, j, k) in seen:
-            raise ValueError(f"duplicate entry for ({i}, {j}, {k})")
-        seen[(i, j, k)] = value
+    seen = _sparse_entries(entries, dim, "structure_constants")
     c = np.zeros((dim, dim, dim))
     for (i, j, k), value in seen.items():
+        if not np.isfinite(value):
+            raise ValueError(f"non-finite structure constant at ({i}, {j}, {k})")
+        if i == j:
+            raise ValueError(f"diagonal entry ({i}, {i}, {k}) violates antisymmetry")
         mirror = seen.get((j, i, k))
         if mirror is not None and mirror != -value:
             raise ValueError(f"entries ({i},{j},{k}) and ({j},{i},{k}) are not antisymmetric")

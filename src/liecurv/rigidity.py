@@ -278,14 +278,16 @@ class _Ascent(NamedTuple):
 
 
 def _ascend_all(spec: HomogeneousSpec, starts: np.ndarray, lo: float, hi: float,
-                record: Callable[[np.ndarray, np.ndarray], None]) -> _Ascent:
+                record: Callable[[np.ndarray, np.ndarray], None],
+                r_starts: np.ndarray | None = None) -> _Ascent:
     """Projected-Newton ascent inside the box from every row of ``starts`` in
     lockstep: one batched gradient call per iteration, over the rows still
-    running.  A row stops when its projected gradient norm reaches
+    running.  ``r_starts``, the curvature at the starts, is evaluated here
+    unless given.  A row stops when its projected gradient norm reaches
     GRAD_STOP (converged), when its line search fails, or after MAX_ITER
     iterations."""
     lam = np.array(starts, dtype=float)
-    r = _r_batch(spec, lam)
+    r = _r_batch(spec, lam) if r_starts is None else np.array(r_starts, dtype=float)
     record(lam, r)
     status = np.full(len(lam), "max-iter", dtype=object)
     iterations = np.zeros(len(lam), dtype=int)
@@ -326,7 +328,8 @@ def verify_rigidity(spec: HomogeneousSpec, max_lambda: float = DEFAULT_MAX_LAMBD
     """Search [1, max_lambda]^s for metrics beating the reference curvature.
 
     Dense uniform sampling plus a lockstep projected-Newton ascent from
-    every start (the all-ones candidate is always the first start).
+    every start (the all-ones candidate is always the first start; the
+    reference curvature r0 is evaluated in the same batch as the starts).
     Certification requires that no evaluated point exceeds the reference
     curvature beyond ``tol``, that every near-equality point sits within
     ``tol_lambda`` of the all-ones vector, and that every ascent start
@@ -344,21 +347,22 @@ def verify_rigidity(spec: HomogeneousSpec, max_lambda: float = DEFAULT_MAX_LAMBD
     # Overflow shows up as a non-finite curvature, which the checks below and
     # the tracker turn into an error or a violation; numpy need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
-        r0 = float(_r_batch(spec, np.ones((1, spec.s)))[0])
+        rng = np.random.default_rng(seed)
+        samples = rng.uniform(1.0, max_lambda, size=(n_samples, spec.s)) if n_samples > 0 else None
+        starts = np.vstack([np.ones(spec.s),
+                            rng.uniform(1.0, max_lambda, size=(max(n_starts - 1, 0), spec.s))])
+        # r0 gets its own row in the starts' matrix product, next to the
+        # all-ones start, so both are rounded alike and the reference cannot
+        # beat itself (a one-row product rounds differently).
+        batch = _r_batch(spec, np.vstack([np.ones(spec.s), starts]))
+        r0, r_starts = float(batch[0]), batch[1:]
         if not math.isfinite(r0):
             raise ValueError(f"reference curvature is not finite ({r0}): spec data out of range")
         tracker = _Tracker(r0, tol, tol_lambda)
-        rng = np.random.default_rng(seed)
-
-        if n_samples > 0:
-            samples = rng.uniform(1.0, max_lambda, size=(n_samples, spec.s))
+        if samples is not None:
             tracker.record(samples, _r_batch(spec, samples))
-
-        starts = [np.ones(spec.s)]
-        if n_starts > 1:
-            starts.extend(rng.uniform(1.0, max_lambda, size=(n_starts - 1, spec.s)))
         t_ascent = time.perf_counter()
-        ascent = _ascend_all(spec, np.array(starts), 1.0, max_lambda, tracker.record)
+        ascent = _ascend_all(spec, starts, 1.0, max_lambda, tracker.record, r_starts)
     t_end = time.perf_counter()
 
     certified = (tracker.max_violation <= tol and tracker.equality_ok

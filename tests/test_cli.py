@@ -361,3 +361,42 @@ def test_rigidity_trajectories_add_status_and_iterations(capsys):
     assert result["ascent_status"] == ["converged"] * 4
     assert len(result["ascent_iterations"]) == 4
     assert not any("time" in key for key in result)
+
+
+@pytest.mark.parametrize("change", [
+    {"structure_constants": 5},
+    {"structure_constants": [7]},
+    {"structure_constants": [[0, 1, 2, None]]},
+    {"structure_constants": [[0, 1, 2, True]]},
+    {"structure_constants": [[0, 1.7, 2, 1.0]]},
+    {"dim": 2.5, "structure_constants": []},
+])
+def test_malformed_algebra_file_exits_2(capsys, tmp_path, change):
+    path = tmp_path / "bad.json"
+    obj = {"name": "bad", "dim": 3, "structure_constants": [[0, 1, 2, 1.0]], **change}
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    code, out, err = run(capsys, "algebra", "--algebra", str(path), "--format", "structured")
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+    assert out == ""
+
+
+def test_tol_with_homogeneous_scalar_is_refused(capsys, s2_spec_file):
+    code, out, err = run(capsys, "scalar", "--homogeneous", s2_spec_file, "--lambda", "2", "--tol", "5")
+    assert code == 2
+    assert err.startswith("error:") and "--tol" in err
+    assert out == ""
+    code, out, _ = run(capsys, "scalar", "--homogeneous", s2_spec_file, "--lambda", "2",
+                       "--format", "structured")
+    assert code == 0
+    assert json.loads(out)["config"] == {"homogeneous": s2_spec_file, "lambda": [2.0]}
+
+
+def test_scalar_tol_still_applies_with_algebra(capsys):
+    from liecurv.lie_core import DEFAULT_TOL
+
+    code, out, _ = run(capsys, "scalar", "--algebra", "su2", "--lambda", "1,1,1", "--format", "structured")
+    assert code == 0 and json.loads(out)["config"]["tol"] == DEFAULT_TOL
+    code, out, _ = run(capsys, "scalar", "--algebra", "su2", "--lambda", "1,1,1", "--tol", "1e-6",
+                       "--format", "structured")
+    assert code == 0 and json.loads(out)["config"]["tol"] == 1e-6

@@ -382,3 +382,183 @@ def test_gradient_accepts_a_batch(group_specs):
 def test_derived_spec_blocks_must_be_a_list(blocks):
     with pytest.raises(ValueError, match="'blocks' list"):
         lc.spec_from_dict({"algebra": "su2", "blocks": blocks})
+
+
+# ---------------------------------------------------------------------------
+# The adapted frame: build_spec does not depend on the basis of the algebra
+# ---------------------------------------------------------------------------
+
+def _rebased(embedding, metric, seed):
+    """The same quotient in the basis f_a = sum_i q[i, a] e_i, q a random
+    orthogonal matrix: rotated structure constants (antisymmetrized exactly),
+    Gram matrix q^T G q and coefficient vectors v q."""
+    n = embedding.parent.dim
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    c = np.einsum("ia,jb,ijk,kc->abc", q, q, embedding.parent.c, q)
+    algebra = lc.LieAlgebra(embedding.parent.name, n, 0.5 * (c - c.swapaxes(0, 1)))
+    gram = q.T @ metric.gram @ q
+    rebased = lc.SubalgebraEmbedding(parent=algebra, h_basis=embedding.h_basis @ q,
+                                     blocks=tuple(b @ q for b in embedding.blocks))
+    return rebased, lc.BiInvariantMetric(algebra, 0.5 * (gram + gram.T), scale=metric.scale)
+
+
+def _s2():
+    su2 = lc.build_su(2)
+    embedding = lc.SubalgebraEmbedding(parent=su2, h_basis=[[0.0, 0.0, 1.0]],
+                                       blocks=([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],))
+    return embedding, lc.killing_metric(su2, 0.125)
+
+
+def _flag():
+    su3 = lc.build_su(3)
+    e = np.eye(8)
+    embedding = lc.SubalgebraEmbedding(
+        parent=su3, h_basis=[e[6], e[7]],
+        blocks=(np.vstack([e[0], e[3]]), np.vstack([e[1], e[4]]), np.vstack([e[2], e[5]])))
+    return embedding, lc.killing_metric(su3, 1.0)
+
+
+def _four_sphere():
+    so5 = lc.build_so(5)
+    pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+    e = np.eye(10)
+    embedding = lc.SubalgebraEmbedding(
+        parent=so5, h_basis=[e[a] for a, (i, j) in enumerate(pairs) if j != 4],
+        blocks=(np.vstack([e[a] for a, (i, j) in enumerate(pairs) if j == 4]),))
+    return embedding, lc.killing_metric(so5, 1.0)
+
+
+@pytest.mark.parametrize("quotient", [_s2, _flag, _four_sphere])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_rebased_embedding_gives_the_canonical_spec(quotient, seed):
+    embedding, metric = quotient()
+    canonical = lc.build_spec(embedding, metric)
+    spec = lc.build_spec(*_rebased(embedding, metric, seed))
+    assert np.array_equal(spec.block_dims, canonical.block_dims)
+    for field in ("killing_ratios", "casimirs", "coupling"):
+        assert_allclose(getattr(spec, field), getattr(canonical, field), rtol=0.0, atol=1e-12)
+
+
+def _not_closed():
+    su2 = lc.build_su(2)
+    return (lc.SubalgebraEmbedding(parent=su2, h_basis=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+                                   blocks=([[0.0, 0.0, 1.0]],)),
+            lc.killing_metric(su2, 0.125))
+
+
+def _not_invariant():
+    su3 = lc.build_su(3)
+    e = np.eye(8)
+    return (lc.SubalgebraEmbedding(parent=su3, h_basis=[e[6]],
+                                   blocks=tuple([e[i]] for i in range(8) if i != 6)),
+            lc.killing_metric(su3, 1.0))
+
+
+def _casimir_not_scalar():
+    su3 = lc.build_su(3)
+    e = np.eye(8)
+    return (lc.SubalgebraEmbedding(parent=su3, h_basis=[e[6]],
+                                   blocks=(np.vstack([e[i] for i in range(8) if i != 6]),)),
+            lc.killing_metric(su3, 1.0))
+
+
+def _killing_ratio_not_constant():
+    algebra = lc.direct_sum(lc.build_su(2), lc.build_su(2))
+    e = np.eye(6)
+    return (lc.SubalgebraEmbedding(parent=algebra, h_basis=[],
+                                   blocks=(np.vstack([e[0], e[3]]), [e[1]], [e[2]], [e[4]], [e[5]])),
+            lc.BiInvariantMetric(algebra, np.diag([8.0, 8.0, 8.0, 16.0, 16.0, 16.0])))
+
+
+def _not_orthogonal():
+    su2 = lc.build_su(2)
+    return (lc.SubalgebraEmbedding(parent=su2, h_basis=[],
+                                   blocks=([[1.0, 0.0, 0.0]], [[1.0, 1.0, 0.0]], [[0.0, 0.0, 1.0]])),
+            lc.killing_metric(su2, 0.125))
+
+
+def _not_spanning():
+    su2 = lc.build_su(2)
+    return (lc.SubalgebraEmbedding(parent=su2, h_basis=[], blocks=([[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]])),
+            lc.killing_metric(su2, 0.125))
+
+
+@pytest.mark.parametrize("quotient, message", [
+    (_not_closed, "h is not a subalgebra"),
+    (_not_invariant, "block 0 is not invariant"),
+    (_casimir_not_scalar, r"block 0 not irreducible-compatible.*\(Casimir operator not scalar"),
+    (_killing_ratio_not_constant, r"block 0 not irreducible-compatible.*\(Killing ratio not constant"),
+    (_not_orthogonal, "not mutually orthogonal"),
+    (_not_spanning, "span dimension 2, expected 3"),
+])
+@pytest.mark.parametrize("seed", [None, 0, 1])
+def test_build_spec_errors_survive_a_change_of_basis(quotient, message, seed):
+    embedding, metric = quotient()
+    if seed is not None:
+        embedding, metric = _rebased(embedding, metric, seed)
+    with pytest.raises(ValueError, match=message):
+        lc.build_spec(embedding, metric)
+
+
+@pytest.mark.parametrize("name", ["su3", "so5"])
+def test_rebased_group_spec_is_the_squared_structure_constants(name):
+    # Singleton blocks along the rebased frame recover c^2 of the original basis.
+    algebra = lc.resolve_algebra(name)
+    blocks = tuple([row] for row in np.eye(algebra.dim))
+    embedding, metric = _rebased(lc.SubalgebraEmbedding(parent=algebra, h_basis=[], blocks=blocks),
+                                 lc.killing_metric(algebra, 1.0), seed=5)
+    spec = lc.build_spec(embedding, metric)
+    canonical = lc.group_as_homogeneous(lc.binormalize(algebra, lc.killing_metric(algebra, 1.0)))
+    assert_allclose(spec.coupling, canonical.coupling, rtol=0.0, atol=1e-12)
+    assert_allclose(spec.killing_ratios, canonical.killing_ratios, rtol=0.0, atol=1e-12)
+    assert np.all(spec.casimirs == 0.0)
+
+
+def test_every_change_of_basis_uses_one_rotation():
+    from liecurv import binorm, homogeneous
+
+    for fn in (binorm.binormalize, binorm.diagonalize_metric, homogeneous.build_spec):
+        assert "_in_frame" in fn.__code__.co_names
+        assert "einsum" not in fn.__code__.co_names
+
+
+def _block_data_by_loops(embedding, metric):
+    """Killing ratios, Casimirs and coupling one bracket at a time, the way
+    build_spec computed them before it sliced the adapted-frame tensor."""
+    from liecurv.homogeneous import _orthonormal_rows
+
+    algebra, gram = embedding.parent, metric.gram
+    z = _orthonormal_rows(embedding.h_basis, gram, "subalgebra")
+    frames = [_orthonormal_rows(b, gram, "block") for b in embedding.blocks]
+    b_mat = lc.killing(algebra).B
+    ratios = [np.diag(f @ b_mat @ f.T).mean() for f in frames]
+    casimirs = []
+    for f in frames:
+        cas = np.zeros((len(f), len(f)))
+        for a in z:
+            act = np.array([f @ gram @ algebra.bracket(a, x) for x in f]).T
+            cas -= act @ act
+        casimirs.append(max(np.diag(cas).mean(), 0.0))
+    coupling = np.array([[[sum(np.sum((fk @ gram @ algebra.bracket(x, y)) ** 2) for x in fi for y in fj)
+                           for fk in frames] for fj in frames] for fi in frames])
+    return ratios, casimirs, coupling
+
+
+def _su3_group():
+    su3 = lc.build_su(3)
+    return (lc.SubalgebraEmbedding(parent=su3, h_basis=[], blocks=tuple([row] for row in np.eye(8))),
+            lc.killing_metric(su3, 1.0))
+
+
+@pytest.mark.parametrize("quotient", [_s2, _flag, _four_sphere, _su3_group])
+@pytest.mark.parametrize("seed", [None, 3])
+def test_sliced_block_data_match_the_bracket_loops(quotient, seed):
+    embedding, metric = quotient()
+    if seed is not None:
+        embedding, metric = _rebased(embedding, metric, seed)
+    spec = lc.build_spec(embedding, metric)
+    ratios, casimirs, coupling = _block_data_by_loops(embedding, metric)
+    # the summation order changed, so agreement is to a few dozen ulps
+    assert_allclose(spec.killing_ratios, ratios, rtol=0.0, atol=1e-14)
+    assert_allclose(spec.casimirs, casimirs, rtol=0.0, atol=1e-14)
+    assert_allclose(spec.coupling, coupling, rtol=0.0, atol=1e-14)

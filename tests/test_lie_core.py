@@ -279,3 +279,29 @@ def test_resolve_algebra():
     assert lc.resolve_algebra("so5").dim == 10
     with pytest.raises(ValueError, match="unknown algebra source"):
         lc.resolve_algebra("sp4")
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"structure_constants": 5}, "structure_constants must be a list"),
+    ({"structure_constants": [7]}, r"entries must be \[i, j, k, value\]"),
+    ({"structure_constants": [[0, 1, 2, None]]}, "value must be a number"),
+    ({"structure_constants": [[0, 1, 2, True]]}, "value must be a number"),
+    ({"structure_constants": [[0, 1, 2, "2"]]}, "value must be a number"),
+    ({"structure_constants": [[0, 1, 2, 10 ** 400]]}, "value is out of range"),
+    ({"structure_constants": [[0, 1.7, 2, 1.0]]}, "index must be an integer"),
+    ({"structure_constants": [[0, False, 2, 1.0]]}, "index must be a number"),
+    ({"dim": 2.5}, "dim must be an integer"),
+    ({"dim": "3"}, "dim must be a number"),
+    ({"dim": float("inf")}, "dim must be an integer"),
+])
+def test_malformed_algebra_dict_is_a_value_error(change, message):
+    obj = {"name": "bad", "dim": 3, "structure_constants": [[0, 1, 2, 1.0]], **change}
+    with pytest.raises(ValueError, match=message):
+        lc.algebra_from_dict(obj)
+
+
+def test_algebra_dict_accepts_integral_floats():
+    obj = {"name": "half", "dim": 3.0, "structure_constants": [[0.0, 1, 2.0, 2]]}
+    algebra = lc.algebra_from_dict(obj)
+    assert algebra.dim == 3
+    assert algebra.c[0, 1, 2] == 2.0 and algebra.c[1, 0, 2] == -2.0

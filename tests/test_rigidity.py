@@ -338,3 +338,14 @@ def test_overflow_inside_the_box_is_not_certified():
     assert math.isfinite(report.r0)
     assert report.max_violation == math.inf
     assert not report.certified
+
+
+@pytest.mark.parametrize("name", ["su3", "so5", "su4"])
+def test_reference_start_value_is_the_reference(name):
+    # r0 and the all-ones start come out of one matrix product, so the
+    # reference cannot beat itself by a rounding difference.
+    algebra = lc.resolve_algebra(name)
+    spec = lc.group_as_homogeneous(lc.binormalize(algebra, lc.killing_metric(algebra, 1.0)))
+    report = lc.verify_rigidity(spec, seed=0)
+    assert report.ascent_values[0] == report.r0
+    assert np.all(report.ascent_finals[0] == 1.0)
