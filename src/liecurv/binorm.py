@@ -11,6 +11,7 @@ curvature formulas ever see.
 
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass
 from typing import NamedTuple
 
@@ -40,9 +41,12 @@ class BiInvariantMetric:
 
 
 def killing_metric(algebra: LieAlgebra, scale: float = 1.0) -> BiInvariantMetric:
-    """The metric s * B, with B the negative of the Killing form."""
+    """The metric s * B, with B the negative of the Killing form; s must be
+    finite and positive."""
     if scale <= 0:
         raise ValueError("metric scale must be positive")
+    if not math.isfinite(scale):
+        raise ValueError(f"metric scale must be finite, got {scale}")
     return BiInvariantMetric(algebra, scale * killing(algebra).B, scale=scale)
 
 

@@ -2,9 +2,14 @@
 
 Subcommands: ``algebra`` (structural report), ``scalar`` (curvature of a
 diagonal metric via both routes), ``rigidity`` (search certificate),
-``homogeneous`` (inspect a spec file) and ``example su2-shrink``.  Exit
-codes: 0 success/certified, 1 rigidity ran but did not certify, 2 input
-error, 3 algebra not of compact type, 4 central blocks present.
+``homogeneous`` (inspect a spec file) and ``example su2-shrink``.  Each
+builds one report, ``{"command", "config", "result"}``.  ``--format
+structured`` prints it as JSON; the table renders the same report, one
+``label: value`` line per shown field, plus the diagnostics only the
+``rigidity`` table carries (status counts, evaluations, wall time), which
+stay out of the JSON so that it is reproducible.  Exit codes: 0
+success/certified, 1 rigidity ran but did not certify, 2 input error, 3
+algebra not of compact type, 4 central blocks present.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import numpy as np
 from .binorm import antisymmetry_defect, binormalize, killing_metric
 from .curvature import scalar_curvature_closed, scalar_curvature_koszul
 from .homogeneous import (
+    HomogeneousSpec,
     group_as_homogeneous,
     scalar_curvature_homogeneous,
     spec_from_file,
@@ -32,12 +38,18 @@ from .rigidity import (DEFAULT_MAX_LAMBDA, DEFAULT_SAMPLES, DEFAULT_STARTS, DEFA
                        DEFAULT_TOL_R, CenterPresentError, su2_shrink_example, verify_rigidity)
 
 SEED_ENV = "LIECURV_SEED"
+# RigidityReport fields in the structured result, and those --trajectories adds.
+REPORT_FIELDS = ("name", "box", "r0", "best_r", "max_violation", "worst_gap", "equality_ok",
+                 "worst_equality_offset", "certified")
+TRAJECTORY_FIELDS = ("ascent_finals", "ascent_values", "ascent_status", "ascent_iterations")
 
 
-def _default_scale(source: str | None) -> float:
+def _scale(args) -> float:
     # The round normalization is the canonical choice for the built-in su2;
     # everything else defaults to the negative Killing form itself.
-    return 0.125 if source == "su2" else 1.0
+    if args.scale is not None:
+        return args.scale
+    return 0.125 if args.algebra == "su2" else 1.0
 
 
 def _resolve_seed(args) -> int:
@@ -78,36 +90,76 @@ def _jsonable(value):
     return value
 
 
-def _emit(doc: dict, lines: list[str], fmt: str) -> None:
+def _cell(value) -> str:
+    """A table value: floats by repr, arrays as lists, None as n/a, an empty list as none."""
+    value = _jsonable(value)
+    if value is None:
+        return "n/a"
+    if isinstance(value, list) and not value:
+        return "none"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _emit(doc: dict, fmt: str, title: str, labels: dict[str, str], notes=(),
+          column: int | None = None) -> None:
+    """Print the report ``doc``: as JSON, or as a table of ``title``, one
+    ``label: value`` line per key of ``labels`` (read from the result, else
+    the config) and the preformatted ``notes``.  Values start one column
+    after the longest label unless ``column`` is given.  A report holding a
+    NaN or an infinity is an input error in either format: it is not JSON.
+    """
+    try:
+        text = json.dumps(_jsonable(doc), sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        raise ValueError(f"{doc['command']} report holds a non-finite number: input out of range") from None
     if fmt == "structured":
-        print(json.dumps(_jsonable(doc), sort_keys=True, indent=2))
-    else:
-        for line in lines:
-            print(line)
+        print(text)
+        return
+    fields = {**doc["config"], **doc["result"]}
+    width = column or max(map(len, labels.values())) + 1
+    print(title)
+    for key, label in labels.items():
+        print(f"  {label + ':':<{width}} {_cell(fields[key])}")
+    for note in notes:
+        print(note)
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
-def _check_algebra_only(args, *options) -> None:
-    for option in options:
+def _source(args, command: str, *algebra_only: str):
+    """The model (``--algebra``) or spec (``--homogeneous``) ``command`` runs
+    on, with its config echo.  ``algebra_only`` names the options refused
+    with ``--homogeneous``; where ``--tol`` is one of them it is the
+    normalization tolerance and is echoed with the scale.  ``rigidity``
+    refuses an algebra with a center before normalizing it.
+    """
+    if (args.algebra is None) == (args.homogeneous is None):
+        raise ValueError(f"{command} needs exactly one of --algebra or --homogeneous")
+    for option in algebra_only:
         if args.homogeneous is not None and getattr(args, option) is not None:
             raise ValueError(f"--{option} applies only with --algebra; a homogeneous spec carries "
                              "its own reference scale and is checked when loaded")
+    if args.homogeneous is not None:
+        return spec_from_file(args.homogeneous), {"homogeneous": str(args.homogeneous)}
+    algebra = resolve_algebra(args.algebra)
+    if command == "rigidity" and killing(algebra).center_dim > 0:
+        raise CenterPresentError(
+            "center present: rigidity fails structurally "
+            f"({algebra.name} has a nontrivial center)")
+    config = {"algebra": args.algebra, "scale": _scale(args)}
+    if "tol" in algebra_only:
+        config["tol"] = DEFAULT_TOL if args.tol is None else args.tol
+    metric = killing_metric(algebra, config["scale"])
+    return binormalize(algebra, metric, tol=config.get("tol", DEFAULT_TOL)), config
 
 
 def cmd_algebra(args) -> int:
     algebra = resolve_algebra(args.algebra)
-    scale = args.scale if args.scale is not None else _default_scale(args.algebra)
+    scale = _scale(args)
+    metric = killing_metric(algebra, scale)  # a bad scale is an input error, not "n/a"
     kd = killing(algebra)
-    jac = jacobi_defect(algebra)
-    ortho_defect = None
     try:
-        ortho_defect = antisymmetry_defect(binormalize(algebra, killing_metric(algebra, scale), tol=args.tol))
+        ortho_defect = antisymmetry_defect(binormalize(algebra, metric, tol=args.tol))
     except ValueError:
-        pass  # negative Killing form not definite: nothing to normalize against
-    non_compact = kd.signature[2] > 0
+        ortho_defect = None  # negative Killing form not definite: nothing to normalize against
     doc = {
         "command": "algebra",
         "config": {"algebra": args.algebra, "scale": scale, "tol": args.tol},
@@ -117,151 +169,84 @@ def cmd_algebra(args) -> int:
             "killing_signature": list(kd.signature),
             "semisimple": kd.semisimple,
             "center_dim": kd.center_dim,
-            "jacobi_defect": jac,
+            "jacobi_defect": jacobi_defect(algebra),
             "orthonormal_antisymmetry_defect": ortho_defect,
-            "compact_type": not non_compact,
+            "compact_type": kd.signature[2] == 0,
         },
     }
-    lines = [
-        f"algebra: {algebra.name} (source {args.algebra}, scale {scale})",
-        f"  dim:                 {algebra.dim}",
-        f"  killing signature:   {kd.signature} (neg, zero, pos)",
-        f"  semisimple:          {kd.semisimple}",
-        f"  center dim:          {kd.center_dim}",
-        f"  jacobi defect:       {_fmt(jac)}",
-        "  antisymmetry defect: "
-        + (_fmt(ortho_defect) if ortho_defect is not None else "n/a (no definite reference metric)"),
-    ]
-    if non_compact:
-        lines.append("  WARNING: Killing form has positive directions; not of compact type")
-    _emit(doc, lines, args.format)
-    if non_compact:
+    _emit(doc, args.format, f"algebra: {algebra.name} (source {args.algebra}, scale {scale})", {
+        "dim": "dim", "killing_signature": "signature (-, 0, +)", "semisimple": "semisimple",
+        "center_dim": "center dim", "jacobi_defect": "jacobi defect",
+        "orthonormal_antisymmetry_defect": "antisymmetry defect", "compact_type": "compact type"})
+    if not doc["result"]["compact_type"]:
         print("error: algebra is not of compact type", file=sys.stderr)
         return 3
     return 0
 
 
 def cmd_scalar(args) -> int:
-    if (args.algebra is None) == (args.homogeneous is None):
-        raise ValueError("scalar needs exactly one of --algebra or --homogeneous")
-    _check_algebra_only(args, "scale", "tol")
+    source, config = _source(args, "scalar", "scale", "tol")
     lam = _parse_lambda(args.lam)
-    if args.algebra is not None:
-        algebra = resolve_algebra(args.algebra)
-        scale = args.scale if args.scale is not None else _default_scale(args.algebra)
-        tol = args.tol if args.tol is not None else DEFAULT_TOL
-        model = binormalize(algebra, killing_metric(algebra, scale), tol=tol)
-        closed = scalar_curvature_closed(model, lam)
-        koszul = scalar_curvature_koszul(model, lam)
-        doc = {
-            "command": "scalar",
-            "config": {"algebra": args.algebra, "scale": scale,
-                       "lambda": lam, "tol": tol},
-            "result": {
-                "R_closed": closed.R,
-                "R_koszul": koszul.R,
-                "discrepancy": abs(closed.R - koszul.R),
-            },
-        }
-        lines = [
-            f"scalar curvature: {algebra.name} (scale {scale}, lambda {lam.tolist()})",
-            f"  closed form: {_fmt(closed.R)}",
-            f"  koszul:      {_fmt(koszul.R)}",
-            f"  discrepancy: {_fmt(abs(closed.R - koszul.R))}",
-        ]
+    if isinstance(source, HomogeneousSpec):
+        homogeneous = scalar_curvature_homogeneous(source, lam)
+        result = {"R": homogeneous.R, "method": homogeneous.method}
+        labels = {"R": "homogeneous formula"}
+        title = f"scalar curvature: {source.name} (lambda {_cell(lam)})"
     else:
-        spec = spec_from_file(args.homogeneous)
-        result = scalar_curvature_homogeneous(spec, lam)
-        doc = {
-            "command": "scalar",
-            "config": {"homogeneous": str(args.homogeneous), "lambda": lam},
-            "result": {"R": result.R, "method": result.method},
-        }
-        lines = [
-            f"scalar curvature: {spec.name} (lambda {lam.tolist()})",
-            f"  homogeneous formula: {_fmt(result.R)}",
-        ]
-    _emit(doc, lines, args.format)
+        closed = scalar_curvature_closed(source, lam).R
+        koszul = scalar_curvature_koszul(source, lam).R
+        result = {"R_closed": closed, "R_koszul": koszul, "discrepancy": abs(closed - koszul)}
+        labels = {"R_closed": "closed form", "R_koszul": "koszul", "discrepancy": "discrepancy"}
+        title = f"scalar curvature: {source.name} (scale {config['scale']}, lambda {_cell(lam)})"
+    doc = {"command": "scalar", "config": {**config, "lambda": lam}, "result": result}
+    _emit(doc, args.format, title, labels)
     return 0
 
 
 def cmd_rigidity(args) -> int:
-    if (args.algebra is None) == (args.homogeneous is None):
-        raise ValueError("rigidity needs exactly one of --algebra or --homogeneous")
-    _check_algebra_only(args, "scale")
+    source, config = _source(args, "rigidity", "scale")
     seed = _resolve_seed(args)
-    if args.algebra is not None:
-        algebra = resolve_algebra(args.algebra)
-        if killing(algebra).center_dim > 0:
-            raise CenterPresentError(
-                "center present: rigidity fails structurally "
-                f"({algebra.name} has a nontrivial center)")
-        scale = args.scale if args.scale is not None else _default_scale(args.algebra)
-        model = binormalize(algebra, killing_metric(algebra, scale), tol=DEFAULT_TOL)
-        spec = group_as_homogeneous(model)
-        source = {"algebra": args.algebra, "scale": scale}
-    else:
-        spec = spec_from_file(args.homogeneous)
-        source = {"homogeneous": str(args.homogeneous)}
+    spec = source if isinstance(source, HomogeneousSpec) else group_as_homogeneous(source)
     report = verify_rigidity(spec, max_lambda=args.max_lambda, n_starts=args.starts,
                              n_samples=args.samples, seed=seed, tol=args.tol,
                              tol_lambda=args.tol_lambda)
     if not math.isfinite(report.max_violation):
         raise ValueError("curvature is not finite at some metric in the box: spec data out of range")
+    fields = REPORT_FIELDS + (TRAJECTORY_FIELDS if args.trajectories else ())
     doc = {
         "command": "rigidity",
-        "config": {**source, "max_lambda": args.max_lambda, "starts": args.starts,
+        "config": {**config, "max_lambda": args.max_lambda, "starts": args.starts,
                    "samples": args.samples, "seed": seed, "tol": args.tol,
                    "tol_lambda": args.tol_lambda},
-        "result": {
-            "name": report.name,
-            "box": list(report.box),
-            "r0": report.r0,
-            "best_r": report.best_r,
-            "best_lambda": report.best_lam,
-            "max_violation": report.max_violation,
-            "worst_gap": report.worst_gap,
-            "equality_ok": report.equality_ok,
-            "worst_equality_offset": report.worst_equality_offset,
-            "certified": report.certified,
-            "note": "numerical certificate from sampling and ascent, not a proof",
-        },
+        "result": {**{field: getattr(report, field) for field in fields},
+                   "best_lambda": report.best_lam,
+                   "note": "numerical certificate from sampling and ascent, not a proof"},
     }
-    if args.trajectories:
-        doc["result"]["ascent_finals"] = report.ascent_finals
-        doc["result"]["ascent_values"] = report.ascent_values
-        doc["result"]["ascent_status"] = report.ascent_status
-        doc["result"]["ascent_iterations"] = report.ascent_iterations
+    # Table-only diagnostics: timings would break the JSON's reproducibility.
     status_counts = ", ".join(f"{n} {status}" for status, n in
                               sorted(Counter(report.ascent_status).items()))
-    lines = [
-        f"rigidity search: {report.name} on [1, {report.box[1]}]^{spec.s}",
-        f"  starts/samples/seed: {report.n_starts}/{report.n_samples}/{report.seed}",
-        f"  reference curvature: {_fmt(report.r0)}",
-        f"  best curvature:      {_fmt(report.best_r)} at {report.best_lam.tolist()}",
-        f"  max violation:       {_fmt(report.max_violation)} (tol {report.tol})",
-        f"  equality localized:  {report.equality_ok} "
-        f"(worst offset {_fmt(report.worst_equality_offset)}, tol {report.tol_lambda})",
+    notes = [
         f"  ascent starts:       {status_counts} "
         f"(at most {int(report.ascent_iterations.max())} steps)",
         f"  curvature evals:     {report.n_evaluations}",
-        f"  certified:           {report.certified}",
         f"  wall time:           {report.wall_time:.3f}s (sampling {report.sampling_time:.3f}s, "
         f"ascent {report.ascent_time:.3f}s)",
-        "  note: numerical certificate from sampling and ascent, not a proof",
     ]
     if args.trajectories:
-        for lam_f, r_f, status, steps in zip(report.ascent_finals, report.ascent_values,
-                                             report.ascent_status, report.ascent_iterations):
-            lines.append(f"    ascent final R={_fmt(r_f)} at {lam_f.tolist()} ({status}, {steps} steps)")
-    _emit(doc, lines, args.format)
+        notes += [f"    ascent final R={_cell(r)} at {_cell(lam)} ({status}, {steps} steps)"
+                  for lam, r, status, steps in zip(report.ascent_finals, report.ascent_values,
+                                                   report.ascent_status, report.ascent_iterations)]
+    _emit(doc, args.format, f"rigidity search: {report.name} on [1, {report.box[1]}]^{spec.s}", {
+        "starts": "starts", "samples": "samples", "seed": "seed",
+        "r0": "reference curvature", "best_r": "best curvature", "best_lambda": "best lambda",
+        "max_violation": "max violation", "tol": "tol", "equality_ok": "equality localized",
+        "worst_equality_offset": "worst offset", "tol_lambda": "tol lambda",
+        "certified": "certified", "note": "note"}, notes)
     return 0 if report.certified else 1
 
 
 def cmd_homogeneous(args) -> int:
     spec = spec_from_file(args.homogeneous)
-    defects = sum_rule_defect(spec)
-    central = spec.central_blocks()
     doc = {
         "command": "homogeneous",
         "config": {"homogeneous": str(args.homogeneous)},
@@ -272,22 +257,15 @@ def cmd_homogeneous(args) -> int:
             "block_dims": spec.block_dims,
             "killing_ratios": spec.killing_ratios,
             "casimirs": spec.casimirs,
-            "sum_rule_defects": defects,
-            "central_blocks": central,
+            "sum_rule_defects": sum_rule_defect(spec),
+            "central_blocks": spec.central_blocks(),
             "coupling_nonzeros": int(np.count_nonzero(spec.coupling)),
         },
     }
-    lines = [
-        f"homogeneous spec: {spec.name} ({spec.provenance})",
-        f"  blocks:           {spec.s}",
-        f"  block dims:       {spec.block_dims.tolist()}",
-        f"  killing ratios:   {spec.killing_ratios.tolist()}",
-        f"  casimirs:         {spec.casimirs.tolist()}",
-        f"  sum-rule defects: {defects.tolist()}",
-        f"  central blocks:   {central if central else 'none'}",
-        f"  coupling nnz:     {int(np.count_nonzero(spec.coupling))}",
-    ]
-    _emit(doc, lines, args.format)
+    _emit(doc, args.format, f"homogeneous spec: {spec.name} ({spec.provenance})", {
+        "blocks": "blocks", "block_dims": "block dims", "killing_ratios": "killing ratios",
+        "casimirs": "casimirs", "sum_rule_defects": "sum-rule defects",
+        "central_blocks": "central blocks", "coupling_nonzeros": "coupling nnz"})
     return 0
 
 
@@ -296,7 +274,6 @@ def cmd_example(args) -> int:
         raise ValueError(f"unknown example {args.which!r}; available: su2-shrink")
     lam = float(args.lam)
     record = su2_shrink_example(lam)
-    scaled_drop = lam * lam * (record.R_g - record.R_g0)
     doc = {
         "command": "example",
         "config": {"example": args.which, "lambda": lam},
@@ -307,20 +284,16 @@ def cmd_example(args) -> int:
             "g_is_smaller": record.g_is_smaller,
             "scalar_is_smaller": record.scalar_is_smaller,
             "crossover": record.crossover,
-            "scaled_drop": scaled_drop,
+            "scaled_drop": lam * lam * (record.R_g - record.R_g0),
         },
     }
-    lines = [
-        f"shrinking SU(2) family at lambda = {lam} (eigenvalues ({lam}, {lam}, 0.5))",
-        f"  R_g (closed):     {_fmt(record.R_g)}",
-        f"  R_g (koszul):     {_fmt(record.R_g_koszul)}",
-        f"  R_g0:             {_fmt(record.R_g0)}",
-        f"  metric smaller:   {record.g_is_smaller}",
-        f"  curvature smaller: {record.scalar_is_smaller}",
-        f"  crossover ratio:  {_fmt(record.crossover)} (curvature drops below the reference under this)",
-        f"  lambda^2 * (R_g - R_g0) = {_fmt(scaled_drop)} (tends to -1 as lambda -> 0+)",
-    ]
-    _emit(doc, lines, args.format)
+    # Column 17, not 18, keeps the established "R_g (closed):     -240.0" layout;
+    # "curvature smaller" overhangs it.
+    _emit(doc, args.format, f"shrinking SU(2) family at lambda = {lam} (eigenvalues ({lam}, {lam}, 0.5))", {
+        "R_g": "R_g (closed)", "R_g_koszul": "R_g (koszul)", "R_g0": "R_g0",
+        "g_is_smaller": "metric smaller", "scalar_is_smaller": "curvature smaller",
+        "crossover": "crossover ratio, below which R_g < R_g0",
+        "scaled_drop": "lambda^2 (R_g - R_g0), tending to -1 as lambda -> 0+"}, column=17)
     return 0
 
 

@@ -64,6 +64,8 @@ def _lambda_vector(lam, n: int, batch: bool = False) -> np.ndarray:
         raise ValueError(f"metric eigenvalue vector must have length {n}")
     if not np.all(values > 0):
         raise ValueError("metric eigenvalues must be positive")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("metric eigenvalues must be finite")
     return values
 
 

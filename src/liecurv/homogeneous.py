@@ -221,10 +221,15 @@ def group_as_homogeneous(model: OrthonormalModel, name: str | None = None) -> Ho
     )
 
 
+def _beta(spec: HomogeneousSpec) -> np.ndarray:
+    """beta_i = b_i d_i, the per-block coefficient of the 1/lam_i term."""
+    return spec.killing_ratios * spec.block_dims
+
+
 def scalar_curvature_homogeneous(spec: HomogeneousSpec, lam) -> CurvatureResult:
     """Scalar curvature of the diagonal invariant metric with block ratios ``lam``."""
     values = _lambda_vector(lam, spec.s)
-    r = _block_curvature(spec.killing_ratios * spec.block_dims, spec.coupling, values[None, :])[0]
+    r = _block_curvature(_beta(spec), spec.coupling, values[None, :])[0]
     return CurvatureResult(R=float(r), method="homogeneous", algebra=spec.name, lam=values.copy())
 
 
@@ -235,7 +240,7 @@ def scalar_gradient_homogeneous(spec: HomogeneousSpec, lam) -> np.ndarray:
     result has the same shape.
     """
     values = _lambda_vector(lam, spec.s, batch=True)
-    return _block_gradient(spec.killing_ratios * spec.block_dims, spec.coupling, values)
+    return _block_gradient(_beta(spec), spec.coupling, values)
 
 
 def sum_rule_defect(spec: HomogeneousSpec) -> np.ndarray:
@@ -260,7 +265,8 @@ def spec_from_dict(obj: dict, base_dir: str | Path = ".", name: str = "homogeneo
     ``[i, j, k, value]`` triplets; accepted verbatim with provenance
     "raw-file" (the sum rule is reported downstream, not enforced).
     Derived form: keys ``algebra`` (built-in name or path relative to
-    ``base_dir``), ``scale``, ``h_basis`` and ``blocks``; runs
+    ``base_dir``), ``scale`` (a finite positive number, default 1),
+    ``h_basis`` and ``blocks``; runs
     :func:`build_spec`.
     """
     if not isinstance(obj, dict):
@@ -290,7 +296,7 @@ def spec_from_dict(obj: dict, base_dir: str | Path = ".", name: str = "homogeneo
         source = str(obj["algebra"])
         candidate = Path(base_dir) / source
         algebra = resolve_algebra(candidate if candidate.exists() else source)
-        scale = float(obj.get("scale", 1.0))
+        scale = _real(obj.get("scale", 1.0), "scale")
         if not isinstance(obj.get("blocks"), (list, tuple)):
             raise ValueError("derived homogeneous spec needs a 'blocks' list")
         embedding = SubalgebraEmbedding(

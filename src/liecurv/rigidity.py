@@ -29,6 +29,7 @@ from .curvature import (_block_curvature, _block_hessian, _lambda_vector, scalar
                         scalar_curvature_koszul)
 from .homogeneous import (
     HomogeneousSpec,
+    _beta,
     scalar_curvature_homogeneous,
     scalar_gradient_homogeneous,
 )
@@ -208,10 +209,6 @@ class _Tracker:
                 self.equality_ok = False
 
 
-def _beta(spec: HomogeneousSpec) -> np.ndarray:
-    return spec.killing_ratios * spec.block_dims
-
-
 def _r_batch(spec: HomogeneousSpec, lams: np.ndarray) -> np.ndarray:
     return _block_curvature(_beta(spec), spec.coupling, lams)
 
@@ -335,10 +332,18 @@ def verify_rigidity(spec: HomogeneousSpec, max_lambda: float = DEFAULT_MAX_LAMBD
     ``tol_lambda`` of the all-ones vector, and that every ascent start
     converged.  Specs with central blocks are refused outright: on such
     blocks the curvature does not decay and rigidity fails structurally.
-    A spec whose reference curvature is not finite is an input error.
+    A spec whose reference curvature is not finite is an input error, as
+    are a box bound that is not finite, no start and a negative sample
+    count (zero samples runs the ascent alone).
     """
     if max_lambda <= 1.0:
         raise ValueError("max_lambda must exceed 1")
+    if not math.isfinite(max_lambda):
+        raise ValueError(f"max_lambda must be finite, got {max_lambda}")
+    if n_starts < 1:
+        raise ValueError(f"n_starts must be at least 1, got {n_starts}")
+    if n_samples < 0:
+        raise ValueError(f"n_samples must be nonnegative, got {n_samples}")
     if spec.central_blocks():
         raise CenterPresentError(
             "center present: rigidity fails structurally (blocks with zero "
@@ -350,7 +355,7 @@ def verify_rigidity(spec: HomogeneousSpec, max_lambda: float = DEFAULT_MAX_LAMBD
         rng = np.random.default_rng(seed)
         samples = rng.uniform(1.0, max_lambda, size=(n_samples, spec.s)) if n_samples > 0 else None
         starts = np.vstack([np.ones(spec.s),
-                            rng.uniform(1.0, max_lambda, size=(max(n_starts - 1, 0), spec.s))])
+                            rng.uniform(1.0, max_lambda, size=(n_starts - 1, spec.s))])
         # r0 gets its own row in the starts' matrix product, next to the
         # all-ones start, so both are rounded alike and the reference cannot
         # beat itself (a one-row product rounds differently).

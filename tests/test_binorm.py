@@ -125,3 +125,12 @@ def test_orthonormal_model_checks_antisymmetry_when_built(su2_model):
 def test_orthonormal_model_checks_shape(su2_model):
     with pytest.raises(ValueError, match="shape"):
         lc.OrthonormalModel(name="short", n=4, t=np.eye(4), c=su2_model.c)
+
+
+@pytest.mark.parametrize("scale, match", [
+    (float("nan"), "finite"), (float("inf"), "finite"), (0.0, "positive"), (-2.0, "positive"),
+    (float("-inf"), "positive"),
+])
+def test_killing_metric_scale_is_finite_and_positive(su2, scale, match):
+    with pytest.raises(ValueError, match=match):
+        lc.killing_metric(su2, scale)

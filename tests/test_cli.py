@@ -400,3 +400,121 @@ def test_scalar_tol_still_applies_with_algebra(capsys):
     code, out, _ = run(capsys, "scalar", "--algebra", "su2", "--lambda", "1,1,1", "--tol", "1e-6",
                        "--format", "structured")
     assert code == 0 and json.loads(out)["config"]["tol"] == 1e-6
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--max-lambda", "inf"), ("--max-lambda", "nan"), ("--starts", "-3"), ("--starts", "0"),
+    ("--samples", "-5"),
+])
+@pytest.mark.parametrize("fmt", ["table", "structured"])
+def test_rigidity_search_parameters_are_input_errors(capsys, option, value, fmt):
+    code, out, err = run(capsys, "rigidity", "--algebra", "su2", option, value, "--format", fmt)
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("scalar", "--algebra", "su2", "--lambda", "inf,1,1"),
+    ("scalar", "--algebra", "su2", "--lambda", "1e-320,1,1"),
+    ("scalar", "--homogeneous", "{s2}", "--lambda", "inf"),
+    ("example", "su2-shrink", "--lambda", "1e-200"),
+    ("algebra", "--algebra", "su2", "--tol", "nan"),
+])
+@pytest.mark.parametrize("fmt", ["table", "structured"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflow on its way
+def test_non_finite_report_is_an_input_error(capsys, s2_spec_file, argv, fmt):
+    argv = [a.format(s2=s2_spec_file) for a in argv]
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert code == 2
+    assert err.splitlines()[-1].startswith("error:")
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("algebra", "--algebra", "su2", "--scale", "nan"),
+    ("algebra", "--algebra", "su2", "--scale", "inf"),
+    ("algebra", "--algebra", "su2", "--scale", "-1"),
+    ("scalar", "--algebra", "su2", "--lambda", "1,1,1", "--scale", "nan"),
+    ("rigidity", "--algebra", "su2", "--scale", "nan"),
+])
+def test_scale_is_a_finite_positive_number(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: metric scale must be")
+    assert out == ""
+
+
+@pytest.mark.parametrize("scale", [None, True])
+def test_spec_scale_must_be_a_number(capsys, tmp_path, scale):
+    path = tmp_path / "scale.spec"
+    path.write_text(json.dumps({"algebra": "su2", "scale": scale, "h_basis": [[0.0, 0.0, 1.0]],
+                                "blocks": [[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]]}), encoding="utf-8")
+    for argv in (("homogeneous",), ("rigidity", "--starts", "2", "--samples", "10")):
+        code, out, err = run(capsys, *argv, "--homogeneous", str(path))
+        assert code == 2
+        assert err.startswith("error: scale must be a number")
+        assert out == ""
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+# One invocation of every subcommand (and both sources where there are two).
+EVERY_SUBCOMMAND = [
+    ("algebra", "--algebra", "su2"),
+    ("algebra", "--algebra", "{abelian}"),
+    ("scalar", "--algebra", "su2", "--lambda", "0.05,0.05,0.5"),
+    ("scalar", "--homogeneous", "{s2}", "--lambda", "2"),
+    ("rigidity", "--algebra", "so5", "--starts", "4", "--samples", "100", "--seed", "2"),
+    ("rigidity", "--homogeneous", "{s2}", "--starts", "3", "--samples", "50", "--trajectories"),
+    ("homogeneous", "--homogeneous", "{s2}"),
+    ("example", "su2-shrink", "--lambda", "0.05"),
+]
+
+
+@pytest.fixture()
+def every_subcommand(abelian_file, s2_spec_file):
+    return [[a.format(abelian=abelian_file, s2=s2_spec_file) for a in argv] for argv in EVERY_SUBCOMMAND]
+
+
+def test_structured_output_is_strict_json(capsys, every_subcommand):
+    for argv in every_subcommand:
+        code, out, _ = run(capsys, *argv, "--format", "structured")
+        assert code == 0
+        doc = json.loads(out, parse_constant=_reject_constant)
+        assert set(doc) == {"command", "config", "result"} and doc["command"] == argv[0]
+
+
+def _table_value(value) -> str:
+    """How the table shows a value of the structured result."""
+    if value is None:
+        return "n/a"
+    if value == []:
+        return "none"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def test_table_lines_render_the_structured_result(capsys, monkeypatch, every_subcommand):
+    from liecurv import cli
+
+    shown = []
+    emit = cli._emit
+
+    def spy(doc, fmt, title, labels, *rest, **kwargs):
+        shown.append(labels)
+        return emit(doc, fmt, title, labels, *rest, **kwargs)
+
+    monkeypatch.setattr(cli, "_emit", spy)
+    for argv in every_subcommand:
+        shown.clear()
+        code, table, _ = run(capsys, *argv)
+        assert code == 0 and len(shown) == 1 and shown[0]
+        code, out, _ = run(capsys, *argv, "--format", "structured")
+        doc = json.loads(out)
+        fields = {**doc["config"], **doc["result"]}
+        lines = [line.strip() for line in table.splitlines()]
+        for key, label in shown[0].items():
+            [line] = [line for line in lines if line.startswith(label + ":")]
+            assert line[len(label) + 1:].strip() == _table_value(fields[key]), (argv, key)

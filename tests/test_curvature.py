@@ -212,3 +212,15 @@ def test_batched_kernels_match_single_points(group_specs):
     for lam, r, g in zip(lams, values, grads):
         assert r == pytest.approx(lc.scalar_curvature_homogeneous(spec, lam).R, rel=1e-13, abs=1e-13)
         assert_allclose(g, _block_gradient(beta, spec.coupling, lam), rtol=1e-12, atol=1e-13)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan, -np.inf])
+def test_eigenvalues_must_be_finite_and_positive(su2_model, s2_spec, bad):
+    lam = np.array([bad, 1.0, 1.0])
+    for evaluate in (lc.scalar_curvature_closed, lc.scalar_curvature_koszul, lc.scalar_gradient):
+        with pytest.raises(ValueError, match="finite" if bad == np.inf else "positive"):
+            evaluate(su2_model, lam)
+    with pytest.raises(ValueError):
+        lc.scalar_curvature_homogeneous(s2_spec, lam[:1])
+    with pytest.raises(ValueError):
+        lc.scalar_gradient_homogeneous(s2_spec, np.array([[1.0], [bad]]))

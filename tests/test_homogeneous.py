@@ -562,3 +562,19 @@ def test_sliced_block_data_match_the_bracket_loops(quotient, seed):
     assert_allclose(spec.killing_ratios, ratios, rtol=0.0, atol=1e-14)
     assert_allclose(spec.casimirs, casimirs, rtol=0.0, atol=1e-14)
     assert_allclose(spec.coupling, coupling, rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("scale", [None, True, "0.125", [0.125], float("nan"), float("inf"), 0.0,
+                                   pytest.param(10**400, id="beyond-float")])
+def test_derived_spec_scale_is_a_finite_positive_number(scale):
+    obj = {"algebra": "su2", "scale": scale, "h_basis": [[0.0, 0.0, 1.0]],
+           "blocks": [[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]]}
+    with pytest.raises(ValueError, match="scale"):
+        lc.spec_from_dict(obj)
+
+
+def test_derived_spec_scale_defaults_to_one():
+    obj = {"algebra": "su2", "h_basis": [[0.0, 0.0, 1.0]], "blocks": [[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]]}
+    default, one = lc.spec_from_dict(obj), lc.spec_from_dict({**obj, "scale": 1})
+    assert default.killing_ratios.tolist() == one.killing_ratios.tolist()
+    assert default.casimirs.tolist() == one.casimirs.tolist()

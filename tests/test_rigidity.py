@@ -349,3 +349,29 @@ def test_reference_start_value_is_the_reference(name):
     report = lc.verify_rigidity(spec, seed=0)
     assert report.ascent_values[0] == report.r0
     assert np.all(report.ascent_finals[0] == 1.0)
+
+
+@pytest.mark.parametrize("change, match", [
+    ({"max_lambda": math.inf}, "finite"),
+    ({"max_lambda": math.nan}, "finite"),
+    ({"n_starts": 0}, "n_starts"),
+    ({"n_starts": -3}, "n_starts"),
+    ({"n_samples": -5}, "n_samples"),
+])
+def test_search_parameters_are_validated(s2_spec, change, match):
+    with pytest.raises(ValueError, match=match):
+        lc.verify_rigidity(s2_spec, **{"n_starts": 2, "n_samples": 10, **change})
+
+
+def test_zero_samples_runs_the_ascent_alone(s2_spec):
+    report = lc.verify_rigidity(s2_spec, n_starts=3, n_samples=0, seed=1)
+    assert report.n_samples == 0 and report.n_starts == 3
+    assert report.certified
+
+
+def test_one_beta_for_the_evaluators_and_the_search(group_specs, flag_spec):
+    from liecurv import homogeneous, rigidity
+
+    assert rigidity._beta is homogeneous._beta
+    for spec in (*group_specs.values(), flag_spec):
+        assert homogeneous._beta(spec).tolist() == (spec.killing_ratios * spec.block_dims).tolist()
