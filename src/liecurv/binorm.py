@@ -12,7 +12,7 @@ curvature formulas ever see.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -57,6 +57,9 @@ class OrthonormalModel:
     ``t`` maps original to orthonormal coordinates (columns are the new
     basis vectors); ``c`` is totally antisymmetric up to roundoff, checked
     here once (``tol`` relative to the largest constant) for every consumer.
+    The group's curvature data are derived here once, too: ``killing_ratios``
+    (minus the Killing form's diagonal, the formula's beta) and ``coupling``
+    (c * c), read by the closed-form evaluators and the group's spec.
     """
 
     name: str
@@ -64,6 +67,8 @@ class OrthonormalModel:
     t: np.ndarray
     c: np.ndarray
     tol: InitVar[float] = DEFAULT_TOL
+    killing_ratios: np.ndarray = field(init=False, repr=False)
+    coupling: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, tol):
         c = np.asarray(self.c, dtype=float)
@@ -74,6 +79,8 @@ class OrthonormalModel:
             raise ValueError("not bi-invariant-orthonormal: structure tensor "
                              "is not totally antisymmetric")
         object.__setattr__(self, "c", c)
+        object.__setattr__(self, "killing_ratios", -np.diag(np.einsum("iba,jab->ij", c, c)))
+        object.__setattr__(self, "coupling", c * c)
 
 
 @dataclass(frozen=True)
@@ -146,7 +153,7 @@ class DiagonalizedMetric(NamedTuple):
     c: np.ndarray
 
 
-def diagonalize_metric(model: OrthonormalModel, operator, tol: float = DEFAULT_TOL) -> DiagonalizedMetric:
+def diagonalize_metric(model: OrthonormalModel, operator) -> DiagonalizedMetric:
     """Diagonalize a symmetric positive-definite metric operator.
 
     Returns the orthogonal eigenvector matrix (columns sorted by ascending
@@ -159,10 +166,10 @@ def diagonalize_metric(model: OrthonormalModel, operator, tol: float = DEFAULT_T
     if s.shape != (n, n):
         raise ValueError(f"metric operator must have shape ({n}, {n})")
     scale = max(1.0, np.abs(s).max())
-    if np.abs(s - s.T).max() > tol * scale:
+    if np.abs(s - s.T).max() > DEFAULT_TOL * scale:
         raise ValueError("metric operator must be symmetric")
     w, q = np.linalg.eigh(0.5 * (s + s.T))
-    if w[0] <= tol * max(1.0, w[-1]):
+    if w[0] <= DEFAULT_TOL * max(1.0, w[-1]):
         raise ValueError("metric operator must be positive definite")
     c_rot = _in_frame(model.c, q, q)
     return DiagonalizedMetric(rotation=q, metric=DiagonalMetric(w), c=c_rot)

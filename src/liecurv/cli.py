@@ -362,7 +362,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # Overflow surfaces as a non-finite report, which _emit refuses; numpy need not warn.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except CenterPresentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

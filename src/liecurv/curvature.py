@@ -10,8 +10,9 @@ principles (frame, Koszul connection, full curvature tensor, trace) and
 shares no algebra with the kernel, which makes it a genuine oracle.
 
 Inputs are validated where they are built: :class:`OrthonormalModel` checks
-total antisymmetry, ``HomogeneousSpec`` its block data.  The evaluators
-check only the eigenvalue vector, plus any raw tensor passed for a model.
+total antisymmetry and derives the group's beta and coupling once,
+``HomogeneousSpec`` checks its block data.  The evaluators check only the
+eigenvalue vector.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binorm import DiagonalMetric, OrthonormalModel
-from .lie_core import DEFAULT_TOL
 
 # Entries of the (rows, s^2) intermediate in one matrix product of
 # :func:`_block_curvature` (512 KB); 10k su(4) samples at once would need 18 MB.
@@ -47,14 +47,14 @@ class FrameConnection:
     riem: np.ndarray   # riem[i, j, k, l] = <R(F_i, F_j) F_k, F_l>
 
 
-def _model(model_or_tensor, tol: float) -> OrthonormalModel:
+def _model(model_or_tensor) -> OrthonormalModel:
     """A model as given; a raw tensor is wrapped in one, whose constructor
     checks its total antisymmetry."""
     if isinstance(model_or_tensor, OrthonormalModel):
         return model_or_tensor
     c = np.asarray(model_or_tensor, dtype=float)
     n = c.shape[0]
-    return OrthonormalModel(name="tensor", n=n, t=np.eye(n), c=c, tol=tol)
+    return OrthonormalModel(name="tensor", n=n, t=np.eye(n), c=c)
 
 
 def _lambda_vector(lam, n: int, batch: bool = False) -> np.ndarray:
@@ -76,7 +76,7 @@ def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _block_curvature(beta: np.ndarray, a: np.ndarray, lams: np.ndarray) -> np.ndarray:
     """R = 1/2 sum_i beta_i / lam_i - 1/4 sum_ijk a[i,j,k] lam_k / (lam_i lam_j) per row of
-    ``lams``, with beta_i = b_i d_i (for a group, beta_i = sum_jk c[i,j,k]^2).
+    ``lams``, with beta_i = b_i d_i (for a group, beta_i = -K[i,i] = sum_jk c[i,j,k]^2).
 
     The coupling sum is a matrix product over chunks of rows, so the
     (rows, s^2) intermediate stays within CHUNK_ENTRIES however many rows
@@ -135,20 +135,19 @@ def _block_hessian(beta: np.ndarray, a: np.ndarray, lams: np.ndarray) -> np.ndar
     return hess
 
 
-def scalar_curvature_closed(model, lam, tol: float = DEFAULT_TOL) -> CurvatureResult:
+def scalar_curvature_closed(model, lam) -> CurvatureResult:
     """Closed-form scalar curvature of the diagonal metric given by ``lam``.
 
     At lam = (1, ..., 1) this reduces to one quarter of the sum of squared
-    structure constants.  ``tol`` applies only to a raw tensor.
+    structure constants.
     """
-    model = _model(model, tol)
+    model = _model(model)
     values = _lambda_vector(lam, model.n)
-    c2 = model.c * model.c
-    r = _block_curvature(c2.sum(axis=(1, 2)), c2, values[None, :])[0]
+    r = _block_curvature(model.killing_ratios, model.coupling, values[None, :])[0]
     return CurvatureResult(R=float(r), method="closed-form", algebra=model.name, lam=values.copy())
 
 
-def frame_connection(model, lam, tol: float = DEFAULT_TOL) -> FrameConnection:
+def frame_connection(model, lam) -> FrameConnection:
     """Connection and curvature tensors in the g-orthonormal frame F_i = E_i / sqrt(lam_i).
 
     Frame brackets give cc[i,j,k] = <[F_i, F_j], F_k>_g; Koszul's formula
@@ -156,7 +155,7 @@ def frame_connection(model, lam, tol: float = DEFAULT_TOL) -> FrameConnection:
     the curvature tensor follows from R(X, Y) = [nabla_X, nabla_Y] -
     nabla_[X, Y] evaluated on frame fields.
     """
-    model = _model(model, tol)
+    model = _model(model)
     values = _lambda_vector(lam, model.n)
     inv_sqrt = 1.0 / np.sqrt(values)
     cc = model.c * np.einsum("i,j,k->ijk", inv_sqrt, inv_sqrt, np.sqrt(values))
@@ -167,18 +166,17 @@ def frame_connection(model, lam, tol: float = DEFAULT_TOL) -> FrameConnection:
     return FrameConnection(gamma=gamma, riem=riem)
 
 
-def scalar_curvature_koszul(model, lam, tol: float = DEFAULT_TOL) -> CurvatureResult:
+def scalar_curvature_koszul(model, lam) -> CurvatureResult:
     """Scalar curvature via the full frame curvature tensor (the oracle route)."""
-    model = _model(model, tol)
+    model = _model(model)
     values = _lambda_vector(lam, model.n)
     conn = frame_connection(model, values)
     r = np.einsum("ijji->", conn.riem)
     return CurvatureResult(R=float(r), method="koszul", algebra=model.name, lam=values.copy())
 
 
-def scalar_gradient(model, lam, tol: float = DEFAULT_TOL) -> np.ndarray:
+def scalar_gradient(model, lam) -> np.ndarray:
     """Analytic gradient of the closed-form scalar curvature in ``lam``."""
-    model = _model(model, tol)
+    model = _model(model)
     values = _lambda_vector(lam, model.n)
-    c2 = model.c * model.c
-    return _block_gradient(c2.sum(axis=(1, 2)), c2, values)
+    return _block_gradient(model.killing_ratios, model.coupling, values)

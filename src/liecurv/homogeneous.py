@@ -74,9 +74,9 @@ class HomogeneousSpec:
         for name, arr in (("block_dims", d), ("killing_ratios", b), ("casimirs", c), ("coupling", a)):
             object.__setattr__(self, name, arr)
 
-    def central_blocks(self, tol: float = DEFAULT_TOL) -> list[int]:
+    def central_blocks(self) -> list[int]:
         """Indices of blocks contained in the center (vanishing Killing ratio)."""
-        thr = tol * max(1.0, float(np.abs(self.killing_ratios).max()))
+        thr = DEFAULT_TOL * max(1.0, float(np.abs(self.killing_ratios).max()))
         return [i for i in range(self.s) if abs(self.killing_ratios[i]) <= thr]
 
 
@@ -128,7 +128,7 @@ def _scalar_multiple(mat: np.ndarray, rtol: float = SCALAR_RTOL) -> tuple[bool, 
 
 
 def build_spec(embedding: SubalgebraEmbedding, metric: BiInvariantMetric,
-               tol: float = DEFAULT_TOL, name: str | None = None) -> HomogeneousSpec:
+               name: str | None = None) -> HomogeneousSpec:
     """Reduce a quotient description to homogeneous curvature data.
 
     The orthonormalized subalgebra and blocks, h first, form the adapted
@@ -141,7 +141,7 @@ def build_spec(embedding: SubalgebraEmbedding, metric: BiInvariantMetric,
     algebra = embedding.parent
     if algebra is not metric.base and algebra.dim != metric.base.dim:
         raise ValueError("embedding and metric refer to different algebras")
-    check_metric(metric, tol)
+    check_metric(metric)
     gram = metric.gram
     n = algebra.dim
 
@@ -154,17 +154,17 @@ def build_spec(embedding: SubalgebraEmbedding, metric: BiInvariantMetric,
     full = np.vstack([z] + frames)
     if full.shape[0] != n:
         raise ValueError(f"subalgebra and blocks span dimension {full.shape[0]}, expected {n}")
-    if np.abs(full @ gram @ full.T - np.eye(n)).max() > tol:
+    if np.abs(full @ gram @ full.T - np.eye(n)).max() > DEFAULT_TOL:
         raise ValueError("subalgebra and blocks are not mutually orthogonal")
     cf = _in_frame(algebra.c, full.T, gram @ full.T)
     edges = np.cumsum([h, *dims])
     block_of = np.repeat(np.arange(-1, s), [h, *dims])  # -1 on h
 
     # h must close under the bracket, and preserve each block.
-    if np.any(np.linalg.norm(cf[:h, :h, h:], axis=2) > tol):
+    if np.any(np.linalg.norm(cf[:h, :h, h:], axis=2) > DEFAULT_TOL):
         raise ValueError("h is not a subalgebra: bracket leaves its span")
     leak = np.where(block_of[h:, None] == block_of, 0.0, cf[:h, h:])
-    moved = np.any(np.linalg.norm(leak, axis=2) > tol, axis=0)
+    moved = np.any(np.linalg.norm(leak, axis=2) > DEFAULT_TOL, axis=0)
     if moved.any():
         raise ValueError(f"block {block_of[h + moved.argmax()]} is not invariant under the subalgebra action")
 
@@ -205,18 +205,16 @@ def build_spec(embedding: SubalgebraEmbedding, metric: BiInvariantMetric,
 def group_as_homogeneous(model: OrthonormalModel, name: str | None = None) -> HomogeneousSpec:
     """Homogeneous data of the group itself: singleton blocks, no subalgebra.
 
-    Coupling entries are the squared structure constants, Casimirs vanish,
-    and the Killing ratios come straight from the Killing form of the
-    orthonormal tensor.
+    Repackages the model's derived data: its Killing ratios and coupling
+    (the squared structure constants); Casimirs vanish.
     """
-    k = np.einsum("iba,jab->ij", model.c, model.c)
     return HomogeneousSpec(
         name=name or model.name,
         s=model.n,
         block_dims=np.ones(model.n, dtype=int),
-        killing_ratios=-np.diag(k),
+        killing_ratios=model.killing_ratios,
         casimirs=np.zeros(model.n),
-        coupling=model.c * model.c,
+        coupling=model.coupling,
         provenance="from-algebra",
     )
 

@@ -96,7 +96,6 @@ class MatrixBasis:
 
     matrices: tuple
     name: str = "matrix-basis"
-    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         mats = tuple(np.asarray(m, dtype=complex) for m in self.matrices)
@@ -106,7 +105,7 @@ class MatrixBasis:
         for m in mats:
             if m.ndim != 2 or m.shape != (d, d):
                 raise ValueError("all basis matrices must be square and of equal size")
-            if np.abs(m + m.conj().T).max() > self.tol:
+            if np.abs(m + m.conj().T).max() > DEFAULT_TOL:
                 raise ValueError("basis matrices must be skew-Hermitian")
         object.__setattr__(self, "matrices", mats)
 
@@ -121,12 +120,12 @@ def trace_gram(basis: MatrixBasis) -> np.ndarray:
     return -np.real(np.einsum("aij,bji->ab", stack, stack))
 
 
-def from_matrix_basis(basis: MatrixBasis, tol: float = DEFAULT_TOL) -> LieAlgebra:
+def from_matrix_basis(basis: MatrixBasis) -> LieAlgebra:
     """Expand all commutators of a matrix basis into structure constants.
 
     Each coefficient vector is obtained by solving the Gram system of the
-    trace pairing; the expansion residual must stay below ``tol`` or the
-    basis does not close under the commutator.
+    trace pairing; the expansion residual must stay below ``DEFAULT_TOL`` or
+    the basis does not close under the commutator.
     """
     stack = np.stack(basis.matrices)
     n = basis.dim
@@ -141,7 +140,7 @@ def from_matrix_basis(basis: MatrixBasis, tol: float = DEFAULT_TOL) -> LieAlgebr
             rhs = -np.real(np.einsum("ij,kji->k", comm, stack))
             coef = np.linalg.solve(gram, rhs)
             recon = np.einsum("k,kij->ij", coef, stack)
-            if np.abs(comm - recon).max() > tol:
+            if np.abs(comm - recon).max() > DEFAULT_TOL:
                 raise ValueError(
                     f"not a subalgebra: [M_{i}, M_{j}] does not expand in the basis"
                 )
@@ -156,10 +155,13 @@ def killing(algebra: LieAlgebra) -> KillingData:
 
     The signature counts eigenvalues below/at/above the scale-free zero
     threshold; ``semisimple`` requires no zero eigenvalues; the center is
-    the kernel of x -> ad(x).
+    the kernel of x -> ad(x).  Structure constants whose squares overflow
+    are refused.
     """
     c = algebra.c
     K = np.einsum("iba,jab->ij", c, c)
+    if not np.all(np.isfinite(K)):
+        raise ValueError(f"Killing form of {algebra.name} overflows: structure constants are too large")
     K = 0.5 * (K + K.T)  # contraction order can leave last-ulp asymmetry
     eigs = np.linalg.eigvalsh(K)
     thr = RANK_RTOL * np.abs(eigs).max() if eigs.size else 0.0

@@ -108,7 +108,7 @@ class GapBreakdown:
     residual: float
 
 
-def gap_breakdown(spec: HomogeneousSpec, lam, tol: float = DEFAULT_TOL) -> GapBreakdown:
+def gap_breakdown(spec: HomogeneousSpec, lam) -> GapBreakdown:
     """Evaluate the deficit and its Casimir/polynomial split at ``lam``.
 
     The split is an algebraic identity for every positive ``lam`` provided
@@ -121,7 +121,7 @@ def gap_breakdown(spec: HomogeneousSpec, lam, tol: float = DEFAULT_TOL) -> GapBr
         np.abs(a3 - a3.swapaxes(1, 2)).max(),
         np.abs(a3 - a3.swapaxes(0, 2)).max(),
     )
-    if sym_defect > tol * max(1.0, np.abs(a3).max()):
+    if sym_defect > DEFAULT_TOL * max(1.0, np.abs(a3).max()):
         raise ValueError("decomposition identity requires bi-invariant reference: "
                          "coupling tensor is not symmetric")
     values = _lambda_vector(lam, spec.s)
@@ -308,25 +308,14 @@ def _ascend_all(spec: HomogeneousSpec, starts: np.ndarray, lo: float, hi: float,
     return _Ascent(lam, r, status, iterations)
 
 
-def _ascend(spec: HomogeneousSpec, start: np.ndarray, lo: float, hi: float,
-            record: Callable[[np.ndarray, np.ndarray], None]):
-    """Final point and curvature of :func:`_ascend_all` from one start, shapes
-    (s,) and float, or from rows of starts, shapes (m, s) and (m,)."""
-    start = np.asarray(start, dtype=float)
-    ascent = _ascend_all(spec, np.atleast_2d(start), lo, hi, record)
-    if start.ndim == 1:
-        return ascent.lam[0], float(ascent.r[0])
-    return ascent.lam, ascent.r
-
-
 def verify_rigidity(spec: HomogeneousSpec, max_lambda: float = DEFAULT_MAX_LAMBDA,
                     n_starts: int = DEFAULT_STARTS, n_samples: int = DEFAULT_SAMPLES, seed: int = 0,
                     tol: float = DEFAULT_TOL_R, tol_lambda: float = DEFAULT_TOL_LAMBDA) -> RigidityReport:
     """Search [1, max_lambda]^s for metrics beating the reference curvature.
 
     Dense uniform sampling plus a lockstep projected-Newton ascent from
-    every start (the all-ones candidate is always the first start; the
-    reference curvature r0 is evaluated in the same batch as the starts).
+    every start (the all-ones candidate is always the first start, and the
+    reference curvature r0 is its value).
     Certification requires that no evaluated point exceeds the reference
     curvature beyond ``tol``, that every near-equality point sits within
     ``tol_lambda`` of the all-ones vector, and that every ascent start
@@ -344,10 +333,11 @@ def verify_rigidity(spec: HomogeneousSpec, max_lambda: float = DEFAULT_MAX_LAMBD
         raise ValueError(f"n_starts must be at least 1, got {n_starts}")
     if n_samples < 0:
         raise ValueError(f"n_samples must be nonnegative, got {n_samples}")
-    if spec.central_blocks():
+    central = spec.central_blocks()
+    if central:
         raise CenterPresentError(
             "center present: rigidity fails structurally (blocks with zero "
-            f"Killing ratio: {spec.central_blocks()})")
+            f"Killing ratio: {central})")
     t_start = time.perf_counter()
     # Overflow shows up as a non-finite curvature, which the checks below and
     # the tracker turn into an error or a violation; numpy need not warn.
@@ -356,11 +346,8 @@ def verify_rigidity(spec: HomogeneousSpec, max_lambda: float = DEFAULT_MAX_LAMBD
         samples = rng.uniform(1.0, max_lambda, size=(n_samples, spec.s)) if n_samples > 0 else None
         starts = np.vstack([np.ones(spec.s),
                             rng.uniform(1.0, max_lambda, size=(n_starts - 1, spec.s))])
-        # r0 gets its own row in the starts' matrix product, next to the
-        # all-ones start, so both are rounded alike and the reference cannot
-        # beat itself (a one-row product rounds differently).
-        batch = _r_batch(spec, np.vstack([np.ones(spec.s), starts]))
-        r0, r_starts = float(batch[0]), batch[1:]
+        r_starts = _r_batch(spec, starts)
+        r0 = float(r_starts[0])
         if not math.isfinite(r0):
             raise ValueError(f"reference curvature is not finite ({r0}): spec data out of range")
         tracker = _Tracker(r0, tol, tol_lambda)
@@ -392,7 +379,7 @@ def verify_rigidity(spec: HomogeneousSpec, max_lambda: float = DEFAULT_MAX_LAMBD
         ascent_values=ascent.r,
         ascent_status=tuple(ascent.status.tolist()),
         ascent_iterations=ascent.iterations,
-        n_evaluations=tracker.evaluations + 1,  # and r0
+        n_evaluations=tracker.evaluations,
         sampling_time=t_ascent - t_start,
         ascent_time=t_end - t_ascent,
     )

@@ -422,12 +422,12 @@ def test_rigidity_search_parameters_are_input_errors(capsys, option, value, fmt)
     ("algebra", "--algebra", "su2", "--tol", "nan"),
 ])
 @pytest.mark.parametrize("fmt", ["table", "structured"])
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflow on its way
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the error line is all stderr shows
 def test_non_finite_report_is_an_input_error(capsys, s2_spec_file, argv, fmt):
     argv = [a.format(s2=s2_spec_file) for a in argv]
     code, out, err = run(capsys, *argv, "--format", fmt)
     assert code == 2
-    assert err.splitlines()[-1].startswith("error:")
+    assert err.startswith("error:") and err.count("\n") == 1
     assert out == ""
 
 
@@ -518,3 +518,14 @@ def test_table_lines_render_the_structured_result(capsys, monkeypatch, every_sub
         for key, label in shown[0].items():
             [line] = [line for line in lines if line.startswith(label + ":")]
             assert line[len(label) + 1:].strip() == _table_value(fields[key]), (argv, key)
+
+
+def test_killing_overflow_names_its_cause(capsys, tmp_path):
+    path = tmp_path / "big.json"
+    entries = [[0, 1, 2, 1e200], [1, 2, 0, 1e200], [2, 0, 1, 1e200]]
+    path.write_text(json.dumps({"name": "big", "dim": 3, "structure_constants": entries}),
+                    encoding="utf-8")
+    code, out, err = run(capsys, "algebra", "--algebra", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "structure constants are too large" in err

@@ -57,8 +57,9 @@ def test_group_shortcut_matches_full_construction(group_specs, su2_model):
     assert_allclose(shortcut.casimirs, via_blocks.casimirs, atol=1e-14)
 
 
-@pytest.mark.parametrize("name", ["su2", "so4"])
+@pytest.mark.parametrize("name", ["su2", "su3", "so4", "so5"])
 def test_group_reduction_reproduces_closed_formula(name, group_models):
+    # One derivation of beta and the coupling, so the two routes agree bitwise.
     model = group_models[name]
     spec = lc.group_as_homogeneous(model)
     rng = np.random.default_rng(37)
@@ -66,7 +67,7 @@ def test_group_reduction_reproduces_closed_formula(name, group_models):
         lam = rng.uniform(0.2, 8.0, size=model.n)
         r_homog = lc.scalar_curvature_homogeneous(spec, lam).R
         r_closed = lc.scalar_curvature_closed(model, lam).R
-        assert abs(r_homog - r_closed) <= 1e-10 * (1.0 + abs(r_closed))
+        assert r_homog == r_closed
 
 
 def test_group_as_homogeneous_abelian():

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import liecurv as lc
-from liecurv.rigidity import GRAD_STOP, _Tracker, _ascend, _ascend_all, _projected_gradient, _r_batch
+from liecurv.rigidity import GRAD_STOP, _Tracker, _ascend_all, _projected_gradient, _r_batch
 
 
 def test_gap_polynomial_values():
@@ -172,17 +172,17 @@ def test_ascent_stationary_at_reference(group_specs):
     grad = lc.scalar_gradient_homogeneous(spec, ones)
     assert np.all(grad <= 0.0)
     assert np.all(_projected_gradient(ones, grad, 1.0, 10.0) == 0.0)
-    final, value = _ascend(spec, ones, 1.0, 10.0, lambda lams, rs: None)
-    assert np.array_equal(final, ones)
-    assert value == pytest.approx(6.0, abs=1e-12)
+    ascent = _ascend_all(spec, ones[None, :], 1.0, 10.0, lambda lams, rs: None)
+    assert np.array_equal(ascent.lam[0], ones)
+    assert ascent.r[0] == pytest.approx(6.0, abs=1e-12)
 
 
 def test_ascent_descends_to_reference_corner(group_specs):
     spec = group_specs["su2"]
-    final, value = _ascend(spec, np.array([4.0, 2.0, 7.0]), 1.0, 10.0,
-                           lambda lams, rs: None)
-    assert np.abs(final - 1.0).max() <= 1e-6
-    assert value == pytest.approx(6.0, abs=1e-8)
+    ascent = _ascend_all(spec, np.array([[4.0, 2.0, 7.0]]), 1.0, 10.0,
+                         lambda lams, rs: None)
+    assert np.abs(ascent.lam[0] - 1.0).max() <= 1e-6
+    assert ascent.r[0] == pytest.approx(6.0, abs=1e-8)
 
 
 def test_batch_curvature_matches_scalar(group_specs):
@@ -254,12 +254,12 @@ def test_report_records_configuration(group_specs):
 def test_lockstep_ascent_matches_one_start_at_a_time(group_specs, flag_spec):
     for spec in (group_specs["so5"], flag_spec):
         starts = np.random.default_rng(29).uniform(1.0, 10.0, size=(6, spec.s))
-        finals, values = _ascend(spec, starts, 1.0, 10.0, lambda lams, rs: None)
-        assert finals.shape == starts.shape and values.shape == (6,)
-        for start, final, value in zip(starts, finals, values):
-            one_final, one_value = _ascend(spec, start, 1.0, 10.0, lambda lams, rs: None)
-            assert_allclose(final, one_final, rtol=0.0, atol=1e-9)
-            assert value == pytest.approx(one_value, rel=1e-13)
+        ascent = _ascend_all(spec, starts, 1.0, 10.0, lambda lams, rs: None)
+        assert ascent.lam.shape == starts.shape and ascent.r.shape == (6,)
+        for start, final, value in zip(starts, ascent.lam, ascent.r):
+            one = _ascend_all(spec, start[None, :], 1.0, 10.0, lambda lams, rs: None)
+            assert_allclose(final, one.lam[0], rtol=0.0, atol=1e-9)
+            assert value == pytest.approx(one.r[0], rel=1e-13)
 
 
 def test_lockstep_ascent_records_every_evaluation(group_specs):
@@ -293,8 +293,8 @@ def test_report_diagnostics(group_specs):
     assert len(report.ascent_status) == 8
     assert report.ascent_iterations.shape == (8,)
     assert report.ascent_iterations[0] == 0  # the reference start is already stationary
-    # r0, the samples, the starts and at least one trial point per step
-    assert report.n_evaluations >= 1 + 300 + 8 + int(report.ascent_iterations.sum())
+    # the samples, the starts (r0 is the all-ones start's value) and at least one trial point per step
+    assert report.n_evaluations >= 300 + 8 + int(report.ascent_iterations.sum())
     assert report.sampling_time > 0.0 and report.ascent_time > 0.0
     assert report.sampling_time + report.ascent_time <= report.wall_time
 
