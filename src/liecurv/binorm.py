@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lie_core import DEFAULT_TOL, RANK_RTOL, LieAlgebra, killing
+from .lie_core import DEFAULT_TOL, LieAlgebra, killing
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ class OrthonormalModel:
         n = self.n
         if c.shape != (n, n, n):
             raise ValueError(f"structure tensor must have shape ({n}, {n}, {n})")
-        if antisymmetry_defect(c) > tol * max(1.0, np.abs(c).max()):
+        if antisymmetry_defect(c) > tol * np.abs(c).max():
             raise ValueError("not bi-invariant-orthonormal: structure tensor "
                              "is not totally antisymmetric")
         object.__setattr__(self, "c", c)
@@ -108,12 +108,12 @@ def metric_invariance_defect(metric: BiInvariantMetric) -> float:
 
 
 def check_metric(metric: BiInvariantMetric, tol: float = DEFAULT_TOL) -> None:
-    """Raise unless the Gram matrix is positive definite and ad-invariant."""
+    """Raise unless the Gram matrix is positive definite and ad-invariant, each
+    relative to its data (the largest eigenvalue; |c|max |gram|max)."""
     eigs = np.linalg.eigvalsh(0.5 * (metric.gram + metric.gram.T))
-    if eigs[-1] <= 0 or eigs[0] <= RANK_RTOL * eigs[-1]:
+    if eigs[0] <= DEFAULT_TOL * eigs[-1]:
         raise ValueError("not a metric: gram matrix is not positive definite")
-    scale = max(1.0, np.abs(metric.base.c).max() * np.abs(metric.gram).max())
-    if metric_invariance_defect(metric) > tol * scale:
+    if metric_invariance_defect(metric) > tol * np.abs(metric.base.c).max() * np.abs(metric.gram).max():
         raise ValueError("not bi-invariant: ad-invariance fails on the gram matrix")
 
 
@@ -165,11 +165,10 @@ def diagonalize_metric(model: OrthonormalModel, operator) -> DiagonalizedMetric:
     n = model.n
     if s.shape != (n, n):
         raise ValueError(f"metric operator must have shape ({n}, {n})")
-    scale = max(1.0, np.abs(s).max())
-    if np.abs(s - s.T).max() > DEFAULT_TOL * scale:
+    if np.abs(s - s.T).max() > DEFAULT_TOL * np.abs(s).max():
         raise ValueError("metric operator must be symmetric")
     w, q = np.linalg.eigh(0.5 * (s + s.T))
-    if w[0] <= DEFAULT_TOL * max(1.0, w[-1]):
+    if w[0] <= DEFAULT_TOL * w[-1]:
         raise ValueError("metric operator must be positive definite")
     c_rot = _in_frame(model.c, q, q)
     return DiagonalizedMetric(rotation=q, metric=DiagonalMetric(w), c=c_rot)

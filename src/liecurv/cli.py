@@ -304,12 +304,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def reference(p, tol, algebra_only_tol=False):
+    def reference(p, tol, algebra_only_tol=False, what="tolerance"):
         p.add_argument("--scale", type=float, default=None,
                        help="reference metric scale s (metric = s * negative Killing form); "
                             "default 0.125 for built-in su2, else 1; --algebra only")
         p.add_argument("--tol", type=float, default=None if algebra_only_tol else tol,
-                       help=f"tolerance (default {tol})" + ("; --algebra only" if algebra_only_tol else ""))
+                       help=f"{what} (default {tol})" + ("; --algebra only" if algebra_only_tol else ""))
 
     def common(p, lam=False):
         p.add_argument("--format", choices=("table", "structured"), default="table")
@@ -333,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rigidity", help="search certificate on the constrained box")
     p.add_argument("--algebra", help="built-in name or JSON file")
     p.add_argument("--homogeneous", help="homogeneous spec JSON file")
-    reference(p, DEFAULT_TOL_R)
+    reference(p, DEFAULT_TOL_R, what="allowed curvature excess, relative to |r0|")
     common(p)
     p.add_argument("--max-lambda", dest="max_lambda", type=float, default=DEFAULT_MAX_LAMBDA)
     p.add_argument("--starts", type=int, default=DEFAULT_STARTS)

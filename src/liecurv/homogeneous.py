@@ -27,10 +27,6 @@ from .binorm import BiInvariantMetric, OrthonormalModel, _in_frame, check_metric
 from .curvature import CurvatureResult, _block_curvature, _block_gradient, _lambda_vector
 from .lie_core import DEFAULT_TOL, LieAlgebra, _real, _sparse_entries, _whole_number, killing, resolve_algebra
 
-# Scalar-multiple test: off-diagonal max and diagonal spread relative to the
-# diagonal mean.
-SCALAR_RTOL = 1e-8
-
 
 @dataclass(frozen=True)
 class HomogeneousSpec:
@@ -75,8 +71,8 @@ class HomogeneousSpec:
             object.__setattr__(self, name, arr)
 
     def central_blocks(self) -> list[int]:
-        """Indices of blocks contained in the center (vanishing Killing ratio)."""
-        thr = DEFAULT_TOL * max(1.0, float(np.abs(self.killing_ratios).max()))
+        """Blocks in the center: Killing ratio at most DEFAULT_TOL times the largest."""
+        thr = DEFAULT_TOL * float(np.abs(self.killing_ratios).max())
         return [i for i in range(self.s) if abs(self.killing_ratios[i]) <= thr]
 
 
@@ -117,16 +113,6 @@ def _orthonormal_rows(rows: np.ndarray, gram: np.ndarray, what: str) -> np.ndarr
     return np.linalg.solve(L, rows)
 
 
-def _scalar_multiple(mat: np.ndarray, rtol: float = SCALAR_RTOL) -> tuple[bool, float]:
-    """Decide whether a square matrix is a scalar multiple of the identity."""
-    diag = np.diag(mat)
-    mean = float(diag.mean())
-    off = mat - np.diag(diag)
-    atol = rtol * max(1.0, abs(mean))
-    ok = np.abs(off).max() <= atol and np.abs(diag - mean).max() <= atol
-    return bool(ok), mean
-
-
 def build_spec(embedding: SubalgebraEmbedding, metric: BiInvariantMetric,
                name: str | None = None) -> HomogeneousSpec:
     """Reduce a quotient description to homogeneous curvature data.
@@ -137,12 +123,11 @@ def build_spec(embedding: SubalgebraEmbedding, metric: BiInvariantMetric,
     in F).  Verifies the two necessary conditions the formulas rely on
     (Casimir scalar, Killing ratio constant on each block) rather than
     irreducibility itself; failures ask the caller to refine the blocks.
+    Each check is relative to its data, and the Gram matrix must be an
+    invariant metric of the embedding's algebra.
     """
-    algebra = embedding.parent
-    if algebra is not metric.base and algebra.dim != metric.base.dim:
-        raise ValueError("embedding and metric refer to different algebras")
-    check_metric(metric)
-    gram = metric.gram
+    algebra, gram = embedding.parent, metric.gram
+    check_metric(BiInvariantMetric(algebra, gram))
     n = algebra.dim
 
     z = _orthonormal_rows(embedding.h_basis, gram, "subalgebra")
@@ -157,34 +142,33 @@ def build_spec(embedding: SubalgebraEmbedding, metric: BiInvariantMetric,
     if np.abs(full @ gram @ full.T - np.eye(n)).max() > DEFAULT_TOL:
         raise ValueError("subalgebra and blocks are not mutually orthogonal")
     cf = _in_frame(algebra.c, full.T, gram @ full.T)
+    thr = DEFAULT_TOL * np.abs(cf).max()
     edges = np.cumsum([h, *dims])
     block_of = np.repeat(np.arange(-1, s), [h, *dims])  # -1 on h
 
     # h must close under the bracket, and preserve each block.
-    if np.any(np.linalg.norm(cf[:h, :h, h:], axis=2) > DEFAULT_TOL):
+    if np.any(np.linalg.norm(cf[:h, :h, h:], axis=2) > thr):
         raise ValueError("h is not a subalgebra: bracket leaves its span")
     leak = np.where(block_of[h:, None] == block_of, 0.0, cf[:h, h:])
-    moved = np.any(np.linalg.norm(leak, axis=2) > DEFAULT_TOL, axis=0)
+    moved = np.any(np.linalg.norm(leak, axis=2) > thr, axis=0)
     if moved.any():
         raise ValueError(f"block {block_of[h + moved.argmax()]} is not invariant under the subalgebra action")
 
-    # Killing ratio and Casimir constant per block, each verified scalar;
-    # -sum_a M_a^2 with M_a[g, x] = cf[a, x, g] is the Casimir on the block.
+    # Killing ratio and Casimir constant per block, each its mean diagonal
+    # entry, verified scalar within one threshold (a block-local mean is 0 on
+    # a central block); -sum_a M_a^2, M_a[g, x] = cf[a, x, g], is the Casimir.
     kf = full @ killing(algebra).B @ full.T
+    atol = DEFAULT_TOL * np.abs(kf).max()
     ratios, casimirs = np.zeros(s), np.zeros(s)
     for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-        ok, ratios[i] = _scalar_multiple(kf[lo:hi, lo:hi])
-        if not ok:
-            raise ValueError(
-                f"block {i} not irreducible-compatible: refine decomposition "
-                "(Killing ratio not constant on the block)")
         act = cf[:h, lo:hi, lo:hi].swapaxes(1, 2)
-        ok, value = _scalar_multiple(-(act @ act).sum(axis=0))
-        if not ok:
-            raise ValueError(
-                f"block {i} not irreducible-compatible: refine decomposition "
-                "(Casimir operator not scalar on the block)")
-        casimirs[i] = max(value, 0.0)
+        for out, mat, what in ((ratios, kf[lo:hi, lo:hi], "Killing ratio not constant"),
+                               (casimirs, -(act @ act).sum(axis=0), "Casimir operator not scalar")):
+            out[i] = np.diag(mat).mean()
+            if not np.abs(mat - out[i] * np.eye(hi - lo)).max() <= atol:
+                raise ValueError(f"block {i} not irreducible-compatible: refine decomposition "
+                                 f"({what} on the block)")
+    casimirs = np.where(casimirs < 0.0, 0.0, casimirs)
 
     # Summed squared structure constants of brackets between blocks.
     coupling = cf[h:, h:, h:] ** 2
@@ -256,6 +240,16 @@ def sum_rule_defect(spec: HomogeneousSpec) -> np.ndarray:
 # Homogeneous spec files
 # ---------------------------------------------------------------------------
 
+def _numbers(value, what: str):
+    """Nested JSON lists whose every entry is a finite number (see ``_real``)."""
+    if isinstance(value, (list, tuple)):
+        return [_numbers(v, what) for v in value]
+    x = _real(value, what)
+    if not np.isfinite(x):
+        raise ValueError(f"{what} must be finite, got {value!r}")
+    return x
+
+
 def spec_from_dict(obj: dict, base_dir: str | Path = ".", name: str = "homogeneous-spec") -> HomogeneousSpec:
     """Load a homogeneous spec from its JSON form.
 
@@ -299,8 +293,8 @@ def spec_from_dict(obj: dict, base_dir: str | Path = ".", name: str = "homogeneo
             raise ValueError("derived homogeneous spec needs a 'blocks' list")
         embedding = SubalgebraEmbedding(
             parent=algebra,
-            h_basis=np.asarray(obj.get("h_basis", []), dtype=float).reshape(-1, algebra.dim),
-            blocks=tuple(np.asarray(b, dtype=float) for b in obj["blocks"]),
+            h_basis=np.asarray(_numbers(obj.get("h_basis", []), "h_basis entry")).reshape(-1, algebra.dim),
+            blocks=tuple(np.asarray(_numbers(b, "blocks entry")) for b in obj["blocks"]),
         )
         return build_spec(embedding, killing_metric(algebra, scale), name=name)
     raise ValueError("homogeneous spec must be raw (key 's') or derived (key 'algebra')")

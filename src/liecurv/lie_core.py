@@ -23,13 +23,13 @@ from pathlib import Path
 
 import numpy as np
 
-# Entries below this magnitude are zeroed by the constructors.
+# Structure constants below ZERO_DROP times the largest are zeroed by
+# from_matrix_basis.
 ZERO_DROP = 1e-12
-# Singular values / eigenvalues below RANK_RTOL * largest count as zero in
-# rank and signature decisions (scale-free).
-RANK_RTOL = 1e-9
-# The package-wide default tolerance of structural checks (closure,
-# invariance, antisymmetry, central blocks).
+# The one tolerance rule: a check fails when its defect exceeds DEFAULT_TOL
+# times the largest magnitude of the data it compares (closure, invariance,
+# antisymmetry, scalar blocks, central blocks, rank and signature), so no
+# verdict depends on the scale of the metric or of the basis.
 DEFAULT_TOL = 1e-9
 
 
@@ -105,7 +105,7 @@ class MatrixBasis:
         for m in mats:
             if m.ndim != 2 or m.shape != (d, d):
                 raise ValueError("all basis matrices must be square and of equal size")
-            if np.abs(m + m.conj().T).max() > DEFAULT_TOL:
+            if np.abs(m + m.conj().T).max() > DEFAULT_TOL * np.abs(m).max():
                 raise ValueError("basis matrices must be skew-Hermitian")
         object.__setattr__(self, "matrices", mats)
 
@@ -124,15 +124,17 @@ def from_matrix_basis(basis: MatrixBasis) -> LieAlgebra:
     """Expand all commutators of a matrix basis into structure constants.
 
     Each coefficient vector is obtained by solving the Gram system of the
-    trace pairing; the expansion residual must stay below ``DEFAULT_TOL`` or
-    the basis does not close under the commutator.
+    trace pairing; the expansion residual must stay below ``DEFAULT_TOL``
+    times |M_i| |M_j| (the size of the commutator's terms) or the basis does
+    not close under the commutator.
     """
     stack = np.stack(basis.matrices)
     n = basis.dim
     gram = trace_gram(basis)
     svals = np.linalg.svd(gram, compute_uv=False)
-    if svals[-1] <= RANK_RTOL * svals[0]:
+    if svals[-1] <= DEFAULT_TOL * svals[0]:
         raise ValueError("dependent basis: trace-pairing Gram matrix is singular")
+    size = np.abs(stack).max(axis=(1, 2))
     c = np.zeros((n, n, n))
     for i in range(n):
         for j in range(i + 1, n):
@@ -140,13 +142,15 @@ def from_matrix_basis(basis: MatrixBasis) -> LieAlgebra:
             rhs = -np.real(np.einsum("ij,kji->k", comm, stack))
             coef = np.linalg.solve(gram, rhs)
             recon = np.einsum("k,kij->ij", coef, stack)
-            if np.abs(comm - recon).max() > DEFAULT_TOL:
+            if np.abs(comm - recon).max() > DEFAULT_TOL * size[i] * size[j]:
                 raise ValueError(
                     f"not a subalgebra: [M_{i}, M_{j}] does not expand in the basis"
                 )
-            coef[np.abs(coef) < ZERO_DROP] = 0.0
             c[i, j] = coef
-            c[j, i] = -coef
+    # Drop relative to the largest constant, then mirror the i < j half.
+    c[np.abs(c) < ZERO_DROP * np.abs(c).max()] = 0.0
+    rows, cols = np.triu_indices(n, 1)
+    c[cols, rows] = -c[rows, cols]
     return LieAlgebra(basis.name, n, c)
 
 
@@ -164,13 +168,13 @@ def killing(algebra: LieAlgebra) -> KillingData:
         raise ValueError(f"Killing form of {algebra.name} overflows: structure constants are too large")
     K = 0.5 * (K + K.T)  # contraction order can leave last-ulp asymmetry
     eigs = np.linalg.eigvalsh(K)
-    thr = RANK_RTOL * np.abs(eigs).max() if eigs.size else 0.0
+    thr = DEFAULT_TOL * np.abs(eigs).max()
     negatives = int(np.sum(eigs < -thr))
     positives = int(np.sum(eigs > thr))
     zeros = algebra.dim - negatives - positives
     ad_map = c.reshape(algebra.dim, -1)
     svals = np.linalg.svd(ad_map, compute_uv=False)
-    rank = int(np.sum(svals > RANK_RTOL * svals[0])) if svals[0] > 0 else 0
+    rank = int(np.sum(svals > DEFAULT_TOL * svals[0]))
     return KillingData(
         K=K,
         B=-K,

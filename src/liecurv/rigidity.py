@@ -35,14 +35,14 @@ from .homogeneous import (
 )
 from .lie_core import DEFAULT_TOL, build_su
 
-# Certificate defaults: box, search effort, allowed excess in R and in lambda.
+# Certificate defaults: box, search effort, allowed excess in R (times |r0|) and lambda.
 DEFAULT_MAX_LAMBDA = 10.0
 DEFAULT_STARTS = 64
 DEFAULT_SAMPLES = 10_000
 DEFAULT_TOL_R = 1e-8
 DEFAULT_TOL_LAMBDA = 1e-6
 # Ascent: Armijo constant, backtracking factor and smallest step; iteration
-# cap and projected-gradient norm that count a start as converged.
+# cap and projected-gradient norm (times |r0|) that count a start as converged.
 ARMIJO = 1e-4
 SHRINK = 0.5
 MIN_STEP = 2.0 ** -60
@@ -51,7 +51,7 @@ GRAD_STOP = 1e-10
 # Relative distance to a bound inside which a coordinate whose gradient
 # points out of the box is held on the bound.
 ACTIVE_RTOL = 1e-12
-# Smallest Hessian eigenvalue magnitude in the Newton step, relative to the largest.
+# Smallest Hessian eigenvalue magnitude in the Newton step, relative to max(max|mu|, |grad|).
 EIG_FLOOR = 1e-8
 
 
@@ -116,12 +116,9 @@ def gap_breakdown(spec: HomogeneousSpec, lam) -> GapBreakdown:
     the sum rule; the residual quantifies how well it holds.
     """
     a3 = spec.coupling
-    sym_defect = max(
-        np.abs(a3 - a3.swapaxes(0, 1)).max(),
-        np.abs(a3 - a3.swapaxes(1, 2)).max(),
-        np.abs(a3 - a3.swapaxes(0, 2)).max(),
-    )
-    if sym_defect > DEFAULT_TOL * max(1.0, np.abs(a3).max()):
+    sym_defect = max(np.abs(a3 - a3.transpose(p)).max() for p in ((1, 0, 2), (0, 2, 1), (2, 1, 0)))
+    # Relative to A and the Killing ratios, its units: A is all roundoff on a symmetric space.
+    if sym_defect > DEFAULT_TOL * max(np.abs(a3).max(), np.abs(spec.killing_ratios).max()):
         raise ValueError("decomposition identity requires bi-invariant reference: "
                          "coupling tensor is not symmetric")
     values = _lambda_vector(lam, spec.s)
@@ -225,8 +222,9 @@ def _newton_direction(spec: HomogeneousSpec, lam: np.ndarray, grad: np.ndarray,
     Coordinates on the epsilon-active set (within ACTIVE_RTOL of a bound, the
     gradient pointing out of the box) follow the gradient; the free ones
     take a Newton step on the free block of the Hessian, with every
-    eigenvalue mu replaced by -max(|mu|, EIG_FLOOR * max|mu|) so that the
-    step ascends even where the Hessian is indefinite.
+    eigenvalue mu replaced by -max(|mu|, EIG_FLOOR * max(max|mu|, |grad|))
+    so that the step ascends even where the Hessian is indefinite, and stays
+    finite where the free block vanishes.
     """
     held = (((lam - lo <= ACTIVE_RTOL * lo) & (grad < 0))
             | ((hi - lam <= ACTIVE_RTOL * hi) & (grad > 0)))
@@ -234,7 +232,8 @@ def _newton_direction(spec: HomogeneousSpec, lam: np.ndarray, grad: np.ndarray,
     hess = _block_hessian(_beta(spec), spec.coupling, lam) * (free[:, :, None] & free[:, None, :])
     mu, vec = np.linalg.eigh(hess)
     size = np.abs(mu)
-    floor = np.maximum(EIG_FLOOR * size.max(axis=1, keepdims=True), np.finfo(float).tiny)
+    floor = EIG_FLOOR * np.maximum(size.max(axis=1, keepdims=True),
+                                   np.linalg.norm(grad, axis=1, keepdims=True))
     coef = np.einsum("bji,bj->bi", vec, np.where(free, grad, 0.0)) / np.maximum(size, floor)
     return np.where(free, np.einsum("bij,bj->bi", vec, coef), grad)
 
@@ -281,10 +280,11 @@ def _ascend_all(spec: HomogeneousSpec, starts: np.ndarray, lo: float, hi: float,
     lockstep: one batched gradient call per iteration, over the rows still
     running.  ``r_starts``, the curvature at the starts, is evaluated here
     unless given.  A row stops when its projected gradient norm reaches
-    GRAD_STOP (converged), when its line search fails, or after MAX_ITER
-    iterations."""
+    GRAD_STOP times |R(1, ..., 1)| (converged), when its line search fails,
+    or after MAX_ITER iterations."""
     lam = np.array(starts, dtype=float)
     r = _r_batch(spec, lam) if r_starts is None else np.array(r_starts, dtype=float)
+    stop = GRAD_STOP * abs(float(_r_batch(spec, np.ones((1, spec.s)))[0]))
     record(lam, r)
     status = np.full(len(lam), "max-iter", dtype=object)
     iterations = np.zeros(len(lam), dtype=int)
@@ -294,7 +294,7 @@ def _ascend_all(spec: HomogeneousSpec, starts: np.ndarray, lo: float, hi: float,
             break
         x = lam[running]
         grad = scalar_gradient_homogeneous(spec, x)
-        done = np.linalg.norm(_projected_gradient(x, grad, lo, hi), axis=1) <= GRAD_STOP
+        done = np.linalg.norm(_projected_gradient(x, grad, lo, hi), axis=1) <= stop
         status[running[done]] = "converged"
         running, x, grad = running[~done], x[~done], grad[~done]
         if not running.size:
@@ -317,13 +317,14 @@ def verify_rigidity(spec: HomogeneousSpec, max_lambda: float = DEFAULT_MAX_LAMBD
     every start (the all-ones candidate is always the first start, and the
     reference curvature r0 is its value).
     Certification requires that no evaluated point exceeds the reference
-    curvature beyond ``tol``, that every near-equality point sits within
-    ``tol_lambda`` of the all-ones vector, and that every ascent start
-    converged.  Specs with central blocks are refused outright: on such
-    blocks the curvature does not decay and rigidity fails structurally.
-    A spec whose reference curvature is not finite is an input error, as
-    are a box bound that is not finite, no start and a negative sample
-    count (zero samples runs the ascent alone).
+    curvature beyond ``tol * |r0|`` (so the verdict does not depend on the
+    metric's scale), that every point within that distance below r0 sits
+    within ``tol_lambda`` of the all-ones vector, and that every ascent
+    start converged.  Specs with central blocks are refused outright: on
+    such blocks the curvature does not decay and rigidity fails
+    structurally.  A spec whose reference curvature is not finite or is
+    zero is an input error, as are a box bound that is not finite, no start
+    and a negative sample count (zero samples runs the ascent alone).
     """
     if max_lambda <= 1.0:
         raise ValueError("max_lambda must exceed 1")
@@ -348,16 +349,17 @@ def verify_rigidity(spec: HomogeneousSpec, max_lambda: float = DEFAULT_MAX_LAMBD
                             rng.uniform(1.0, max_lambda, size=(n_starts - 1, spec.s))])
         r_starts = _r_batch(spec, starts)
         r0 = float(r_starts[0])
-        if not math.isfinite(r0):
-            raise ValueError(f"reference curvature is not finite ({r0}): spec data out of range")
-        tracker = _Tracker(r0, tol, tol_lambda)
+        if not math.isfinite(r0) or r0 == 0.0:
+            what = "zero" if r0 == 0.0 else "not finite"
+            raise ValueError(f"reference curvature is {what} ({r0}): spec data out of range")
+        tracker = _Tracker(r0, tol * abs(r0), tol_lambda)
         if samples is not None:
             tracker.record(samples, _r_batch(spec, samples))
         t_ascent = time.perf_counter()
         ascent = _ascend_all(spec, starts, 1.0, max_lambda, tracker.record, r_starts)
     t_end = time.perf_counter()
 
-    certified = (tracker.max_violation <= tol and tracker.equality_ok
+    certified = (tracker.max_violation <= tracker.tol and tracker.equality_ok
                  and bool(np.all(ascent.status == "converged")))
     return RigidityReport(
         name=spec.name,

@@ -156,6 +156,15 @@ def test_blocks_must_be_orthogonal(su2):
         lc.build_spec(embedding, lc.killing_metric(su2, 0.125))
 
 
+def test_metric_must_be_invariant_for_the_embedded_algebra(su2):
+    embedding = lc.SubalgebraEmbedding(parent=su2, h_basis=[], blocks=tuple([row] for row in np.eye(3)))
+    # same dimension, but diag(1, 2, 3) is ad-invariant only for the abelian algebra
+    with pytest.raises(ValueError, match="not bi-invariant"):
+        lc.build_spec(embedding, lc.BiInvariantMetric(lc.abelian(3), np.diag([1.0, 2.0, 3.0])))
+    with pytest.raises(ValueError, match="shape"):
+        lc.build_spec(embedding, lc.killing_metric(lc.build_su(3)))
+
+
 def test_decomposition_must_span(su2):
     embedding = lc.SubalgebraEmbedding(
         parent=su2, h_basis=[],
@@ -377,6 +386,22 @@ def test_gradient_accepts_a_batch(group_specs):
         assert_allclose(row, lc.scalar_gradient_homogeneous(spec, lam), rtol=1e-12, atol=1e-14)
     with pytest.raises(ValueError, match="length"):
         lc.scalar_gradient_homogeneous(spec, np.ones((2, 2, spec.s)))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("blocks", [[[True, 0, 0], [0, 1, 0]]], "must be a number"),
+    ("blocks", [[[None, 0, 0], [0, 1, 0]]], "must be a number"),
+    ("blocks", [[["1", 0, 0], [0, 1, 0]]], "must be a number"),
+    ("blocks", [[[np.nan, 0, 0], [0, 1, 0]]], "must be finite"),
+    ("h_basis", [[0, 0, True]], "must be a number"),
+    ("h_basis", [[0, None, 1]], "must be a number"),
+    ("h_basis", [[0, 0, np.inf]], "must be finite"),
+])
+def test_derived_spec_vectors_are_finite_numbers(field, value, message):
+    derived = {"algebra": "su2", "scale": 0.125, "h_basis": [[0, 0, 1]], "blocks": [[[1, 0, 0], [0, 1, 0]]]}
+    derived[field] = value
+    with pytest.raises(ValueError, match=message):
+        lc.spec_from_dict(derived)
 
 
 @pytest.mark.parametrize("blocks", [5, None, "abc"])

@@ -5,7 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import liecurv as lc
-from liecurv.rigidity import GRAD_STOP, _Tracker, _ascend_all, _projected_gradient, _r_batch
+from liecurv.rigidity import (GRAD_STOP, _Tracker, _ascend_all, _newton_direction, _projected_gradient,
+                              _r_batch)
 
 
 def test_gap_polynomial_values():
@@ -129,6 +130,16 @@ def test_gap_breakdown_requires_symmetric_coupling():
                               coupling=a, provenance="raw-file")
     with pytest.raises(ValueError, match="bi-invariant"):
         lc.gap_breakdown(spec, [1.0, 1.0])
+
+
+def test_gap_breakdown_accepts_a_roundoff_coupling():
+    # On a symmetric space the coupling is roundoff; its asymmetry is measured
+    # against the Killing ratios, the coupling's units, not against A alone.
+    a = np.zeros((2, 2, 2))
+    a[0, 0, 1] = 1e-31
+    spec = lc.HomogeneousSpec(name="s2xs2", s=2, block_dims=[2, 2], killing_ratios=[8.0, 8.0],
+                              casimirs=[4.0, 4.0], coupling=a, provenance="raw-file")
+    assert lc.gap_breakdown(spec, [2.0, 3.0]).residual <= 1e-12
 
 
 def test_verify_rigidity_su2(group_specs):
@@ -316,6 +327,28 @@ def test_non_finite_reference_curvature_is_an_input_error():
                               casimirs=[0.0, 0.0], coupling=a, provenance="raw-file")
     with pytest.raises(ValueError, match="not finite"):
         lc.verify_rigidity(spec, n_starts=2, n_samples=10)
+
+
+def test_zero_reference_curvature_is_an_input_error():
+    # tol is relative to |r0|, which gives it no scale at r0 = 0
+    spec = lc.spec_from_dict({"s": 1, "d": [1], "b": [1.0], "c": [0.0], "A": [[0, 0, 0, 2.0]]})
+    with pytest.raises(ValueError, match="reference curvature is zero"):
+        lc.verify_rigidity(spec, n_starts=2, n_samples=10)
+
+
+@pytest.mark.parametrize("scale", [1e-5, 1.0, 1e5])
+def test_newton_step_stays_finite_where_the_free_hessian_vanishes(scale):
+    # R is linear in lam_0 while every other ratio sits on the lower bound with
+    # its gradient pointing out of the box: the free Hessian block is exactly 0.
+    algebra = lc.build_su(3)
+    spec = lc.group_as_homogeneous(lc.binormalize(algebra, lc.killing_metric(algebra, scale)))
+    lam = np.ones((1, 8))
+    lam[0, 0] = 1.107
+    grad = lc.scalar_gradient_homogeneous(spec, lam)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        direction = _newton_direction(spec, lam, grad, 1.0, 10.0)
+    assert np.all(np.isfinite(direction))
+    assert direction[0, 0] < 0 and grad[0, 0] < 0  # the free step still ascends
 
 
 def test_tracker_counts_non_finite_curvature_as_violation():
