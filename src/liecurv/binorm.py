@@ -11,43 +11,42 @@ curvature formulas ever see.
 
 from __future__ import annotations
 
-import math
 from dataclasses import InitVar, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .lie_core import DEFAULT_TOL, LieAlgebra, killing
+from .lie_core import DEFAULT_TOL, LieAlgebra, _negligible, _require, killing
 
 
 @dataclass(frozen=True)
 class BiInvariantMetric:
-    """Ad-invariant inner product on a Lie algebra, as a Gram matrix.
-
-    ``scale`` records s when the metric was built as s times the negative
-    Killing form; it stays None for a general ad-invariant Gram matrix.
-    """
+    """Ad-invariant inner product on a Lie algebra, as a finite Gram matrix."""
 
     base: LieAlgebra
     gram: np.ndarray
-    scale: float | None = None
 
     def __post_init__(self):
         gram = np.asarray(self.gram, dtype=float)
         n = self.base.dim
         if gram.shape != (n, n):
             raise ValueError(f"gram matrix must have shape ({n}, {n})")
+        if not np.all(np.isfinite(gram)):
+            raise ValueError("gram matrix must be finite")
         object.__setattr__(self, "gram", gram)
 
 
 def killing_metric(algebra: LieAlgebra, scale: float = 1.0) -> BiInvariantMetric:
     """The metric s * B, with B the negative of the Killing form; s must be
-    finite and positive."""
+    positive, and s and s * B finite."""
     if scale <= 0:
         raise ValueError("metric scale must be positive")
-    if not math.isfinite(scale):
+    if not np.isfinite(scale):
         raise ValueError(f"metric scale must be finite, got {scale}")
-    return BiInvariantMetric(algebra, scale * killing(algebra).B, scale=scale)
+    B = killing(algebra).B
+    if not np.isfinite(scale * float(np.abs(B).max())):  # exactly when s * B is not finite
+        raise ValueError(f"metric scale must be small enough for a finite gram matrix s * B, got {scale}")
+    return BiInvariantMetric(algebra, scale * B)
 
 
 @dataclass(frozen=True)
@@ -56,7 +55,7 @@ class OrthonormalModel:
 
     ``t`` maps original to orthonormal coordinates (columns are the new
     basis vectors); ``c`` is totally antisymmetric up to roundoff, checked
-    here once (``tol`` relative to the largest constant) for every consumer.
+    here once (at ``tol`` against the largest constant) for every consumer.
     The group's curvature data are derived here once, too: ``killing_ratios``
     (minus the Killing form's diagonal, the formula's beta) and ``coupling``
     (c * c), read by the closed-form evaluators and the group's spec.
@@ -75,9 +74,8 @@ class OrthonormalModel:
         n = self.n
         if c.shape != (n, n, n):
             raise ValueError(f"structure tensor must have shape ({n}, {n}, {n})")
-        if antisymmetry_defect(c) > tol * np.abs(c).max():
-            raise ValueError("not bi-invariant-orthonormal: structure tensor "
-                             "is not totally antisymmetric")
+        _require(antisymmetry_defect(c), np.abs(c).max(),
+                 "not bi-invariant-orthonormal: structure tensor is not totally antisymmetric", tol)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "killing_ratios", -np.diag(np.einsum("iba,jab->ij", c, c)))
         object.__setattr__(self, "coupling", c * c)
@@ -111,10 +109,10 @@ def check_metric(metric: BiInvariantMetric, tol: float = DEFAULT_TOL) -> None:
     """Raise unless the Gram matrix is positive definite and ad-invariant, each
     relative to its data (the largest eigenvalue; |c|max |gram|max)."""
     eigs = np.linalg.eigvalsh(0.5 * (metric.gram + metric.gram.T))
-    if eigs[0] <= DEFAULT_TOL * eigs[-1]:
+    if _negligible(eigs[0], eigs[-1]):
         raise ValueError("not a metric: gram matrix is not positive definite")
-    if metric_invariance_defect(metric) > tol * np.abs(metric.base.c).max() * np.abs(metric.gram).max():
-        raise ValueError("not bi-invariant: ad-invariance fails on the gram matrix")
+    _require(metric_invariance_defect(metric), np.abs(metric.base.c).max() * np.abs(metric.gram).max(),
+             "not bi-invariant: ad-invariance fails on the gram matrix", tol)
 
 
 def _in_frame(c: np.ndarray, t: np.ndarray, co: np.ndarray) -> np.ndarray:
@@ -165,10 +163,9 @@ def diagonalize_metric(model: OrthonormalModel, operator) -> DiagonalizedMetric:
     n = model.n
     if s.shape != (n, n):
         raise ValueError(f"metric operator must have shape ({n}, {n})")
-    if np.abs(s - s.T).max() > DEFAULT_TOL * np.abs(s).max():
-        raise ValueError("metric operator must be symmetric")
+    _require(np.abs(s - s.T).max(), np.abs(s).max(), "metric operator must be symmetric")
     w, q = np.linalg.eigh(0.5 * (s + s.T))
-    if w[0] <= DEFAULT_TOL * w[-1]:
+    if _negligible(w[0], w[-1]):
         raise ValueError("metric operator must be positive definite")
     c_rot = _in_frame(model.c, q, q)
     return DiagonalizedMetric(rotation=q, metric=DiagonalMetric(w), c=c_rot)

@@ -25,7 +25,8 @@ import numpy as np
 
 from .binorm import BiInvariantMetric, OrthonormalModel, _in_frame, check_metric, killing_metric
 from .curvature import CurvatureResult, _block_curvature, _block_gradient, _lambda_vector
-from .lie_core import DEFAULT_TOL, LieAlgebra, _real, _sparse_entries, _whole_number, killing, resolve_algebra
+from .lie_core import (LieAlgebra, _negligible, _real, _require, _sparse_entries, _whole_number, killing,
+                       resolve_algebra)
 
 
 @dataclass(frozen=True)
@@ -71,9 +72,9 @@ class HomogeneousSpec:
             object.__setattr__(self, name, arr)
 
     def central_blocks(self) -> list[int]:
-        """Blocks in the center: Killing ratio at most DEFAULT_TOL times the largest."""
-        thr = DEFAULT_TOL * float(np.abs(self.killing_ratios).max())
-        return [i for i in range(self.s) if abs(self.killing_ratios[i]) <= thr]
+        """Blocks in the center: Killing ratio negligible against the largest."""
+        size = np.abs(self.killing_ratios)
+        return np.flatnonzero(_negligible(size, size.max())).tolist()
 
 
 @dataclass(frozen=True)
@@ -139,35 +140,34 @@ def build_spec(embedding: SubalgebraEmbedding, metric: BiInvariantMetric,
     full = np.vstack([z] + frames)
     if full.shape[0] != n:
         raise ValueError(f"subalgebra and blocks span dimension {full.shape[0]}, expected {n}")
-    if np.abs(full @ gram @ full.T - np.eye(n)).max() > DEFAULT_TOL:
-        raise ValueError("subalgebra and blocks are not mutually orthogonal")
+    _require(np.abs(full @ gram @ full.T - np.eye(n)).max(), 1.0,
+             "subalgebra and blocks are not mutually orthogonal")
     cf = _in_frame(algebra.c, full.T, gram @ full.T)
-    thr = DEFAULT_TOL * np.abs(cf).max()
+    size = np.abs(cf).max()
     edges = np.cumsum([h, *dims])
     block_of = np.repeat(np.arange(-1, s), [h, *dims])  # -1 on h
 
     # h must close under the bracket, and preserve each block.
-    if np.any(np.linalg.norm(cf[:h, :h, h:], axis=2) > thr):
-        raise ValueError("h is not a subalgebra: bracket leaves its span")
+    _require(np.linalg.norm(cf[:h, :h, h:], axis=2).max(initial=0.0), size,
+             "h is not a subalgebra: bracket leaves its span")
     leak = np.where(block_of[h:, None] == block_of, 0.0, cf[:h, h:])
-    moved = np.any(np.linalg.norm(leak, axis=2) > thr, axis=0)
+    moved = ~np.all(_negligible(np.linalg.norm(leak, axis=2), size), axis=0)
     if moved.any():
         raise ValueError(f"block {block_of[h + moved.argmax()]} is not invariant under the subalgebra action")
 
     # Killing ratio and Casimir constant per block, each its mean diagonal
-    # entry, verified scalar within one threshold (a block-local mean is 0 on
-    # a central block); -sum_a M_a^2, M_a[g, x] = cf[a, x, g], is the Casimir.
+    # entry, verified scalar against one size (a block-local one is 0 on a
+    # central block); -sum_a M_a^2, M_a[g, x] = cf[a, x, g], is the Casimir.
     kf = full @ killing(algebra).B @ full.T
-    atol = DEFAULT_TOL * np.abs(kf).max()
+    ksize = np.abs(kf).max()
     ratios, casimirs = np.zeros(s), np.zeros(s)
     for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
         act = cf[:h, lo:hi, lo:hi].swapaxes(1, 2)
         for out, mat, what in ((ratios, kf[lo:hi, lo:hi], "Killing ratio not constant"),
                                (casimirs, -(act @ act).sum(axis=0), "Casimir operator not scalar")):
             out[i] = np.diag(mat).mean()
-            if not np.abs(mat - out[i] * np.eye(hi - lo)).max() <= atol:
-                raise ValueError(f"block {i} not irreducible-compatible: refine decomposition "
-                                 f"({what} on the block)")
+            _require(np.abs(mat - out[i] * np.eye(hi - lo)).max(), ksize,
+                     f"block {i} not irreducible-compatible: refine decomposition ({what} on the block)")
     casimirs = np.where(casimirs < 0.0, 0.0, casimirs)
 
     # Summed squared structure constants of brackets between blocks.
@@ -186,14 +186,14 @@ def build_spec(embedding: SubalgebraEmbedding, metric: BiInvariantMetric,
     )
 
 
-def group_as_homogeneous(model: OrthonormalModel, name: str | None = None) -> HomogeneousSpec:
+def group_as_homogeneous(model: OrthonormalModel) -> HomogeneousSpec:
     """Homogeneous data of the group itself: singleton blocks, no subalgebra.
 
     Repackages the model's derived data: its Killing ratios and coupling
     (the squared structure constants); Casimirs vanish.
     """
     return HomogeneousSpec(
-        name=name or model.name,
+        name=model.name,
         s=model.n,
         block_dims=np.ones(model.n, dtype=int),
         killing_ratios=model.killing_ratios,

@@ -10,6 +10,9 @@ Algebras can be built from an explicit basis of skew-Hermitian matrices
 and so(n) (:func:`build_su`, :func:`build_so`), from direct sums, or from a
 JSON description (:func:`algebra_from_file`).  The Killing form, its
 signature, semi-simplicity and the center are all decided numerically.
+
+Every check and classification in the package asks one predicate,
+:func:`_negligible`, which never passes a NaN.
 """
 
 from __future__ import annotations
@@ -23,14 +26,23 @@ from pathlib import Path
 
 import numpy as np
 
-# Structure constants below ZERO_DROP times the largest are zeroed by
-# from_matrix_basis.
-ZERO_DROP = 1e-12
-# The one tolerance rule: a check fails when its defect exceeds DEFAULT_TOL
-# times the largest magnitude of the data it compares (closure, invariance,
-# antisymmetry, scalar blocks, central blocks, rank and signature), so no
-# verdict depends on the scale of the metric or of the basis.
+ZERO_DROP = 1e-12  # from_matrix_basis zeroes structure constants negligible at this tol
 DEFAULT_TOL = 1e-9
+
+
+def _negligible(defect, size, tol=DEFAULT_TOL):
+    """The one tolerance rule: ``defect`` is negligible when at most ``tol``
+    times ``size``, the largest magnitude of the data it compares (closure,
+    invariance, antisymmetry, scalar blocks, central blocks, rank and
+    signature), so no verdict depends on the scale of the metric or basis.
+    Elementwise; NaN is never negligible, so a check fails on NaN data."""
+    return defect <= tol * size
+
+
+def _require(defect, size, message: str, tol=DEFAULT_TOL) -> None:
+    """Raise ``ValueError(message)`` unless the scalar ``defect`` is negligible."""
+    if not _negligible(defect, size, tol):
+        raise ValueError(message)
 
 
 @dataclass(frozen=True)
@@ -105,8 +117,7 @@ class MatrixBasis:
         for m in mats:
             if m.ndim != 2 or m.shape != (d, d):
                 raise ValueError("all basis matrices must be square and of equal size")
-            if np.abs(m + m.conj().T).max() > DEFAULT_TOL * np.abs(m).max():
-                raise ValueError("basis matrices must be skew-Hermitian")
+            _require(np.abs(m + m.conj().T).max(), np.abs(m).max(), "basis matrices must be skew-Hermitian")
         object.__setattr__(self, "matrices", mats)
 
     @property
@@ -124,15 +135,15 @@ def from_matrix_basis(basis: MatrixBasis) -> LieAlgebra:
     """Expand all commutators of a matrix basis into structure constants.
 
     Each coefficient vector is obtained by solving the Gram system of the
-    trace pairing; the expansion residual must stay below ``DEFAULT_TOL``
-    times |M_i| |M_j| (the size of the commutator's terms) or the basis does
-    not close under the commutator.
+    trace pairing; the expansion residual must be negligible against
+    |M_i| |M_j| (the size of the commutator's terms) or the basis does not
+    close under the commutator.
     """
     stack = np.stack(basis.matrices)
     n = basis.dim
     gram = trace_gram(basis)
     svals = np.linalg.svd(gram, compute_uv=False)
-    if svals[-1] <= DEFAULT_TOL * svals[0]:
+    if _negligible(svals[-1], svals[0]):
         raise ValueError("dependent basis: trace-pairing Gram matrix is singular")
     size = np.abs(stack).max(axis=(1, 2))
     c = np.zeros((n, n, n))
@@ -142,13 +153,11 @@ def from_matrix_basis(basis: MatrixBasis) -> LieAlgebra:
             rhs = -np.real(np.einsum("ij,kji->k", comm, stack))
             coef = np.linalg.solve(gram, rhs)
             recon = np.einsum("k,kij->ij", coef, stack)
-            if np.abs(comm - recon).max() > DEFAULT_TOL * size[i] * size[j]:
-                raise ValueError(
-                    f"not a subalgebra: [M_{i}, M_{j}] does not expand in the basis"
-                )
+            _require(np.abs(comm - recon).max(), size[i] * size[j],
+                     f"not a subalgebra: [M_{i}, M_{j}] does not expand in the basis")
             c[i, j] = coef
     # Drop relative to the largest constant, then mirror the i < j half.
-    c[np.abs(c) < ZERO_DROP * np.abs(c).max()] = 0.0
+    c[_negligible(np.abs(c), np.abs(c).max(), ZERO_DROP)] = 0.0
     rows, cols = np.triu_indices(n, 1)
     c[cols, rows] = -c[rows, cols]
     return LieAlgebra(basis.name, n, c)
@@ -157,10 +166,10 @@ def from_matrix_basis(basis: MatrixBasis) -> LieAlgebra:
 def killing(algebra: LieAlgebra) -> KillingData:
     """Killing form K(e_i, e_j) = tr(ad e_i ad e_j) and structural flags.
 
-    The signature counts eigenvalues below/at/above the scale-free zero
-    threshold; ``semisimple`` requires no zero eigenvalues; the center is
-    the kernel of x -> ad(x).  Structure constants whose squares overflow
-    are refused.
+    The signature counts negative, negligible and positive eigenvalues;
+    ``semisimple`` requires no negligible one; the center is the kernel of
+    x -> ad(x), counted by its negligible singular values.  Structure
+    constants whose squares overflow are refused.
     """
     c = algebra.c
     K = np.einsum("iba,jab->ij", c, c)
@@ -168,19 +177,15 @@ def killing(algebra: LieAlgebra) -> KillingData:
         raise ValueError(f"Killing form of {algebra.name} overflows: structure constants are too large")
     K = 0.5 * (K + K.T)  # contraction order can leave last-ulp asymmetry
     eigs = np.linalg.eigvalsh(K)
-    thr = DEFAULT_TOL * np.abs(eigs).max()
-    negatives = int(np.sum(eigs < -thr))
-    positives = int(np.sum(eigs > thr))
-    zeros = algebra.dim - negatives - positives
-    ad_map = c.reshape(algebra.dim, -1)
-    svals = np.linalg.svd(ad_map, compute_uv=False)
-    rank = int(np.sum(svals > DEFAULT_TOL * svals[0]))
+    zero = _negligible(np.abs(eigs), np.abs(eigs).max())
+    signature = tuple(int(np.sum(x)) for x in (~zero & (eigs < 0), zero, ~zero & (eigs > 0)))
+    svals = np.linalg.svd(c.reshape(algebra.dim, -1), compute_uv=False)
     return KillingData(
         K=K,
         B=-K,
-        signature=(negatives, zeros, positives),
-        semisimple=(zeros == 0),
-        center_dim=algebra.dim - rank,
+        signature=signature,
+        semisimple=(signature[1] == 0),
+        center_dim=int(np.sum(_negligible(svals, svals[0]))),
     )
 
 
@@ -261,11 +266,11 @@ def build_so(n: int) -> LieAlgebra:
     return from_matrix_basis(MatrixBasis(tuple(mats), name=f"so{n}"))
 
 
-def abelian(dim: int, name: str | None = None) -> LieAlgebra:
+def abelian(dim: int) -> LieAlgebra:
     """Abelian algebra of the given dimension (all brackets vanish)."""
     if dim < 1:
         raise ValueError("abelian requires dim >= 1")
-    return LieAlgebra(name or f"abelian{dim}", dim, np.zeros((dim, dim, dim)))
+    return LieAlgebra(f"abelian{dim}", dim, np.zeros((dim, dim, dim)))
 
 
 def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:

@@ -33,7 +33,7 @@ from .homogeneous import (
     scalar_curvature_homogeneous,
     scalar_gradient_homogeneous,
 )
-from .lie_core import DEFAULT_TOL, build_su
+from .lie_core import _negligible, _require, build_su
 
 # Certificate defaults: box, search effort, allowed excess in R (times |r0|) and lambda.
 DEFAULT_MAX_LAMBDA = 10.0
@@ -48,9 +48,6 @@ SHRINK = 0.5
 MIN_STEP = 2.0 ** -60
 MAX_ITER = 500
 GRAD_STOP = 1e-10
-# Relative distance to a bound inside which a coordinate whose gradient
-# points out of the box is held on the bound.
-ACTIVE_RTOL = 1e-12
 # Smallest Hessian eigenvalue magnitude in the Newton step, relative to max(max|mu|, |grad|).
 EIG_FLOOR = 1e-8
 
@@ -118,9 +115,8 @@ def gap_breakdown(spec: HomogeneousSpec, lam) -> GapBreakdown:
     a3 = spec.coupling
     sym_defect = max(np.abs(a3 - a3.transpose(p)).max() for p in ((1, 0, 2), (0, 2, 1), (2, 1, 0)))
     # Relative to A and the Killing ratios, its units: A is all roundoff on a symmetric space.
-    if sym_defect > DEFAULT_TOL * max(np.abs(a3).max(), np.abs(spec.killing_ratios).max()):
-        raise ValueError("decomposition identity requires bi-invariant reference: "
-                         "coupling tensor is not symmetric")
+    _require(sym_defect, max(np.abs(a3).max(), np.abs(spec.killing_ratios).max()),
+             "decomposition identity requires bi-invariant reference: coupling tensor is not symmetric")
     values = _lambda_vector(lam, spec.s)
     r0 = scalar_curvature_homogeneous(spec, np.ones(spec.s)).R
     rg = scalar_curvature_homogeneous(spec, values).R
@@ -141,6 +137,9 @@ class RigidityReport:
     "line-search") and ``ascent_iterations[i]`` how many steps it took;
     ``n_evaluations`` counts every metric at which the curvature was
     evaluated; ``sampling_time`` and ``ascent_time`` split ``wall_time``.
+    ``certified`` holds exactly when ``max_violation <= tol * |r0|`` (``tol``
+    is relative, ``max_violation`` and ``r0`` absolute), ``equality_ok``
+    holds and every ``ascent_status`` is "converged".
     """
 
     name: str
@@ -173,7 +172,7 @@ class RigidityReport:
 
 
 class _Tracker:
-    """Accumulates statistics over every metric the search evaluates."""
+    """Accumulates statistics over every metric the search evaluates; ``tol`` is relative to |r0|."""
 
     def __init__(self, r0: float, tol: float, tol_lambda: float):
         self.r0 = r0
@@ -197,12 +196,12 @@ class _Tracker:
         # A non-finite value is a violation of unknown size, never a pass.
         excess = np.where(np.isfinite(rs), rs - self.r0, math.inf)
         self.max_violation = max(self.max_violation, float(np.max(excess)))
-        near = (self.r0 - rs) <= self.tol
+        near = _negligible(self.r0 - rs, abs(self.r0), self.tol)
         if np.any(near):
             offsets = np.abs(lams[near] - 1.0).max(axis=1)
             worst = float(offsets.max())
             self.worst_equality_offset = max(self.worst_equality_offset, worst)
-            if worst > self.tol_lambda:
+            if not _negligible(worst, 1.0, self.tol_lambda):  # offsets from the all-ones vector
                 self.equality_ok = False
 
 
@@ -211,6 +210,7 @@ def _r_batch(spec: HomogeneousSpec, lams: np.ndarray) -> np.ndarray:
 
 
 def _projected_gradient(lam: np.ndarray, grad: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """``grad`` zeroed where a coordinate is held: on a bound, the gradient pointing out of the box."""
     blocked = ((lam <= lo) & (grad < 0)) | ((lam >= hi) & (grad > 0))
     return np.where(blocked, 0.0, grad)
 
@@ -219,16 +219,14 @@ def _newton_direction(spec: HomogeneousSpec, lam: np.ndarray, grad: np.ndarray,
                       lo: float, hi: float) -> np.ndarray:
     """Projected-Newton ascent direction per row (Bertsekas 1982).
 
-    Coordinates on the epsilon-active set (within ACTIVE_RTOL of a bound, the
-    gradient pointing out of the box) follow the gradient; the free ones
-    take a Newton step on the free block of the Hessian, with every
-    eigenvalue mu replaced by -max(|mu|, EIG_FLOOR * max(max|mu|, |grad|))
-    so that the step ascends even where the Hessian is indefinite, and stays
-    finite where the free block vanishes.
+    Coordinates held on a bound (those :func:`_projected_gradient` zeroes)
+    follow the gradient; the free ones take a Newton step on the free block
+    of the Hessian, with every eigenvalue mu replaced by
+    -max(|mu|, EIG_FLOOR * max(max|mu|, |grad|)) so that the step ascends
+    even where the Hessian is indefinite, and stays finite where the free
+    block vanishes.
     """
-    held = (((lam - lo <= ACTIVE_RTOL * lo) & (grad < 0))
-            | ((hi - lam <= ACTIVE_RTOL * hi) & (grad > 0)))
-    free = ~held
+    free = _projected_gradient(lam, grad, lo, hi) == grad
     hess = _block_hessian(_beta(spec), spec.coupling, lam) * (free[:, :, None] & free[:, None, :])
     mu, vec = np.linalg.eigh(hess)
     size = np.abs(mu)
@@ -284,7 +282,7 @@ def _ascend_all(spec: HomogeneousSpec, starts: np.ndarray, lo: float, hi: float,
     or after MAX_ITER iterations."""
     lam = np.array(starts, dtype=float)
     r = _r_batch(spec, lam) if r_starts is None else np.array(r_starts, dtype=float)
-    stop = GRAD_STOP * abs(float(_r_batch(spec, np.ones((1, spec.s)))[0]))
+    r_ref = abs(float(_r_batch(spec, np.ones((1, spec.s)))[0]))
     record(lam, r)
     status = np.full(len(lam), "max-iter", dtype=object)
     iterations = np.zeros(len(lam), dtype=int)
@@ -294,7 +292,7 @@ def _ascend_all(spec: HomogeneousSpec, starts: np.ndarray, lo: float, hi: float,
             break
         x = lam[running]
         grad = scalar_gradient_homogeneous(spec, x)
-        done = np.linalg.norm(_projected_gradient(x, grad, lo, hi), axis=1) <= stop
+        done = _negligible(np.linalg.norm(_projected_gradient(x, grad, lo, hi), axis=1), r_ref, GRAD_STOP)
         status[running[done]] = "converged"
         running, x, grad = running[~done], x[~done], grad[~done]
         if not running.size:
@@ -352,14 +350,14 @@ def verify_rigidity(spec: HomogeneousSpec, max_lambda: float = DEFAULT_MAX_LAMBD
         if not math.isfinite(r0) or r0 == 0.0:
             what = "zero" if r0 == 0.0 else "not finite"
             raise ValueError(f"reference curvature is {what} ({r0}): spec data out of range")
-        tracker = _Tracker(r0, tol * abs(r0), tol_lambda)
+        tracker = _Tracker(r0, tol, tol_lambda)
         if samples is not None:
             tracker.record(samples, _r_batch(spec, samples))
         t_ascent = time.perf_counter()
         ascent = _ascend_all(spec, starts, 1.0, max_lambda, tracker.record, r_starts)
     t_end = time.perf_counter()
 
-    certified = (tracker.max_violation <= tracker.tol and tracker.equality_ok
+    certified = (_negligible(tracker.max_violation, abs(r0), tol) and tracker.equality_ok
                  and bool(np.all(ascent.status == "converged")))
     return RigidityReport(
         name=spec.name,

@@ -106,6 +106,17 @@ def test_diagonalize_rejects_bad_operators(su2_model):
         lc.diagonalize_metric(su2_model, np.diag([1.0, 1.0, -0.5]))
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda model: lc.DiagonalMetric([]), "non-empty vector"),
+    (lambda model: lc.DiagonalMetric(np.ones((2, 2))), "non-empty vector"),
+    (lambda model: lc.diagonalize_metric(model, np.eye(2)), r"must have shape \(3, 3\)"),
+    (lambda model: lc.BiInvariantMetric(lc.build_su(2), np.diag([8.0, np.inf, 8.0])), "gram matrix must be finite"),
+], ids=["empty", "matrix", "operator-shape", "infinite-gram"])
+def test_metric_inputs_are_checked_when_built(su2_model, build, message):
+    with pytest.raises(ValueError, match=message):
+        build(su2_model)
+
+
 def test_diagonal_metric_requires_positive_entries():
     with pytest.raises(ValueError, match="positive"):
         lc.DiagonalMetric(np.array([1.0, 0.0, 2.0]))
@@ -129,7 +140,7 @@ def test_orthonormal_model_checks_shape(su2_model):
 
 @pytest.mark.parametrize("scale, match", [
     (float("nan"), "finite"), (float("inf"), "finite"), (0.0, "positive"), (-2.0, "positive"),
-    (float("-inf"), "positive"),
+    (float("-inf"), "positive"), (1e308, "finite gram matrix"),
 ])
 def test_killing_metric_scale_is_finite_and_positive(su2, scale, match):
     with pytest.raises(ValueError, match=match):

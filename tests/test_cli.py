@@ -437,6 +437,9 @@ def test_non_finite_report_is_an_input_error(capsys, s2_spec_file, argv, fmt):
     ("algebra", "--algebra", "su2", "--scale", "-1"),
     ("scalar", "--algebra", "su2", "--lambda", "1,1,1", "--scale", "nan"),
     ("rigidity", "--algebra", "su2", "--scale", "nan"),
+    ("algebra", "--algebra", "su2", "--scale", "1e308"),
+    ("scalar", "--algebra", "su2", "--scale", "1e308", "--lambda", "1,1,1"),
+    ("rigidity", "--algebra", "su2", "--scale", "1e308"),
 ])
 def test_scale_is_a_finite_positive_number(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -455,6 +458,20 @@ def test_spec_scale_must_be_a_number(capsys, tmp_path, scale):
         assert code == 2
         assert err.startswith("error: scale must be a number")
         assert out == ""
+
+
+@pytest.mark.parametrize("argv, seed, message", [
+    (("scalar", "--algebra", "su2", "--lambda", ","), "0", "empty metric eigenvalue list"),
+    (("scalar", "--algebra", "su2", "--lambda", "1,one,1"), "0", "could not parse metric eigenvalues"),
+    (("rigidity", "--algebra", "su2", "--starts", "2", "--samples", "10"), "seven",
+     "LIECURV_SEED must be an integer, got 'seven'"),
+])
+def test_malformed_lambda_or_seed_is_an_input_error(capsys, monkeypatch, argv, seed, message):
+    monkeypatch.setenv("LIECURV_SEED", seed)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert out == ""
 
 
 def _reject_constant(name):

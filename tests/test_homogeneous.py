@@ -356,6 +356,8 @@ def test_raw_spec_with_nan_is_rejected_not_certified():
     ({"d": 2}, "lists of length s"),
     ({"b": [1.0]}, "lists of length s"),
     ({"c": [0.0, {"x": 1}]}, "number"),
+    ({"c": [-1.0, 0.0]}, "Casimir constants must be nonnegative"),
+    ({"A": [[0, 1, 1, -1.0]]}, "coupling tensor entries must be nonnegative"),
 ])
 def test_malformed_raw_spec_is_a_value_error(change, message):
     raw = {"s": 2, "d": [1, 1], "b": [1.0, 1.0], "c": [0.0, 0.0], "A": [[0, 1, 1, 1.0]]}
@@ -404,6 +406,24 @@ def test_derived_spec_vectors_are_finite_numbers(field, value, message):
         lc.spec_from_dict(derived)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: lc.HomogeneousSpec(name="short", s=2, block_dims=[1], killing_ratios=[1.0, 1.0],
+                                casimirs=[0.0, 0.0], coupling=np.zeros((2, 2, 2)), provenance="raw-file"),
+     "block data must all have length s"),
+    (lambda: lc.HomogeneousSpec(name="flat", s=2, block_dims=[1, 1], killing_ratios=[1.0, 1.0],
+                                casimirs=[0.0, 0.0], coupling=np.zeros((2, 2)), provenance="raw-file"),
+     r"coupling tensor must have shape \(2, 2, 2\)"),
+    (lambda: lc.SubalgebraEmbedding(parent=lc.build_su(2), h_basis=[[0.0, 0.0, 1.0]], blocks=()),
+     "at least one complement block"),
+    (lambda: lc.SubalgebraEmbedding(parent=lc.build_su(2), h_basis=[[0.0, 0.0, 1.0]],
+                                    blocks=([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [])),
+     "complement blocks must be non-empty"),
+], ids=["block-data-length", "coupling-shape", "no-block", "empty-block"])
+def test_spec_and_embedding_shapes_are_checked_when_built(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 @pytest.mark.parametrize("blocks", [5, None, "abc"])
 def test_derived_spec_blocks_must_be_a_list(blocks):
     with pytest.raises(ValueError, match="'blocks' list"):
@@ -425,7 +445,7 @@ def _rebased(embedding, metric, seed):
     gram = q.T @ metric.gram @ q
     rebased = lc.SubalgebraEmbedding(parent=algebra, h_basis=embedding.h_basis @ q,
                                      blocks=tuple(b @ q for b in embedding.blocks))
-    return rebased, lc.BiInvariantMetric(algebra, 0.5 * (gram + gram.T), scale=metric.scale)
+    return rebased, lc.BiInvariantMetric(algebra, 0.5 * (gram + gram.T))
 
 
 def _s2():
@@ -509,6 +529,13 @@ def _not_spanning():
             lc.killing_metric(su2, 0.125))
 
 
+def _dependent():
+    su2 = lc.build_su(2)
+    return (lc.SubalgebraEmbedding(parent=su2, h_basis=[[0.0, 0.0, 1.0]],
+                                   blocks=([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],)),
+            lc.killing_metric(su2, 0.125))
+
+
 @pytest.mark.parametrize("quotient, message", [
     (_not_closed, "h is not a subalgebra"),
     (_not_invariant, "block 0 is not invariant"),
@@ -516,6 +543,7 @@ def _not_spanning():
     (_killing_ratio_not_constant, r"block 0 not irreducible-compatible.*\(Killing ratio not constant"),
     (_not_orthogonal, "not mutually orthogonal"),
     (_not_spanning, "span dimension 2, expected 3"),
+    (_dependent, "block 0 spanning vectors are linearly dependent"),
 ])
 @pytest.mark.parametrize("seed", [None, 0, 1])
 def test_build_spec_errors_survive_a_change_of_basis(quotient, message, seed):

@@ -214,6 +214,65 @@ def test_matrix_basis_rejects_non_skew():
         lc.MatrixBasis((np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),))
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: lc.LieAlgebra("empty", 0, np.zeros((0, 0, 0))), "dimension must be a positive integer"),
+    (lambda: lc.LieAlgebra("short", 2, np.zeros((3, 3, 3))), r"must have shape \(2, 2, 2\)"),
+    (lambda: lc.build_su(2).ad([1.0, 0.0]), "length 3"),
+    (lambda: lc.MatrixBasis(()), "non-empty"),
+    (lambda: lc.MatrixBasis((np.eye(2) * 1j, np.eye(3) * 1j)), "square and of equal size"),
+    (lambda: lc.MatrixBasis((np.ones(2) * 1j,)), "square and of equal size"),
+    (lambda: lc.abelian(0), "dim >= 1"),
+    (lambda: lc.algebra_from_dict({"name": "keyless", "dim": 3}), "must define name, dim, structure_constants"),
+], ids=["dim-0", "tensor-shape", "ad-length", "empty-basis", "unequal-matrices", "vector-matrix", "abelian-0",
+        "missing-key"])
+def test_constructors_refuse_malformed_input(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def _nan_gram():
+    """su(2)'s round metric with one symmetric pair of Gram entries NaN."""
+    gram = lc.killing_metric(lc.build_su(2), 0.125).gram.copy()
+    gram[0, 1] = gram[1, 0] = np.nan
+    return gram
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: lc.binormalize(lc.build_su(2), lc.BiInvariantMetric(lc.build_su(2), _nan_gram())),
+     "gram matrix must be finite"),
+    (lambda: lc.scalar_curvature_closed(np.full((3, 3, 3), np.nan), [1.0, 1.0, 1.0]),
+     "not totally antisymmetric"),
+    (lambda: lc.MatrixBasis((np.array([[1j, np.nan], [0.0, -1j]]),)), "skew-Hermitian"),
+    (lambda: lc.diagonalize_metric(lc.binormalize(lc.build_su(2), lc.killing_metric(lc.build_su(2), 1.0)),
+                                   np.array([[1.0, np.nan, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])),
+     "metric operator must be symmetric"),
+    (lambda: lc.build_spec(lc.SubalgebraEmbedding(lc.build_su(2), [[0.0, 0.0, 1.0]],
+                                                  ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],)),
+                           lc.BiInvariantMetric(lc.build_su(2), _nan_gram())),
+     "gram matrix must be finite"),
+    (lambda: lc.build_spec(lc.SubalgebraEmbedding(lc.build_su(2), [[0.0, 0.0, 1.0]],
+                                                  ([[1.0, 0.0, 0.0], [0.0, np.nan, 0.0]],)),
+                           lc.killing_metric(lc.build_su(2), 0.125)),
+     "not mutually orthogonal"),
+], ids=["binormalize-gram", "closed-tensor", "matrix-basis", "diagonalize-operator", "build_spec-gram",
+        "build_spec-embedding"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN arithmetic before the refusal
+def test_nan_data_fail_the_check_they_reach(build, message):
+    # A NaN defect is never negligible: each case is refused by the check that
+    # reads the NaN, not accepted, and not blamed on a later check.
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_negligible_is_the_one_rule():
+    from liecurv.lie_core import DEFAULT_TOL, _negligible
+
+    assert _negligible(DEFAULT_TOL * 4.0, 4.0)
+    assert not _negligible(np.nextafter(DEFAULT_TOL * 4.0, 1.0), 4.0)
+    assert _negligible(0.0, 0.0) and _negligible(1e-13, 1.0, tol=1e-12)
+    assert not np.any(_negligible(np.array([np.nan, 0.0]), np.array([1.0, np.nan])))
+
+
 def test_algebra_constructor_enforces_antisymmetry():
     c = np.zeros((2, 2, 2))
     c[0, 1, 0] = 1.0  # mirror entry missing
@@ -293,6 +352,9 @@ def test_resolve_algebra():
     ({"dim": 2.5}, "dim must be an integer"),
     ({"dim": "3"}, "dim must be a number"),
     ({"dim": float("inf")}, "dim must be an integer"),
+    ({"dim": 0}, "dim must be a positive integer"),
+    ({"structure_constants": [[0, 1, 2, float("nan")]]}, r"non-finite structure constant at \(0, 1, 2\)"),
+    ({"structure_constants": [[0, 1, 2, float("inf")]]}, "non-finite structure constant"),
 ])
 def test_malformed_algebra_dict_is_a_value_error(change, message):
     obj = {"name": "bad", "dim": 3, "structure_constants": [[0, 1, 2, 1.0]], **change}

@@ -320,6 +320,22 @@ def test_unconverged_search_does_not_certify(group_specs, monkeypatch):
     assert not report.certified
 
 
+def _beaten_in_the_box():
+    # R = (1/l0 + 1/l1) / 2 - l1 / (2 l0^2): R(1, 1) = 0.5, R(10, 1) = 0.545.
+    return lc.spec_from_dict({"s": 2, "d": [1, 1], "b": [1.0, 1.0], "c": [0.0, 0.0], "A": [[0, 0, 1, 2.0]]})
+
+
+@pytest.mark.parametrize("rigid", [True, False])
+def test_certified_is_the_documented_rule(group_specs, rigid):
+    spec = group_specs["su3"] if rigid else _beaten_in_the_box()
+    report = lc.verify_rigidity(spec, n_starts=8, n_samples=200, seed=0)
+    within = report.max_violation <= report.tol * abs(report.r0)
+    assert within == rigid
+    assert report.certified == (within and report.equality_ok
+                                and all(status == "converged" for status in report.ascent_status))
+    assert report.certified == rigid
+
+
 def test_non_finite_reference_curvature_is_an_input_error():
     a = np.zeros((2, 2, 2))
     a[0, 1, 1] = a[1, 0, 1] = a[0, 0, 0] = 1e308
@@ -390,6 +406,7 @@ def test_reference_start_value_is_the_reference(name):
     ({"n_starts": 0}, "n_starts"),
     ({"n_starts": -3}, "n_starts"),
     ({"n_samples": -5}, "n_samples"),
+    ({"max_lambda": 1.0}, "max_lambda must exceed 1"),
 ])
 def test_search_parameters_are_validated(s2_spec, change, match):
     with pytest.raises(ValueError, match=match):
