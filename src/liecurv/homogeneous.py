@@ -103,15 +103,28 @@ class SubalgebraEmbedding:
 
 
 def _orthonormal_rows(rows: np.ndarray, gram: np.ndarray, what: str) -> np.ndarray:
-    """Orthonormalize spanning rows for the metric via Cholesky of their Gram."""
-    if rows.shape[0] == 0:
+    """Orthonormalize spanning rows for the metric, in order (Gram-Schmidt).
+
+    With gram = L L^T, the rows' whitened coordinates w = rows L have the
+    Euclidean inner products of the metric.  A QR factorization w^T = Q R
+    orthonormalizes them without squaring their condition number, as the
+    Cholesky factor of their Gram matrix would; the result is Q^T L^-1.
+    Each row is first scaled to unit largest entry, which leaves the span as
+    it is.  |R[i, i]| is the distance of row i from the span of the rows
+    before it; the rows are dependent when one of these is negligible
+    against the largest.
+    """
+    k, n = rows.shape
+    if k == 0:
         return rows
-    g = rows @ gram @ rows.T
-    try:
-        L = np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:
+    size = np.abs(rows).max(axis=1, keepdims=True)
+    L = np.linalg.cholesky(gram)
+    q, r = np.linalg.qr((rows / np.where(size > 0.0, size, 1.0) @ L).T)
+    dist = np.abs(np.diag(r))
+    if k > n or _negligible(dist.min(), dist.max()):
         raise ValueError(f"{what} spanning vectors are linearly dependent")
-    return np.linalg.solve(L, rows)
+    q *= np.sign(np.diag(r))  # positive diagonal in R, so each row keeps its orientation
+    return np.linalg.solve(L.T, q).T
 
 
 def build_spec(embedding: SubalgebraEmbedding, metric: BiInvariantMetric,

@@ -196,9 +196,19 @@ def jacobi_defect(algebra_or_tensor) -> float:
     genuine Lie algebras.
     """
     c = algebra_or_tensor.c if isinstance(algebra_or_tensor, LieAlgebra) else np.asarray(algebra_or_tensor, dtype=float)
-    r = np.einsum("ijm,mkl->ijkl", c, c)
-    resid = r + r.transpose(1, 2, 0, 3) + r.transpose(2, 0, 1, 3)
-    return float(np.abs(resid).max()) if resid.size else 0.0
+    n = c.shape[0]
+    if n == 0:
+        return 0.0
+    # r[i,j,k,l] = sum_m c[i,j,m] c[m,k,l] is one matrix product; the residual
+    # r[i,j,k,l] + r[j,k,i,l] + r[k,i,j,l] is summed one i at a time, so the
+    # only n^4 array is r and each slice of the sum stays in cache.
+    r = (c.reshape(n * n, n) @ c.reshape(n, n * n)).reshape(n, n, n, n)
+    worst = np.empty(n)
+    for i in range(n):
+        resid = r[i] + r[:, :, i]
+        resid += r[:, i].transpose(1, 0, 2)
+        worst[i] = np.abs(resid, out=resid).max()
+    return float(worst.max())
 
 
 # ---------------------------------------------------------------------------

@@ -62,3 +62,19 @@ def flag_spec():
         parent=su3, h_basis=[e[6], e[7]],
         blocks=(np.vstack([e[0], e[3]]), np.vstack([e[1], e[4]]), np.vstack([e[2], e[5]])))
     return lc.build_spec(embedding, lc.killing_metric(su3, 1.0), name="flag")
+
+
+@pytest.fixture(scope="session")
+def dense_algebras():
+    """so7 and su5 in a random orthogonal basis f_a = sum_i q[i, a] e_i, where
+    every structure constant is nonzero and every contraction sums over all
+    its terms; antisymmetrized exactly in the first two slots, as the
+    benchmark rebases."""
+    rng = np.random.default_rng(2020)
+    out = {}
+    for name in ("so7", "su5"):
+        algebra = lc.resolve_algebra(name)
+        q, _ = np.linalg.qr(rng.standard_normal((algebra.dim, algebra.dim)))
+        c = np.einsum("ijk,ia,jb,kc->abc", algebra.c, q, q, q, optimize=True)
+        out[name] = lc.LieAlgebra(name, algebra.dim, 0.5 * (c - c.swapaxes(0, 1)))
+    return out

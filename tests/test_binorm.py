@@ -145,3 +145,17 @@ def test_orthonormal_model_checks_shape(su2_model):
 def test_killing_metric_scale_is_finite_and_positive(su2, scale, match):
     with pytest.raises(ValueError, match=match):
         lc.killing_metric(su2, scale)
+
+
+@pytest.mark.parametrize("name", ["so7", "su5"])
+def test_binormalize_on_a_dense_basis_matches_the_one_step_contraction(name, dense_algebras):
+    # The change of basis contracts pairwise through BLAS; the reference is
+    # the same four-operand contraction as one O(n^6) loop.
+    algebra = dense_algebras[name]
+    metric = lc.killing_metric(algebra, 1.0)
+    model = lc.binormalize(algebra, metric)
+    t = np.linalg.inv(np.linalg.cholesky(metric.gram)).T
+    reference = np.einsum("ia,jb,kc,ijk->abc", t, t, metric.gram @ t, algebra.c)
+    assert np.abs(model.c - reference).max() <= 1e-13 * np.abs(reference).max()
+    assert_allclose(model.killing_ratios, -np.diag(np.einsum("iba,jab->ij", model.c, model.c)),
+                    rtol=1e-13, atol=0.0)

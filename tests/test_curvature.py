@@ -68,6 +68,32 @@ def test_connection_and_curvature_symmetries(name, group_models):
     assert np.abs(bianchi).max() <= 1e-10 * scale
 
 
+@pytest.mark.parametrize("name", ["so7", "su5"])
+def test_frame_connection_on_a_dense_basis_matches_the_einsum_formula(name, dense_algebras):
+    # frame_connection builds riem from per-slice matrix products in one
+    # buffer; the reference is the two-einsum formula, summed term by term.
+    model = lc.binormalize(dense_algebras[name], lc.killing_metric(dense_algebras[name], 1.0))
+    lam = np.random.default_rng(7).uniform(0.3, 4.0, size=model.n)
+    conn = lc.frame_connection(model, lam)
+    inv_sqrt = 1.0 / np.sqrt(lam)
+    cc = model.c * np.einsum("i,j,k->ijk", inv_sqrt, inv_sqrt, np.sqrt(lam))
+    gamma = 0.5 * (cc - cc.transpose(2, 0, 1) + cc.transpose(1, 2, 0))
+    t1 = np.einsum("jkl,ilm->ijkm", gamma, gamma)
+    t3 = np.einsum("ijl,lkm->ijkm", cc, gamma)
+    reference = t1 - t1.transpose(1, 0, 2, 3) - t3
+    riem = conn.riem
+    scale = np.abs(reference).max()
+    assert np.array_equal(conn.gamma, gamma)
+    assert np.abs(riem - reference).max() <= 1e-12 * scale
+    assert np.abs(riem + riem.transpose(1, 0, 2, 3)).max() <= 1e-12 * scale
+    assert np.abs(riem + riem.transpose(0, 1, 3, 2)).max() <= 1e-12 * scale
+    assert np.abs(riem - riem.transpose(2, 3, 0, 1)).max() <= 1e-12 * scale
+    bianchi = riem + riem.transpose(1, 2, 0, 3) + riem.transpose(2, 0, 1, 3)
+    assert np.abs(bianchi).max() <= 1e-12 * scale
+    closed = lc.scalar_curvature_closed(model, lam).R
+    assert abs(lc.scalar_curvature_koszul(model, lam).R - closed) <= 1e-12 * abs(closed)
+
+
 def test_frame_rotation_invariance():
     algebra = lc.build_su(3)
     model = lc.binormalize(algebra, lc.killing_metric(algebra, 1.0))

@@ -536,6 +536,25 @@ def _dependent():
             lc.killing_metric(su2, 0.125))
 
 
+def _repeated():
+    # eps = 0 in test_ill_conditioned_spanning_vectors_still_build
+    su2 = lc.build_su(2)
+    return (lc.SubalgebraEmbedding(parent=su2, h_basis=[[0.0, 0.0, 1.0]],
+                                   blocks=([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]],)),
+            lc.killing_metric(su2, 0.125))
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-5, 1e-7])
+def test_ill_conditioned_spanning_vectors_still_build(eps):
+    # [1, 0, 0] and [1, eps, 0] span the canonical s2 plane; the frame is
+    # orthonormalized without squaring their condition number 1/eps.
+    su2 = lc.build_su(2)
+    embedding = lc.SubalgebraEmbedding(parent=su2, h_basis=[[0.0, 0.0, 1.0]],
+                                       blocks=([[1.0, 0.0, 0.0], [1.0, eps, 0.0]],))
+    spec = lc.build_spec(embedding, lc.killing_metric(su2, 0.125))
+    assert lc.scalar_curvature_homogeneous(spec, [1.0]).R == pytest.approx(8.0, rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("quotient, message", [
     (_not_closed, "h is not a subalgebra"),
     (_not_invariant, "block 0 is not invariant"),
@@ -544,6 +563,7 @@ def _dependent():
     (_not_orthogonal, "not mutually orthogonal"),
     (_not_spanning, "span dimension 2, expected 3"),
     (_dependent, "block 0 spanning vectors are linearly dependent"),
+    (_repeated, "block 0 spanning vectors are linearly dependent"),
 ])
 @pytest.mark.parametrize("seed", [None, 0, 1])
 def test_build_spec_errors_survive_a_change_of_basis(quotient, message, seed):
