@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lie_core import DEFAULT_TOL, LieAlgebra, _negligible, _require, killing
+from .lie_core import DEFAULT_TOL, LieAlgebra, _negligible, _require, _tolerance, killing
 
 
 @dataclass(frozen=True)
@@ -129,7 +129,9 @@ def binormalize(algebra: LieAlgebra, metric: BiInvariantMetric, tol: float = DEF
     The change of basis comes from the Cholesky factor of the Gram matrix,
     so repeated runs are bit-for-bit reproducible.  Total antisymmetry of
     the result is the skew-adjointness of every ad(x); the model checks it.
+    ``tol`` must be finite and nonnegative.
     """
+    _tolerance(tol, "tol")
     check_metric(metric, tol)
     L = np.linalg.cholesky(metric.gram)
     t = np.linalg.inv(L).T

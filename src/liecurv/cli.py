@@ -33,7 +33,7 @@ from .homogeneous import (
     spec_from_file,
     sum_rule_defect,
 )
-from .lie_core import DEFAULT_TOL, jacobi_defect, killing, resolve_algebra
+from .lie_core import DEFAULT_TOL, _tolerance, jacobi_defect, killing, resolve_algebra
 from .rigidity import (DEFAULT_MAX_LAMBDA, DEFAULT_SAMPLES, DEFAULT_STARTS, DEFAULT_TOL_LAMBDA,
                        DEFAULT_TOL_R, CenterPresentError, su2_shrink_example, verify_rigidity)
 
@@ -69,7 +69,10 @@ def _parse_lambda(text: str) -> np.ndarray:
         lines = Path(text[1:]).read_text(encoding="utf-8").splitlines()
         parts = [line.strip() for line in lines if line.strip()]
     else:
-        parts = [p.strip() for p in text.split(",") if p.strip()]
+        parts = [p.strip() for p in text.split(",")]
+        if any(parts) and not all(parts):
+            raise ValueError(f"empty field in metric eigenvalue list {text!r}")
+        parts = [p for p in parts if p]
     if not parts:
         raise ValueError("empty metric eigenvalue list")
     try:
@@ -156,6 +159,7 @@ def cmd_algebra(args) -> int:
     scale = _scale(args)
     metric = killing_metric(algebra, scale)  # a bad scale is an input error, not "n/a"
     kd = killing(algebra)
+    _tolerance(args.tol, "tol")  # a bad tolerance is an input error too, not "n/a"
     try:
         ortho_defect = antisymmetry_defect(binormalize(algebra, metric, tol=args.tol))
     except ValueError:

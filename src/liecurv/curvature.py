@@ -1,10 +1,12 @@
 """Scalar curvature of diagonal invariant metrics: one formula, one oracle.
 
 The private kernel :func:`_block_curvature`, its gradient
-:func:`_block_gradient` and its Hessian :func:`_block_hessian` (all batched
-over rows of ``lams``) hold the one block formula, used for groups
-(:func:`scalar_curvature_closed`: singleton blocks, A = c^2), for
-homogeneous quotients and by the certificate search.
+:func:`_block_gradient` and its Hessian :func:`_block_hessian` (each takes
+rows of ``lams`` only) hold the one block formula, used for groups
+(:func:`scalar_curvature_closed`: singleton blocks, A = c^2) and for
+homogeneous quotients, whose public evaluators each take one point.  The
+certificate search calls the row-batched kernels directly, on the spec's
+``beta`` and ``coupling``.
 :func:`scalar_curvature_koszul` rebuilds the same number from first
 principles (frame, Koszul connection, full curvature tensor, trace) and
 shares no algebra with the kernel, which makes it a genuine oracle.  It does
@@ -13,8 +15,8 @@ its own contractions, as BLAS matrix products over reshaped tensors (see
 
 Inputs are validated where they are built: :class:`OrthonormalModel` checks
 total antisymmetry and derives the group's beta and coupling once,
-``HomogeneousSpec`` checks its block data.  The evaluators check only the
-eigenvalue vector.
+``HomogeneousSpec`` checks its block data and derives its beta once.  The
+evaluators check only the eigenvalue vector.
 """
 
 from __future__ import annotations
@@ -59,10 +61,10 @@ def _model(model_or_tensor) -> OrthonormalModel:
     return OrthonormalModel(name="tensor", n=n, t=np.eye(n), c=c)
 
 
-def _lambda_vector(lam, n: int, batch: bool = False) -> np.ndarray:
-    """Validated eigenvalue vector of length ``n``; with ``batch``, rows of them too."""
+def _lambda_vector(lam, n: int) -> np.ndarray:
+    """Validated eigenvalue vector of length ``n``."""
     values = lam.values if isinstance(lam, DiagonalMetric) else np.asarray(lam, dtype=float)
-    if values.shape[-1:] != (n,) or values.ndim > (2 if batch else 1):
+    if values.shape != (n,):
         raise ValueError(f"metric eigenvalue vector must have length {n}")
     if not np.all(values > 0):
         raise ValueError("metric eigenvalues must be positive")
@@ -97,19 +99,16 @@ def _block_curvature(beta: np.ndarray, a: np.ndarray, lams: np.ndarray) -> np.nd
 
 
 def _block_gradient(beta: np.ndarray, a: np.ndarray, lams: np.ndarray) -> np.ndarray:
-    """Gradient of :func:`_block_curvature` per row of ``lams`` (or at one
-    point), accumulating the three index roles a coordinate plays in the
-    coupling term."""
+    """Gradient of :func:`_block_curvature` per row of ``lams``, accumulating
+    the three index roles a coordinate plays in the coupling term."""
     s = a.shape[0]
-    lam2 = np.atleast_2d(lams)
-    inv = 1.0 / lam2
+    inv = 1.0 / lams
     inv2 = inv * inv
     # First two slots together: (a + a^T01)[m, j, k] u_j lam_k; last slot alone.
     first_two = (a + a.transpose(1, 0, 2)).reshape(s, s * s)
-    e12 = inv2 * (_outer(inv, lam2) @ first_two.T)
+    e12 = inv2 * (_outer(inv, lams) @ first_two.T)
     e3 = _outer(inv, inv) @ a.reshape(s * s, s)
-    grad = -0.5 * beta * inv2 + 0.25 * (e12 - e3)
-    return grad if lams.ndim == 2 else grad[0]
+    return -0.5 * beta * inv2 + 0.25 * (e12 - e3)
 
 
 def _block_hessian(beta: np.ndarray, a: np.ndarray, lams: np.ndarray) -> np.ndarray:
@@ -199,4 +198,4 @@ def scalar_gradient(model, lam) -> np.ndarray:
     """Analytic gradient of the closed-form scalar curvature in ``lam``."""
     model = _model(model)
     values = _lambda_vector(lam, model.n)
-    return _block_gradient(model.killing_ratios, model.coupling, values)
+    return _block_gradient(model.killing_ratios, model.coupling, values[None, :])[0]

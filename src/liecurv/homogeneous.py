@@ -18,7 +18,7 @@ data (shapes, signs, finiteness) when built, so evaluators check only lam.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +38,10 @@ class HomogeneousSpec:
     block k; ``killing_ratios[i]`` is the factor relating the negative
     Killing form to the reference metric on block i (zero exactly when the
     block sits in the center); ``casimirs[i]`` is the scalar by which the
-    subalgebra Casimir operator acts on block i.
+    subalgebra Casimir operator acts on block i.  ``beta`` is derived here
+    once: beta_i = b_i d_i (``killing_ratios * block_dims``), the per-block
+    coefficient of the 1/lam_i term, read by the evaluators and the
+    certificate search.
     """
 
     name: str
@@ -48,6 +51,7 @@ class HomogeneousSpec:
     casimirs: np.ndarray
     coupling: np.ndarray
     provenance: str  # "from-algebra" | "raw-file"
+    beta: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         d = np.asarray(self.block_dims, dtype=float)
@@ -68,7 +72,8 @@ class HomogeneousSpec:
             raise ValueError("Casimir constants must be nonnegative")
         if np.any(a < 0):
             raise ValueError("coupling tensor entries must be nonnegative")
-        for name, arr in (("block_dims", d), ("killing_ratios", b), ("casimirs", c), ("coupling", a)):
+        for name, arr in (("block_dims", d), ("killing_ratios", b), ("casimirs", c), ("coupling", a),
+                          ("beta", b * d)):
             object.__setattr__(self, name, arr)
 
     def central_blocks(self) -> list[int]:
@@ -216,26 +221,18 @@ def group_as_homogeneous(model: OrthonormalModel) -> HomogeneousSpec:
     )
 
 
-def _beta(spec: HomogeneousSpec) -> np.ndarray:
-    """beta_i = b_i d_i, the per-block coefficient of the 1/lam_i term."""
-    return spec.killing_ratios * spec.block_dims
-
-
 def scalar_curvature_homogeneous(spec: HomogeneousSpec, lam) -> CurvatureResult:
     """Scalar curvature of the diagonal invariant metric with block ratios ``lam``."""
     values = _lambda_vector(lam, spec.s)
-    r = _block_curvature(_beta(spec), spec.coupling, values[None, :])[0]
+    r = _block_curvature(spec.beta, spec.coupling, values[None, :])[0]
     return CurvatureResult(R=float(r), method="homogeneous", algebra=spec.name, lam=values.copy())
 
 
 def scalar_gradient_homogeneous(spec: HomogeneousSpec, lam) -> np.ndarray:
-    """Analytic gradient of :func:`scalar_curvature_homogeneous` in ``lam``.
-
-    ``lam`` is one point, shape (s,), or a batch of rows, shape (m, s); the
-    result has the same shape.
-    """
-    values = _lambda_vector(lam, spec.s, batch=True)
-    return _block_gradient(_beta(spec), spec.coupling, values)
+    """Analytic gradient of :func:`scalar_curvature_homogeneous` at the one
+    point ``lam``, shape (s,); the result has the same shape."""
+    values = _lambda_vector(lam, spec.s)
+    return _block_gradient(spec.beta, spec.coupling, values[None, :])[0]
 
 
 def sum_rule_defect(spec: HomogeneousSpec) -> np.ndarray:

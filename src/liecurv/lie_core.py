@@ -45,6 +45,14 @@ def _require(defect, size, message: str, tol=DEFAULT_TOL) -> None:
         raise ValueError(message)
 
 
+def _tolerance(tol: float, what: str) -> None:
+    """Raise unless the tolerance ``what`` is finite and nonnegative (zero is
+    allowed): a negative or NaN one fails every check it decides, an
+    infinite one passes them all."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"{what} must be finite and nonnegative, got {tol}")
+
+
 @dataclass(frozen=True)
 class LieAlgebra:
     """Structure-constant presentation of a real Lie algebra.

@@ -25,15 +25,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .binorm import killing_metric, binormalize
-from .curvature import (_block_curvature, _block_hessian, _lambda_vector, scalar_curvature_closed,
-                        scalar_curvature_koszul)
-from .homogeneous import (
-    HomogeneousSpec,
-    _beta,
-    scalar_curvature_homogeneous,
-    scalar_gradient_homogeneous,
-)
-from .lie_core import _negligible, _require, build_su
+from .curvature import (_block_curvature, _block_gradient, _block_hessian, _lambda_vector,
+                        scalar_curvature_closed, scalar_curvature_koszul)
+from .homogeneous import HomogeneousSpec, scalar_curvature_homogeneous
+from .lie_core import _negligible, _require, _tolerance, build_su
 
 # Certificate defaults: box, search effort, allowed excess in R (times |r0|) and lambda.
 DEFAULT_MAX_LAMBDA = 10.0
@@ -205,18 +200,13 @@ class _Tracker:
                 self.equality_ok = False
 
 
-def _r_batch(spec: HomogeneousSpec, lams: np.ndarray) -> np.ndarray:
-    return _block_curvature(_beta(spec), spec.coupling, lams)
-
-
-def _projected_gradient(lam: np.ndarray, grad: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """``grad`` zeroed where a coordinate is held: on a bound, the gradient pointing out of the box."""
-    blocked = ((lam <= lo) & (grad < 0)) | ((lam >= hi) & (grad > 0))
+def _projected_gradient(lam: np.ndarray, grad: np.ndarray, hi: float) -> np.ndarray:
+    """``grad`` zeroed where a coordinate is held: on a bound of [1, hi], the gradient pointing out."""
+    blocked = ((lam <= 1.0) & (grad < 0)) | ((lam >= hi) & (grad > 0))
     return np.where(blocked, 0.0, grad)
 
 
-def _newton_direction(spec: HomogeneousSpec, lam: np.ndarray, grad: np.ndarray,
-                      lo: float, hi: float) -> np.ndarray:
+def _newton_direction(spec: HomogeneousSpec, lam: np.ndarray, grad: np.ndarray, hi: float) -> np.ndarray:
     """Projected-Newton ascent direction per row (Bertsekas 1982).
 
     Coordinates held on a bound (those :func:`_projected_gradient` zeroes)
@@ -226,8 +216,8 @@ def _newton_direction(spec: HomogeneousSpec, lam: np.ndarray, grad: np.ndarray,
     even where the Hessian is indefinite, and stays finite where the free
     block vanishes.
     """
-    free = _projected_gradient(lam, grad, lo, hi) == grad
-    hess = _block_hessian(_beta(spec), spec.coupling, lam) * (free[:, :, None] & free[:, None, :])
+    free = _projected_gradient(lam, grad, hi) == grad
+    hess = _block_hessian(spec.beta, spec.coupling, lam) * (free[:, :, None] & free[:, None, :])
     mu, vec = np.linalg.eigh(hess)
     size = np.abs(mu)
     floor = EIG_FLOOR * np.maximum(size.max(axis=1, keepdims=True),
@@ -237,8 +227,7 @@ def _newton_direction(spec: HomogeneousSpec, lam: np.ndarray, grad: np.ndarray,
 
 
 def _line_search(spec: HomogeneousSpec, lam: np.ndarray, r: np.ndarray, grad: np.ndarray,
-                 direction: np.ndarray, lo: float, hi: float,
-                 record: Callable[[np.ndarray, np.ndarray], None]):
+                 direction: np.ndarray, hi: float, record: Callable[[np.ndarray, np.ndarray], None]):
     """Armijo backtracking along the projected arc clip(lam + t d), per row.
 
     All rows try t = 1; each round, the rows not yet accepted halve t, until
@@ -251,8 +240,8 @@ def _line_search(spec: HomogeneousSpec, lam: np.ndarray, r: np.ndarray, grad: np
     step = 1.0
     pending = np.arange(len(lam))
     while pending.size and step >= MIN_STEP:
-        cand = np.clip(lam[pending] + step * direction[pending], lo, hi)
-        rc = _r_batch(spec, cand)
+        cand = np.clip(lam[pending] + step * direction[pending], 1.0, hi)
+        rc = _block_curvature(spec.beta, spec.coupling, cand)
         record(cand, rc)
         move = cand - lam[pending]
         moved = move.any(axis=1)
@@ -271,18 +260,19 @@ class _Ascent(NamedTuple):
     iterations: np.ndarray  # (m,) accepted steps
 
 
-def _ascend_all(spec: HomogeneousSpec, starts: np.ndarray, lo: float, hi: float,
+def _ascend_all(spec: HomogeneousSpec, starts: np.ndarray, hi: float,
                 record: Callable[[np.ndarray, np.ndarray], None],
                 r_starts: np.ndarray | None = None) -> _Ascent:
-    """Projected-Newton ascent inside the box from every row of ``starts`` in
-    lockstep: one batched gradient call per iteration, over the rows still
-    running.  ``r_starts``, the curvature at the starts, is evaluated here
-    unless given.  A row stops when its projected gradient norm reaches
-    GRAD_STOP times |R(1, ..., 1)| (converged), when its line search fails,
-    or after MAX_ITER iterations."""
+    """Projected-Newton ascent inside the box [1, hi] from every row of
+    ``starts`` in lockstep: one batched gradient call per iteration, over the
+    rows still running.  ``r_starts``, the curvature at the starts, is
+    evaluated here unless given.  A row stops when its projected gradient
+    norm reaches GRAD_STOP times |R(1, ..., 1)| (converged), when its line
+    search fails, or after MAX_ITER iterations."""
     lam = np.array(starts, dtype=float)
-    r = _r_batch(spec, lam) if r_starts is None else np.array(r_starts, dtype=float)
-    r_ref = abs(float(_r_batch(spec, np.ones((1, spec.s)))[0]))
+    r = (_block_curvature(spec.beta, spec.coupling, lam) if r_starts is None
+         else np.array(r_starts, dtype=float))
+    r_ref = abs(float(_block_curvature(spec.beta, spec.coupling, np.ones((1, spec.s)))[0]))
     record(lam, r)
     status = np.full(len(lam), "max-iter", dtype=object)
     iterations = np.zeros(len(lam), dtype=int)
@@ -291,15 +281,14 @@ def _ascend_all(spec: HomogeneousSpec, starts: np.ndarray, lo: float, hi: float,
         if not running.size:
             break
         x = lam[running]
-        grad = scalar_gradient_homogeneous(spec, x)
-        done = _negligible(np.linalg.norm(_projected_gradient(x, grad, lo, hi), axis=1), r_ref, GRAD_STOP)
+        grad = _block_gradient(spec.beta, spec.coupling, x)
+        done = _negligible(np.linalg.norm(_projected_gradient(x, grad, hi), axis=1), r_ref, GRAD_STOP)
         status[running[done]] = "converged"
         running, x, grad = running[~done], x[~done], grad[~done]
         if not running.size:
             break
-        direction = _newton_direction(spec, x, grad, lo, hi)
-        accepted, lam[running], r[running] = _line_search(spec, x, r[running], grad, direction,
-                                                          lo, hi, record)
+        direction = _newton_direction(spec, x, grad, hi)
+        accepted, lam[running], r[running] = _line_search(spec, x, r[running], grad, direction, hi, record)
         status[running[~accepted]] = "line-search"
         running = running[accepted]
         iterations[running] += 1
@@ -322,8 +311,12 @@ def verify_rigidity(spec: HomogeneousSpec, max_lambda: float = DEFAULT_MAX_LAMBD
     such blocks the curvature does not decay and rigidity fails
     structurally.  A spec whose reference curvature is not finite or is
     zero is an input error, as are a box bound that is not finite, no start
-    and a negative sample count (zero samples runs the ascent alone).
+    and a negative sample count (zero samples runs the ascent alone), and so
+    is a ``tol`` or ``tol_lambda`` that is negative or not finite (zero is
+    allowed).
     """
+    _tolerance(tol, "tol")
+    _tolerance(tol_lambda, "tol_lambda")
     if max_lambda <= 1.0:
         raise ValueError("max_lambda must exceed 1")
     if not math.isfinite(max_lambda):
@@ -345,16 +338,16 @@ def verify_rigidity(spec: HomogeneousSpec, max_lambda: float = DEFAULT_MAX_LAMBD
         samples = rng.uniform(1.0, max_lambda, size=(n_samples, spec.s)) if n_samples > 0 else None
         starts = np.vstack([np.ones(spec.s),
                             rng.uniform(1.0, max_lambda, size=(n_starts - 1, spec.s))])
-        r_starts = _r_batch(spec, starts)
+        r_starts = _block_curvature(spec.beta, spec.coupling, starts)
         r0 = float(r_starts[0])
         if not math.isfinite(r0) or r0 == 0.0:
             what = "zero" if r0 == 0.0 else "not finite"
             raise ValueError(f"reference curvature is {what} ({r0}): spec data out of range")
         tracker = _Tracker(r0, tol, tol_lambda)
         if samples is not None:
-            tracker.record(samples, _r_batch(spec, samples))
+            tracker.record(samples, _block_curvature(spec.beta, spec.coupling, samples))
         t_ascent = time.perf_counter()
-        ascent = _ascend_all(spec, starts, 1.0, max_lambda, tracker.record, r_starts)
+        ascent = _ascend_all(spec, starts, max_lambda, tracker.record, r_starts)
     t_end = time.perf_counter()
 
     certified = (_negligible(tracker.max_violation, abs(r0), tol) and tracker.equality_ok

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -58,6 +60,17 @@ def test_killing_metric_on_abelian_is_rejected():
     metric = lc.BiInvariantMetric(algebra, lc.killing(algebra).B)
     with pytest.raises(ValueError, match="not a metric"):
         lc.binormalize(algebra, metric)
+
+
+@pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+def test_binormalize_refuses_a_bad_tolerance(su2, tol):
+    with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+        lc.binormalize(su2, lc.killing_metric(su2, 0.125), tol=tol)
+
+
+def test_binormalize_allows_zero_tolerance(su2):
+    model = lc.binormalize(su2, lc.killing_metric(su2, 0.125), tol=0.0)
+    assert lc.antisymmetry_defect(model) == 0.0
 
 
 def test_binormalize_rejects_non_invariant_gram(su2):

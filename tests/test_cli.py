@@ -126,10 +126,26 @@ def test_scalar_requires_one_source(capsys, s2_spec_file):
 
 def test_scalar_lambda_from_file(capsys, tmp_path):
     lam_file = tmp_path / "lam.txt"
-    lam_file.write_text("1\n1\n1\n", encoding="utf-8")
+    lam_file.write_text("\n1\n\n  \n1\n1\n\n", encoding="utf-8")  # blank lines are skipped
     code, out, _ = run(capsys, "scalar", "--algebra", "su2", "--lambda", f"@{lam_file}")
     assert code == 0
     assert "closed form: 6.0" in out
+
+
+@pytest.mark.parametrize("argv, name", [
+    (("rigidity", "--algebra", "su2", "--tol", "-1"), "tol"),
+    (("rigidity", "--algebra", "su2", "--tol-lambda", "-1"), "tol_lambda"),
+    (("rigidity", "--algebra", "su2", "--tol", "inf"), "tol"),
+    (("algebra", "--algebra", "su2", "--tol", "-1"), "tol"),
+    (("algebra", "--algebra", "su2", "--tol", "nan"), "tol"),
+    (("scalar", "--algebra", "su2", "--tol", "-1", "--lambda", "1,1,1"), "tol"),
+])
+@pytest.mark.parametrize("fmt", ["table", "structured"])
+def test_bad_tolerance_is_an_input_error(capsys, argv, name, fmt):
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert code == 2
+    assert err.startswith(f"error: {name} must be finite and nonnegative") and err.count("\n") == 1
+    assert out == ""
 
 
 def test_rigidity_su2_certifies(capsys):
@@ -465,6 +481,9 @@ def test_spec_scale_must_be_a_number(capsys, tmp_path, scale):
     (("scalar", "--algebra", "su2", "--lambda", "1,one,1"), "0", "could not parse metric eigenvalues"),
     (("rigidity", "--algebra", "su2", "--starts", "2", "--samples", "10"), "seven",
      "LIECURV_SEED must be an integer, got 'seven'"),
+    (("scalar", "--algebra", "su2", "--lambda", "1,,1,1"), "0", "empty field in metric eigenvalue list"),
+    (("scalar", "--algebra", "su2", "--lambda", "1, ,1,1"), "0", "empty field in metric eigenvalue list"),
+    (("scalar", "--algebra", "su2", "--lambda", "1,1,1,"), "0", "empty field in metric eigenvalue list"),
 ])
 def test_malformed_lambda_or_seed_is_an_input_error(capsys, monkeypatch, argv, seed, message):
     monkeypatch.setenv("LIECURV_SEED", seed)

@@ -5,8 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import liecurv as lc
-from liecurv.rigidity import (GRAD_STOP, _Tracker, _ascend_all, _newton_direction, _projected_gradient,
-                              _r_batch)
+from liecurv.curvature import _block_curvature, _block_gradient
+from liecurv.rigidity import GRAD_STOP, _Tracker, _ascend_all, _newton_direction, _projected_gradient
 
 
 def test_gap_polynomial_values():
@@ -182,16 +182,15 @@ def test_ascent_stationary_at_reference(group_specs):
     ones = np.ones(3)
     grad = lc.scalar_gradient_homogeneous(spec, ones)
     assert np.all(grad <= 0.0)
-    assert np.all(_projected_gradient(ones, grad, 1.0, 10.0) == 0.0)
-    ascent = _ascend_all(spec, ones[None, :], 1.0, 10.0, lambda lams, rs: None)
+    assert np.all(_projected_gradient(ones, grad, 10.0) == 0.0)
+    ascent = _ascend_all(spec, ones[None, :], 10.0, lambda lams, rs: None)
     assert np.array_equal(ascent.lam[0], ones)
     assert ascent.r[0] == pytest.approx(6.0, abs=1e-12)
 
 
 def test_ascent_descends_to_reference_corner(group_specs):
     spec = group_specs["su2"]
-    ascent = _ascend_all(spec, np.array([[4.0, 2.0, 7.0]]), 1.0, 10.0,
-                         lambda lams, rs: None)
+    ascent = _ascend_all(spec, np.array([[4.0, 2.0, 7.0]]), 10.0, lambda lams, rs: None)
     assert np.abs(ascent.lam[0] - 1.0).max() <= 1e-6
     assert ascent.r[0] == pytest.approx(6.0, abs=1e-8)
 
@@ -200,7 +199,7 @@ def test_batch_curvature_matches_scalar(group_specs):
     spec = group_specs["so4"]
     rng = np.random.default_rng(2)
     lams = rng.uniform(0.5, 5.0, size=(20, spec.s))
-    batch = _r_batch(spec, lams)
+    batch = _block_curvature(spec.beta, spec.coupling, lams)
     for row, expected in zip(lams, batch):
         assert lc.scalar_curvature_homogeneous(spec, row).R == pytest.approx(expected, rel=1e-12)
 
@@ -265,10 +264,10 @@ def test_report_records_configuration(group_specs):
 def test_lockstep_ascent_matches_one_start_at_a_time(group_specs, flag_spec):
     for spec in (group_specs["so5"], flag_spec):
         starts = np.random.default_rng(29).uniform(1.0, 10.0, size=(6, spec.s))
-        ascent = _ascend_all(spec, starts, 1.0, 10.0, lambda lams, rs: None)
+        ascent = _ascend_all(spec, starts, 10.0, lambda lams, rs: None)
         assert ascent.lam.shape == starts.shape and ascent.r.shape == (6,)
         for start, final, value in zip(starts, ascent.lam, ascent.r):
-            one = _ascend_all(spec, start[None, :], 1.0, 10.0, lambda lams, rs: None)
+            one = _ascend_all(spec, start[None, :], 10.0, lambda lams, rs: None)
             assert_allclose(final, one.lam[0], rtol=0.0, atol=1e-9)
             assert value == pytest.approx(one.r[0], rel=1e-13)
 
@@ -277,7 +276,7 @@ def test_lockstep_ascent_records_every_evaluation(group_specs):
     spec = group_specs["su3"]
     starts = np.random.default_rng(31).uniform(1.0, 10.0, size=(5, spec.s))
     seen = []
-    ascent = _ascend_all(spec, starts, 1.0, 10.0, lambda lams, rs: seen.append((lams.copy(), rs.copy())))
+    ascent = _ascend_all(spec, starts, 10.0, lambda lams, rs: seen.append((lams.copy(), rs.copy())))
     assert np.array_equal(seen[0][0], starts)
     for lam, r in zip(ascent.lam, ascent.r):
         # each final point was recorded with the value reported for it
@@ -296,7 +295,7 @@ def test_every_start_converges(name, seed):
     assert report.ascent_status == ("converged",) * report.n_starts
     for lam in report.ascent_finals:
         grad = lc.scalar_gradient_homogeneous(spec, lam)
-        assert np.linalg.norm(_projected_gradient(lam, grad, 1.0, 10.0)) <= GRAD_STOP
+        assert np.linalg.norm(_projected_gradient(lam, grad, 10.0)) <= GRAD_STOP
 
 
 def test_report_diagnostics(group_specs):
@@ -360,9 +359,9 @@ def test_newton_step_stays_finite_where_the_free_hessian_vanishes(scale):
     spec = lc.group_as_homogeneous(lc.binormalize(algebra, lc.killing_metric(algebra, scale)))
     lam = np.ones((1, 8))
     lam[0, 0] = 1.107
-    grad = lc.scalar_gradient_homogeneous(spec, lam)
+    grad = _block_gradient(spec.beta, spec.coupling, lam)
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        direction = _newton_direction(spec, lam, grad, 1.0, 10.0)
+        direction = _newton_direction(spec, lam, grad, 10.0)
     assert np.all(np.isfinite(direction))
     assert direction[0, 0] < 0 and grad[0, 0] < 0  # the free step still ascends
 
@@ -420,8 +419,29 @@ def test_zero_samples_runs_the_ascent_alone(s2_spec):
 
 
 def test_one_beta_for_the_evaluators_and_the_search(group_specs, flag_spec):
-    from liecurv import homogeneous, rigidity
+    raw = lc.spec_from_dict({"s": 2, "d": [1, 3], "b": [0.7, 1.3], "c": [0.0, 0.1],
+                             "A": [[0, 1, 1, 0.2], [1, 0, 1, 0.2]]})
+    for spec in (*group_specs.values(), flag_spec, raw):
+        assert spec.beta.tolist() == (spec.killing_ratios * spec.block_dims).tolist()
 
-    assert rigidity._beta is homogeneous._beta
-    for spec in (*group_specs.values(), flag_spec):
-        assert homogeneous._beta(spec).tolist() == (spec.killing_ratios * spec.block_dims).tolist()
+
+def test_search_calls_the_kernels_not_the_public_evaluators():
+    from liecurv import rigidity
+
+    public = {"scalar_gradient_homogeneous", "scalar_curvature_homogeneous"}
+    for fn in (rigidity._ascend_all, rigidity._line_search, rigidity._newton_direction,
+               rigidity.verify_rigidity):
+        assert not public & set(fn.__code__.co_names), fn.__name__
+
+
+@pytest.mark.parametrize("name", ["tol", "tol_lambda"])
+@pytest.mark.parametrize("value", [-1.0, -1e-300, math.nan, math.inf])
+def test_tolerances_must_be_finite_and_nonnegative(s2_spec, name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite and nonnegative"):
+        lc.verify_rigidity(s2_spec, n_starts=2, n_samples=10, **{name: value})
+
+
+@pytest.mark.parametrize("name", ["tol", "tol_lambda"])
+def test_zero_tolerance_is_allowed(s2_spec, name):
+    report = lc.verify_rigidity(s2_spec, n_starts=2, n_samples=10, **{name: 0.0})
+    assert getattr(report, name) == 0.0
