@@ -49,6 +49,17 @@ def killing_metric(algebra: LieAlgebra, scale: float = 1.0) -> BiInvariantMetric
     return BiInvariantMetric(algebra, scale * B)
 
 
+def _first_two(a: np.ndarray) -> np.ndarray:
+    """A coupling tensor symmetrized in its first two slots, a + a^T01, flattened
+    to shape (s, s*s): the operand of the curvature gradient and Hessian.  A
+    sum that overflows stays infinite, without a warning when the data are
+    built; the gradient it feeds comes out non-finite, as it would if summed
+    on each call."""
+    s = a.shape[0]
+    with np.errstate(over="ignore"):
+        return (a + a.transpose(1, 0, 2)).reshape(s, s * s)
+
+
 @dataclass(frozen=True)
 class OrthonormalModel:
     """Structure constants in a basis orthonormal for a bi-invariant metric.
@@ -57,8 +68,10 @@ class OrthonormalModel:
     basis vectors); ``c`` is totally antisymmetric up to roundoff, checked
     here once (at ``tol`` against the largest constant) for every consumer.
     The group's curvature data are derived here once, too: ``killing_ratios``
-    (minus the Killing form's diagonal, the formula's beta) and ``coupling``
-    (c * c), read by the closed-form evaluators and the group's spec.
+    (minus the Killing form's diagonal, the formula's beta), ``coupling``
+    (c * c), read by the closed-form evaluators and the group's spec, and
+    ``coupling_first_two`` (the coupling symmetrized in its first two slots,
+    see :func:`_first_two`), read by the gradient.
     """
 
     name: str
@@ -68,6 +81,7 @@ class OrthonormalModel:
     tol: InitVar[float] = DEFAULT_TOL
     killing_ratios: np.ndarray = field(init=False, repr=False)
     coupling: np.ndarray = field(init=False, repr=False)
+    coupling_first_two: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, tol):
         c = np.asarray(self.c, dtype=float)
@@ -79,6 +93,7 @@ class OrthonormalModel:
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "killing_ratios", -np.einsum("iba,iab->i", c, c))
         object.__setattr__(self, "coupling", c * c)
+        object.__setattr__(self, "coupling_first_two", _first_two(self.coupling))
 
 
 @dataclass(frozen=True)

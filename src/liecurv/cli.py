@@ -160,10 +160,10 @@ def cmd_algebra(args) -> int:
     metric = killing_metric(algebra, scale)  # a bad scale is an input error, not "n/a"
     kd = killing(algebra)
     _tolerance(args.tol, "tol")  # a bad tolerance is an input error too, not "n/a"
-    try:
-        ortho_defect = antisymmetry_defect(binormalize(algebra, metric, tol=args.tol))
-    except ValueError:
-        ortho_defect = None  # negative Killing form not definite: nothing to normalize against
+    # Only a definite negative Killing form gives a reference to normalize
+    # against; once it does, a failure to normalize is an error (exit 2).
+    definite = kd.signature[0] == algebra.dim
+    ortho_defect = antisymmetry_defect(binormalize(algebra, metric, tol=args.tol)) if definite else None
     doc = {
         "command": "algebra",
         "config": {"algebra": args.algebra, "scale": scale, "tol": args.tol},

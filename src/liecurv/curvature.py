@@ -15,8 +15,11 @@ its own contractions, as BLAS matrix products over reshaped tensors (see
 
 Inputs are validated where they are built: :class:`OrthonormalModel` checks
 total antisymmetry and derives the group's beta and coupling once,
-``HomogeneousSpec`` checks its block data and derives its beta once.  The
-evaluators check only the eigenvalue vector.
+``HomogeneousSpec`` checks its block data and derives its beta once, and
+both derive the coupling symmetrized in its first two slots, the operand of
+the gradient and Hessian.  The evaluators check only the eigenvalue vector:
+its length, then one comparison chain for positive and finite values, so a
+single-point evaluation costs about what its kernel costs.
 """
 
 from __future__ import annotations
@@ -62,10 +65,17 @@ def _model(model_or_tensor) -> OrthonormalModel:
 
 
 def _lambda_vector(lam, n: int) -> np.ndarray:
-    """Validated eigenvalue vector of length ``n``."""
+    """Validated eigenvalue vector of length ``n``.
+
+    One comparison chain passes a positive, finite vector (NaN fails every
+    comparison); only a vector that fails it is checked entry by entry, so
+    each error keeps its message and "positive" is reported before "finite".
+    """
     values = lam.values if isinstance(lam, DiagonalMetric) else np.asarray(lam, dtype=float)
     if values.shape != (n,):
         raise ValueError(f"metric eigenvalue vector must have length {n}")
+    if values.size and 0.0 < values.min() <= values.max() < np.inf:
+        return values
     if not np.all(values > 0):
         raise ValueError("metric eigenvalues must be positive")
     if not np.all(np.isfinite(values)):
@@ -98,21 +108,27 @@ def _block_curvature(beta: np.ndarray, a: np.ndarray, lams: np.ndarray) -> np.nd
     return out
 
 
-def _block_gradient(beta: np.ndarray, a: np.ndarray, lams: np.ndarray) -> np.ndarray:
+def _block_gradient(beta: np.ndarray, a: np.ndarray, first_two: np.ndarray,
+                    lams: np.ndarray) -> np.ndarray:
     """Gradient of :func:`_block_curvature` per row of ``lams``, accumulating
-    the three index roles a coordinate plays in the coupling term."""
+    the three index roles a coordinate plays in the coupling term.
+
+    ``first_two`` is ``a`` symmetrized in its first two slots and flattened,
+    ``(a + a^T01).reshape(s, s*s)``, as the model or spec derives it once.
+    """
     s = a.shape[0]
     inv = 1.0 / lams
     inv2 = inv * inv
-    # First two slots together: (a + a^T01)[m, j, k] u_j lam_k; last slot alone.
-    first_two = (a + a.transpose(1, 0, 2)).reshape(s, s * s)
+    # First two slots together: first_two[m, j*s + k] u_j lam_k; last slot alone.
     e12 = inv2 * (_outer(inv, lams) @ first_two.T)
     e3 = _outer(inv, inv) @ a.reshape(s * s, s)
     return -0.5 * beta * inv2 + 0.25 * (e12 - e3)
 
 
-def _block_hessian(beta: np.ndarray, a: np.ndarray, lams: np.ndarray) -> np.ndarray:
-    """Hessian of :func:`_block_curvature` per row of ``lams``, shape (m, s, s).
+def _block_hessian(beta: np.ndarray, a: np.ndarray, first_two: np.ndarray,
+                   lams: np.ndarray) -> np.ndarray:
+    """Hessian of :func:`_block_curvature` per row of ``lams``, shape (m, s, s);
+    ``first_two`` as for :func:`_block_gradient`.
 
     With u = 1/lam and T = sum a[i,j,k] u_i u_j lam_k, H = diag(beta u^3) - T''/4
     where T''[m,n] = 2 delta_mn u_m^3 (P_m + Q_m) + u_m^2 u_n^2 (S_mn + S_nm)
@@ -125,7 +141,7 @@ def _block_hessian(beta: np.ndarray, a: np.ndarray, lams: np.ndarray) -> np.ndar
     u = 1.0 / lams
     u2 = u * u
     # xy[., m, n] = X_mn + Y_mn = sum_j (a[j,m,n] + a[m,j,n]) u_j; P + Q = xy @ lam.
-    xy = (u @ (a + a.transpose(1, 0, 2)).reshape(s, s * s)).reshape(-1, s, s)
+    xy = (u @ first_two).reshape(-1, s, s)
     pq = np.einsum("bmk,bk->bm", xy, lams)
     st = (lams @ a.reshape(s * s, s).T).reshape(-1, s, s)
     cross = u2[:, :, None] * xy
@@ -167,7 +183,11 @@ def frame_connection(model, lam) -> FrameConnection:
     BLAS threads at twice the CPU time.
     """
     model = _model(model)
-    values = _lambda_vector(lam, model.n)
+    return _frame_connection(model, _lambda_vector(lam, model.n))
+
+
+def _frame_connection(model: OrthonormalModel, values: np.ndarray) -> FrameConnection:
+    """:func:`frame_connection` on a model and an eigenvalue vector already validated."""
     n = model.n
     inv_sqrt = 1.0 / np.sqrt(values)
     cc = model.c * np.einsum("i,j,k->ijk", inv_sqrt, inv_sqrt, np.sqrt(values))
@@ -189,8 +209,7 @@ def scalar_curvature_koszul(model, lam) -> CurvatureResult:
     """Scalar curvature via the full frame curvature tensor (the oracle route)."""
     model = _model(model)
     values = _lambda_vector(lam, model.n)
-    conn = frame_connection(model, values)
-    r = np.einsum("ijji->", conn.riem)
+    r = np.einsum("ijji->", _frame_connection(model, values).riem)
     return CurvatureResult(R=float(r), method="koszul", algebra=model.name, lam=values.copy())
 
 
@@ -198,4 +217,5 @@ def scalar_gradient(model, lam) -> np.ndarray:
     """Analytic gradient of the closed-form scalar curvature in ``lam``."""
     model = _model(model)
     values = _lambda_vector(lam, model.n)
-    return _block_gradient(model.killing_ratios, model.coupling, values[None, :])[0]
+    return _block_gradient(model.killing_ratios, model.coupling, model.coupling_first_two,
+                           values[None, :])[0]

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .binorm import BiInvariantMetric, OrthonormalModel, _in_frame, check_metric, killing_metric
+from .binorm import BiInvariantMetric, OrthonormalModel, _first_two, _in_frame, check_metric, killing_metric
 from .curvature import CurvatureResult, _block_curvature, _block_gradient, _lambda_vector
 from .lie_core import (LieAlgebra, _negligible, _real, _require, _sparse_entries, _whole_number, killing,
                        resolve_algebra)
@@ -38,10 +38,12 @@ class HomogeneousSpec:
     block k; ``killing_ratios[i]`` is the factor relating the negative
     Killing form to the reference metric on block i (zero exactly when the
     block sits in the center); ``casimirs[i]`` is the scalar by which the
-    subalgebra Casimir operator acts on block i.  ``beta`` is derived here
-    once: beta_i = b_i d_i (``killing_ratios * block_dims``), the per-block
-    coefficient of the 1/lam_i term, read by the evaluators and the
-    certificate search.
+    subalgebra Casimir operator acts on block i.  Two fields are derived here
+    once, read by the evaluators and the certificate search: ``beta``, with
+    beta_i = b_i d_i (``killing_ratios * block_dims``), the per-block
+    coefficient of the 1/lam_i term, and ``coupling_first_two``, the coupling
+    symmetrized in its first two slots and flattened to (s, s*s), the operand
+    of the gradient and Hessian.
     """
 
     name: str
@@ -52,6 +54,7 @@ class HomogeneousSpec:
     coupling: np.ndarray
     provenance: str  # "from-algebra" | "raw-file"
     beta: np.ndarray = field(init=False, repr=False)
+    coupling_first_two: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         d = np.asarray(self.block_dims, dtype=float)
@@ -73,7 +76,7 @@ class HomogeneousSpec:
         if np.any(a < 0):
             raise ValueError("coupling tensor entries must be nonnegative")
         for name, arr in (("block_dims", d), ("killing_ratios", b), ("casimirs", c), ("coupling", a),
-                          ("beta", b * d)):
+                          ("beta", b * d), ("coupling_first_two", _first_two(a))):
             object.__setattr__(self, name, arr)
 
     def central_blocks(self) -> list[int]:
@@ -232,7 +235,7 @@ def scalar_gradient_homogeneous(spec: HomogeneousSpec, lam) -> np.ndarray:
     """Analytic gradient of :func:`scalar_curvature_homogeneous` at the one
     point ``lam``, shape (s,); the result has the same shape."""
     values = _lambda_vector(lam, spec.s)
-    return _block_gradient(spec.beta, spec.coupling, values[None, :])[0]
+    return _block_gradient(spec.beta, spec.coupling, spec.coupling_first_two, values[None, :])[0]
 
 
 def sum_rule_defect(spec: HomogeneousSpec) -> np.ndarray:

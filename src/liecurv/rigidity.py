@@ -217,7 +217,8 @@ def _newton_direction(spec: HomogeneousSpec, lam: np.ndarray, grad: np.ndarray, 
     block vanishes.
     """
     free = _projected_gradient(lam, grad, hi) == grad
-    hess = _block_hessian(spec.beta, spec.coupling, lam) * (free[:, :, None] & free[:, None, :])
+    hess = (_block_hessian(spec.beta, spec.coupling, spec.coupling_first_two, lam)
+            * (free[:, :, None] & free[:, None, :]))
     mu, vec = np.linalg.eigh(hess)
     size = np.abs(mu)
     floor = EIG_FLOOR * np.maximum(size.max(axis=1, keepdims=True),
@@ -281,7 +282,7 @@ def _ascend_all(spec: HomogeneousSpec, starts: np.ndarray, hi: float,
         if not running.size:
             break
         x = lam[running]
-        grad = _block_gradient(spec.beta, spec.coupling, x)
+        grad = _block_gradient(spec.beta, spec.coupling, spec.coupling_first_two, x)
         done = _negligible(np.linalg.norm(_projected_gradient(x, grad, hi), axis=1), r_ref, GRAD_STOP)
         status[running[done]] = "converged"
         running, x, grad = running[~done], x[~done], grad[~done]

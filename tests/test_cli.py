@@ -79,6 +79,25 @@ def test_algebra_non_compact_exit(capsys, sl2_file):
     assert "not of compact type" in err
 
 
+@pytest.mark.parametrize("fmt", ["table", "structured"])
+def test_algebra_normalization_failure_is_an_input_error(capsys, fmt):
+    # su3's own Killing metric has a roundoff invariance defect, which a zero
+    # tolerance refuses: an error naming the cause, not "n/a".
+    code, out, err = run(capsys, "algebra", "--algebra", "su3", "--tol", "0", "--format", fmt)
+    assert code == 2
+    assert err == "error: not bi-invariant: ad-invariance fails on the gram matrix\n"
+    assert out == ""
+
+
+def test_algebra_only_an_indefinite_killing_form_is_not_applicable(capsys, sl2_file):
+    code, out, _ = run(capsys, "algebra", "--algebra", sl2_file, "--format", "structured")
+    assert code == 3
+    assert json.loads(out)["result"]["orthonormal_antisymmetry_defect"] is None
+    code, out, _ = run(capsys, "algebra", "--algebra", "su3", "--format", "structured")
+    assert code == 0
+    assert json.loads(out)["result"]["orthonormal_antisymmetry_defect"] >= 0.0
+
+
 def test_algebra_unknown_source(capsys):
     code, _, err = run(capsys, "algebra", "--algebra", "nosuch")
     assert code == 2

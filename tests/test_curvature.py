@@ -213,13 +213,13 @@ def test_block_hessian_matches_central_differences(which, group_specs, flag_spec
 
     spec = {"su3": group_specs["su3"], "flag": flag_spec, "raw": _asymmetric_raw_spec()}[which]
     lams = np.random.default_rng(17).uniform(1.0, 6.0, size=(4, spec.s))
-    hess = _block_hessian(spec.beta, spec.coupling, lams)
+    hess = _block_hessian(spec.beta, spec.coupling, spec.coupling_first_two, lams)
     assert hess.shape == (4, spec.s, spec.s)
     h = 1e-5
     for lam, hs in zip(lams, hess):
         steps = h * np.eye(spec.s)  # row e of fd: central difference of the gradient along e
-        fd = (_block_gradient(spec.beta, spec.coupling, lam + steps)
-              - _block_gradient(spec.beta, spec.coupling, lam - steps)) / (2.0 * h)
+        fd = (_block_gradient(spec.beta, spec.coupling, spec.coupling_first_two, lam + steps)
+              - _block_gradient(spec.beta, spec.coupling, spec.coupling_first_two, lam - steps)) / (2.0 * h)
         assert np.abs(fd - hs).max() <= 1e-8 * (1.0 + np.abs(hs).max())
         assert np.abs(hs - hs.T).max() <= 1e-12 * (1.0 + np.abs(hs).max())
 
@@ -231,7 +231,7 @@ def test_batched_kernels_match_single_points(group_specs):
     rows = 2 * CHUNK_ENTRIES // spec.s**2 + 7  # two full chunks and a partial one
     lams = np.random.default_rng(23).uniform(1.0, 10.0, size=(rows, spec.s))
     values = _block_curvature(spec.beta, spec.coupling, lams)
-    grads = _block_gradient(spec.beta, spec.coupling, lams)
+    grads = _block_gradient(spec.beta, spec.coupling, spec.coupling_first_two, lams)
     assert grads.shape == lams.shape
     for lam, r, g in zip(lams, values, grads):
         assert r == pytest.approx(lc.scalar_curvature_homogeneous(spec, lam).R, rel=1e-13, abs=1e-13)
@@ -248,3 +248,92 @@ def test_eigenvalues_must_be_finite_and_positive(su2_model, s2_spec, bad):
         lc.scalar_curvature_homogeneous(s2_spec, lam[:1])
     with pytest.raises(ValueError):
         lc.scalar_gradient_homogeneous(s2_spec, [bad])
+
+
+def _evaluators(model, spec):
+    """The five public single-point evaluators, each bound to its model or spec."""
+    return {
+        "closed": lambda lam: lc.scalar_curvature_closed(model, lam),
+        "gradient": lambda lam: lc.scalar_gradient(model, lam),
+        "koszul": lambda lam: lc.scalar_curvature_koszul(model, lam),
+        "homogeneous": lambda lam: lc.scalar_curvature_homogeneous(spec, lam),
+        "homogeneous-gradient": lambda lam: lc.scalar_gradient_homogeneous(spec, lam),
+    }
+
+
+@pytest.mark.parametrize("lam, message", [
+    ([np.nan, 2.0, 3.0], "metric eigenvalues must be positive"),
+    ([2.0, np.inf, 3.0], "metric eigenvalues must be finite"),
+    ([2.0, 3.0, -np.inf], "metric eigenvalues must be positive"),
+    ([2.0, 0.0, 3.0], "metric eigenvalues must be positive"),
+    ([-1.0, 2.0, 3.0], "metric eigenvalues must be positive"),
+    ([np.inf, 2.0, -1.0], "metric eigenvalues must be positive"),  # positivity is checked first
+    ([1.0, 2.0], "metric eigenvalue vector must have length 3"),
+    ([1.0, 2.0, 3.0, np.nan], "metric eigenvalue vector must have length 3"),
+])
+@pytest.mark.parametrize("which", ["closed", "gradient", "koszul", "homogeneous", "homogeneous-gradient"])
+def test_every_evaluator_refuses_one_bad_eigenvalue(su2_model, group_specs, which, lam, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _evaluators(su2_model, group_specs["su2"])[which](np.array(lam))
+
+
+@pytest.mark.parametrize("which", ["closed", "gradient", "koszul", "homogeneous", "homogeneous-gradient"])
+def test_a_subnormal_eigenvalue_passes_validation(su2_model, group_specs, which):
+    # It is positive and finite; what it does to the curvature is the
+    # caller's to judge (the CLI refuses the non-finite report, exit 2).
+    evaluate = _evaluators(su2_model, group_specs["su2"])[which]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        evaluate(np.array([1e-320, 1.0, 1.0]))
+
+
+def _bitwise_cases(group_models, flag_spec):
+    from conftest import canonical_model
+
+    models = {"su3": group_models["su3"], "so5": group_models["so5"],
+              "so7": canonical_model("so7"), "su5": canonical_model("su5")}
+    specs = {name: lc.group_as_homogeneous(model) for name, model in models.items()}
+    specs["flag"] = flag_spec
+    return models, specs
+
+
+def test_single_point_results_equal_the_row_kernels_bitwise(group_models, flag_spec):
+    from liecurv.curvature import _block_curvature, _block_gradient
+
+    models, specs = _bitwise_cases(group_models, flag_spec)
+    rng = np.random.default_rng(31)
+    for name, spec in specs.items():
+        for lam in rng.uniform(0.1, 10.0, size=(20, spec.s)):
+            row = lam[None, :]
+            if name in models:
+                model = models[name]
+                assert lc.scalar_curvature_closed(model, lam).R == _block_curvature(
+                    model.killing_ratios, model.coupling, row)[0]
+                assert np.all(lc.scalar_gradient(model, lam) == _block_gradient(
+                    model.killing_ratios, model.coupling, model.coupling_first_two, row)[0])
+            assert lc.scalar_curvature_homogeneous(spec, lam).R == _block_curvature(
+                spec.beta, spec.coupling, row)[0]
+            assert np.all(lc.scalar_gradient_homogeneous(spec, lam) == _block_gradient(
+                spec.beta, spec.coupling, spec.coupling_first_two, row)[0])
+
+
+def test_derived_first_two_coupling_is_the_symmetrized_coupling(group_models, s2_spec, flag_spec):
+    models, specs = _bitwise_cases(group_models, flag_spec)
+    holders = [*models.values(), *specs.values(), s2_spec, _asymmetric_raw_spec()]
+    for holder in holders:
+        a = holder.coupling
+        s = a.shape[0]
+        assert holder.coupling_first_two.shape == (s, s * s)
+        assert np.all(holder.coupling_first_two.reshape(s, s, s) == a + a.transpose(1, 0, 2))
+
+
+def test_pickled_model_evaluates_identically(dense_algebras):
+    import pickle
+
+    model = lc.binormalize(dense_algebras["su5"], lc.killing_metric(dense_algebras["su5"], 1.0))
+    loaded = pickle.loads(pickle.dumps(model))
+    for field in ("c", "killing_ratios", "coupling", "coupling_first_two"):
+        assert np.all(getattr(loaded, field) == getattr(model, field))
+    for lam in np.random.default_rng(37).uniform(0.1, 10.0, size=(5, model.n)):
+        assert lc.scalar_curvature_closed(loaded, lam).R == lc.scalar_curvature_closed(model, lam).R
+        assert np.all(lc.scalar_gradient(loaded, lam) == lc.scalar_gradient(model, lam))
+        assert lc.scalar_curvature_koszul(loaded, lam).R == lc.scalar_curvature_koszul(model, lam).R

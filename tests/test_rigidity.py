@@ -359,7 +359,7 @@ def test_newton_step_stays_finite_where_the_free_hessian_vanishes(scale):
     spec = lc.group_as_homogeneous(lc.binormalize(algebra, lc.killing_metric(algebra, scale)))
     lam = np.ones((1, 8))
     lam[0, 0] = 1.107
-    grad = _block_gradient(spec.beta, spec.coupling, lam)
+    grad = _block_gradient(spec.beta, spec.coupling, spec.coupling_first_two, lam)
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         direction = _newton_direction(spec, lam, grad, 10.0)
     assert np.all(np.isfinite(direction))
