@@ -18,7 +18,7 @@ total antisymmetry and derives the group's beta and coupling once,
 ``HomogeneousSpec`` checks its block data and derives its beta once, and
 both derive the coupling symmetrized in its first two slots, the operand of
 the gradient and Hessian.  The evaluators check only the eigenvalue vector:
-its length, then one comparison chain for positive and finite values, so a
+its length, then one reduction each for positive and finite values, so a
 single-point evaluation costs about what its kernel costs.
 """
 
@@ -67,18 +67,16 @@ def _model(model_or_tensor) -> OrthonormalModel:
 def _lambda_vector(lam, n: int) -> np.ndarray:
     """Validated eigenvalue vector of length ``n``.
 
-    One comparison chain passes a positive, finite vector (NaN fails every
-    comparison); only a vector that fails it is checked entry by entry, so
-    each error keeps its message and "positive" is reported before "finite".
+    The minimum propagates NaN, so NaN, zero, negative values and -inf all
+    fail ``min > 0`` as not positive; past that, ``max < inf`` fails only
+    on +inf.
     """
     values = lam.values if isinstance(lam, DiagonalMetric) else np.asarray(lam, dtype=float)
     if values.shape != (n,):
         raise ValueError(f"metric eigenvalue vector must have length {n}")
-    if values.size and 0.0 < values.min() <= values.max() < np.inf:
-        return values
-    if not np.all(values > 0):
+    if values.size and not values.min() > 0.0:
         raise ValueError("metric eigenvalues must be positive")
-    if not np.all(np.isfinite(values)):
+    if values.size and not values.max() < np.inf:
         raise ValueError("metric eigenvalues must be finite")
     return values
 
@@ -183,11 +181,7 @@ def frame_connection(model, lam) -> FrameConnection:
     BLAS threads at twice the CPU time.
     """
     model = _model(model)
-    return _frame_connection(model, _lambda_vector(lam, model.n))
-
-
-def _frame_connection(model: OrthonormalModel, values: np.ndarray) -> FrameConnection:
-    """:func:`frame_connection` on a model and an eigenvalue vector already validated."""
+    values = _lambda_vector(lam, model.n)
     n = model.n
     inv_sqrt = 1.0 / np.sqrt(values)
     cc = model.c * np.einsum("i,j,k->ijk", inv_sqrt, inv_sqrt, np.sqrt(values))
@@ -209,7 +203,8 @@ def scalar_curvature_koszul(model, lam) -> CurvatureResult:
     """Scalar curvature via the full frame curvature tensor (the oracle route)."""
     model = _model(model)
     values = _lambda_vector(lam, model.n)
-    r = np.einsum("ijji->", _frame_connection(model, values).riem)
+    conn = frame_connection(model, values)
+    r = np.einsum("ijji->", conn.riem)
     return CurvatureResult(R=float(r), method="koszul", algebra=model.name, lam=values.copy())
 
 

@@ -89,6 +89,20 @@ def test_algebra_normalization_failure_is_an_input_error(capsys, fmt):
     assert out == ""
 
 
+def test_algebra_perturbed_file_exits_2(capsys, tmp_path):
+    # su2 with [e0, e1] = e2 + 1e-8 e0 breaks Jacobi by 1e-8 and keeps a
+    # definite Killing form, which then fails ad-invariance: an error naming
+    # the check, not a report with "n/a".
+    obj = {"name": "su2p", "dim": 3, "structure_constants": [
+        [0, 1, 2, 1.0], [1, 2, 0, 1.0], [2, 0, 1, 1.0], [0, 1, 0, 1e-8]]}
+    path = tmp_path / "su2p.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    code, out, err = run(capsys, "algebra", "--algebra", str(path))
+    assert code == 2
+    assert err == "error: not bi-invariant: ad-invariance fails on the gram matrix\n"
+    assert out == ""
+
+
 def test_algebra_only_an_indefinite_killing_form_is_not_applicable(capsys, sl2_file):
     code, out, _ = run(capsys, "algebra", "--algebra", sl2_file, "--format", "structured")
     assert code == 3
