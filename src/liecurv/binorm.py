@@ -67,11 +67,11 @@ class OrthonormalModel:
     ``t`` maps original to orthonormal coordinates (columns are the new
     basis vectors); ``c`` is totally antisymmetric up to roundoff, checked
     here once (at ``tol`` against the largest constant) for every consumer.
-    The group's curvature data are derived here once, too: ``killing_ratios``
-    (minus the Killing form's diagonal, the formula's beta), ``coupling``
-    (c * c), read by the closed-form evaluators and the group's spec, and
-    ``coupling_first_two`` (the coupling symmetrized in its first two slots,
-    see :func:`_first_two`), read by the gradient.
+    The group's curvature data are derived here once, too, the operands of
+    the curvature kernels and the group's spec: ``beta`` (minus the Killing
+    form's diagonal, beta_i = sum_jk c[i,j,k]^2, the formula's beta for
+    singleton blocks), ``coupling`` (c * c) and ``coupling_first_two`` (the
+    coupling symmetrized in its first two slots, see :func:`_first_two`).
     """
 
     name: str
@@ -79,19 +79,21 @@ class OrthonormalModel:
     t: np.ndarray
     c: np.ndarray
     tol: InitVar[float] = DEFAULT_TOL
-    killing_ratios: np.ndarray = field(init=False, repr=False)
+    beta: np.ndarray = field(init=False, repr=False)
     coupling: np.ndarray = field(init=False, repr=False)
     coupling_first_two: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, tol):
         c = np.asarray(self.c, dtype=float)
         n = self.n
+        if n < 1:
+            raise ValueError(f"dimension n must be at least 1, got {n}")
         if c.shape != (n, n, n):
             raise ValueError(f"structure tensor must have shape ({n}, {n}, {n})")
         _require(antisymmetry_defect(c), np.abs(c).max(),
                  "not bi-invariant-orthonormal: structure tensor is not totally antisymmetric", tol)
         object.__setattr__(self, "c", c)
-        object.__setattr__(self, "killing_ratios", -np.einsum("iba,iab->i", c, c))
+        object.__setattr__(self, "beta", -np.einsum("iba,iab->i", c, c))
         object.__setattr__(self, "coupling", c * c)
         object.__setattr__(self, "coupling_first_two", _first_two(self.coupling))
 
@@ -154,9 +156,10 @@ def binormalize(algebra: LieAlgebra, metric: BiInvariantMetric, tol: float = DEF
     return OrthonormalModel(name=algebra.name, n=algebra.dim, t=t, c=c_rot, tol=tol)
 
 
-def antisymmetry_defect(model_or_tensor) -> float:
-    """Largest violation of total antisymmetry over the three transpositions."""
-    c = model_or_tensor.c if isinstance(model_or_tensor, OrthonormalModel) else np.asarray(model_or_tensor, dtype=float)
+def antisymmetry_defect(c) -> float:
+    """Largest violation of total antisymmetry of a structure tensor over the
+    three transpositions."""
+    c = np.asarray(c, dtype=float)
     d01 = np.abs(c + c.swapaxes(0, 1)).max()
     d12 = np.abs(c + c.swapaxes(1, 2)).max()
     d02 = np.abs(c + c.swapaxes(0, 2)).max()

@@ -163,7 +163,7 @@ def cmd_algebra(args) -> int:
     # Only a definite negative Killing form gives a reference to normalize
     # against; once it does, a failure to normalize is an error (exit 2).
     definite = kd.signature[0] == algebra.dim
-    ortho_defect = antisymmetry_defect(binormalize(algebra, metric, tol=args.tol)) if definite else None
+    ortho_defect = antisymmetry_defect(binormalize(algebra, metric, tol=args.tol).c) if definite else None
     doc = {
         "command": "algebra",
         "config": {"algebra": args.algebra, "scale": scale, "tol": args.tol},

@@ -39,11 +39,10 @@ class HomogeneousSpec:
     Killing form to the reference metric on block i (zero exactly when the
     block sits in the center); ``casimirs[i]`` is the scalar by which the
     subalgebra Casimir operator acts on block i.  Two fields are derived here
-    once, read by the evaluators and the certificate search: ``beta``, with
-    beta_i = b_i d_i (``killing_ratios * block_dims``), the per-block
-    coefficient of the 1/lam_i term, and ``coupling_first_two``, the coupling
-    symmetrized in its first two slots and flattened to (s, s*s), the operand
-    of the gradient and Hessian.
+    once: ``beta``, with beta_i = b_i d_i (``killing_ratios * block_dims``),
+    the per-block coefficient of the 1/lam_i term, and ``coupling_first_two``,
+    the coupling symmetrized in its first two slots and flattened to (s, s*s);
+    with ``coupling`` they are what the curvature kernels read.
     """
 
     name: str
@@ -62,6 +61,8 @@ class HomogeneousSpec:
         c = np.asarray(self.casimirs, dtype=float)
         a = np.asarray(self.coupling, dtype=float)
         s = self.s
+        if s < 1:
+            raise ValueError(f"block count s must be at least 1, got {s}")
         if d.shape != (s,) or b.shape != (s,) or c.shape != (s,):
             raise ValueError("block data must all have length s")
         if a.shape != (s, s, s):
@@ -210,14 +211,14 @@ def build_spec(embedding: SubalgebraEmbedding, metric: BiInvariantMetric,
 def group_as_homogeneous(model: OrthonormalModel) -> HomogeneousSpec:
     """Homogeneous data of the group itself: singleton blocks, no subalgebra.
 
-    Repackages the model's derived data: its Killing ratios and coupling
-    (the squared structure constants); Casimirs vanish.
+    Repackages the model's derived data: its ``beta`` as the Killing ratios
+    and its coupling (the squared structure constants); Casimirs vanish.
     """
     return HomogeneousSpec(
         name=model.name,
         s=model.n,
         block_dims=np.ones(model.n, dtype=int),
-        killing_ratios=model.killing_ratios,
+        killing_ratios=model.beta,
         casimirs=np.zeros(model.n),
         coupling=model.coupling,
         provenance="from-algebra",
@@ -227,7 +228,7 @@ def group_as_homogeneous(model: OrthonormalModel) -> HomogeneousSpec:
 def scalar_curvature_homogeneous(spec: HomogeneousSpec, lam) -> CurvatureResult:
     """Scalar curvature of the diagonal invariant metric with block ratios ``lam``."""
     values = _lambda_vector(lam, spec.s)
-    r = _block_curvature(spec.beta, spec.coupling, values[None, :])[0]
+    r = _block_curvature(spec, values[None, :])[0]
     return CurvatureResult(R=float(r), method="homogeneous", algebra=spec.name, lam=values.copy())
 
 
@@ -235,7 +236,7 @@ def scalar_gradient_homogeneous(spec: HomogeneousSpec, lam) -> np.ndarray:
     """Analytic gradient of :func:`scalar_curvature_homogeneous` at the one
     point ``lam``, shape (s,); the result has the same shape."""
     values = _lambda_vector(lam, spec.s)
-    return _block_gradient(spec.beta, spec.coupling, spec.coupling_first_two, values[None, :])[0]
+    return _block_gradient(spec, values[None, :])[0]
 
 
 def sum_rule_defect(spec: HomogeneousSpec) -> np.ndarray:

@@ -181,8 +181,6 @@ class _Tracker:
         self.evaluations = 0
 
     def record(self, lams: np.ndarray, rs: np.ndarray) -> None:
-        lams = np.atleast_2d(lams)
-        rs = np.atleast_1d(rs)
         self.evaluations += len(rs)
         top = int(np.argmax(rs))
         if rs[top] > self.best_r:
@@ -217,8 +215,7 @@ def _newton_direction(spec: HomogeneousSpec, lam: np.ndarray, grad: np.ndarray, 
     block vanishes.
     """
     free = _projected_gradient(lam, grad, hi) == grad
-    hess = (_block_hessian(spec.beta, spec.coupling, spec.coupling_first_two, lam)
-            * (free[:, :, None] & free[:, None, :]))
+    hess = _block_hessian(spec, lam) * (free[:, :, None] & free[:, None, :])
     mu, vec = np.linalg.eigh(hess)
     size = np.abs(mu)
     floor = EIG_FLOOR * np.maximum(size.max(axis=1, keepdims=True),
@@ -242,7 +239,7 @@ def _line_search(spec: HomogeneousSpec, lam: np.ndarray, r: np.ndarray, grad: np
     pending = np.arange(len(lam))
     while pending.size and step >= MIN_STEP:
         cand = np.clip(lam[pending] + step * direction[pending], 1.0, hi)
-        rc = _block_curvature(spec.beta, spec.coupling, cand)
+        rc = _block_curvature(spec, cand)
         record(cand, rc)
         move = cand - lam[pending]
         moved = move.any(axis=1)
@@ -261,19 +258,16 @@ class _Ascent(NamedTuple):
     iterations: np.ndarray  # (m,) accepted steps
 
 
-def _ascend_all(spec: HomogeneousSpec, starts: np.ndarray, hi: float,
-                record: Callable[[np.ndarray, np.ndarray], None],
-                r_starts: np.ndarray | None = None) -> _Ascent:
+def _ascend_all(spec: HomogeneousSpec, starts: np.ndarray, r_starts: np.ndarray, hi: float,
+                record: Callable[[np.ndarray, np.ndarray], None]) -> _Ascent:
     """Projected-Newton ascent inside the box [1, hi] from every row of
-    ``starts`` in lockstep: one batched gradient call per iteration, over the
-    rows still running.  ``r_starts``, the curvature at the starts, is
-    evaluated here unless given.  A row stops when its projected gradient
-    norm reaches GRAD_STOP times |R(1, ..., 1)| (converged), when its line
-    search fails, or after MAX_ITER iterations."""
+    ``starts``, where the curvature is ``r_starts``, in lockstep: one batched
+    gradient call per iteration, over the rows still running.  A row stops
+    when its projected gradient norm reaches GRAD_STOP times |R(1, ..., 1)|
+    (converged), when its line search fails, or after MAX_ITER iterations."""
     lam = np.array(starts, dtype=float)
-    r = (_block_curvature(spec.beta, spec.coupling, lam) if r_starts is None
-         else np.array(r_starts, dtype=float))
-    r_ref = abs(float(_block_curvature(spec.beta, spec.coupling, np.ones((1, spec.s)))[0]))
+    r = np.array(r_starts, dtype=float)
+    r_ref = abs(float(_block_curvature(spec, np.ones((1, spec.s)))[0]))
     record(lam, r)
     status = np.full(len(lam), "max-iter", dtype=object)
     iterations = np.zeros(len(lam), dtype=int)
@@ -282,7 +276,7 @@ def _ascend_all(spec: HomogeneousSpec, starts: np.ndarray, hi: float,
         if not running.size:
             break
         x = lam[running]
-        grad = _block_gradient(spec.beta, spec.coupling, spec.coupling_first_two, x)
+        grad = _block_gradient(spec, x)
         done = _negligible(np.linalg.norm(_projected_gradient(x, grad, hi), axis=1), r_ref, GRAD_STOP)
         status[running[done]] = "converged"
         running, x, grad = running[~done], x[~done], grad[~done]
@@ -339,16 +333,16 @@ def verify_rigidity(spec: HomogeneousSpec, max_lambda: float = DEFAULT_MAX_LAMBD
         samples = rng.uniform(1.0, max_lambda, size=(n_samples, spec.s)) if n_samples > 0 else None
         starts = np.vstack([np.ones(spec.s),
                             rng.uniform(1.0, max_lambda, size=(n_starts - 1, spec.s))])
-        r_starts = _block_curvature(spec.beta, spec.coupling, starts)
+        r_starts = _block_curvature(spec, starts)
         r0 = float(r_starts[0])
         if not math.isfinite(r0) or r0 == 0.0:
             what = "zero" if r0 == 0.0 else "not finite"
             raise ValueError(f"reference curvature is {what} ({r0}): spec data out of range")
         tracker = _Tracker(r0, tol, tol_lambda)
         if samples is not None:
-            tracker.record(samples, _block_curvature(spec.beta, spec.coupling, samples))
+            tracker.record(samples, _block_curvature(spec, samples))
         t_ascent = time.perf_counter()
-        ascent = _ascend_all(spec, starts, max_lambda, tracker.record, r_starts)
+        ascent = _ascend_all(spec, starts, r_starts, max_lambda, tracker.record)
     t_end = time.perf_counter()
 
     certified = (_negligible(tracker.max_violation, abs(r0), tol) and tracker.equality_ok

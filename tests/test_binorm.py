@@ -29,7 +29,7 @@ def test_abelian_with_identity_gram():
     algebra = lc.abelian(2)
     model = lc.binormalize(algebra, lc.BiInvariantMetric(algebra, np.eye(2)))
     assert np.all(model.c == 0.0)
-    assert lc.antisymmetry_defect(model) == 0.0
+    assert lc.antisymmetry_defect(model.c) == 0.0
 
 
 @pytest.mark.parametrize("name", ["su2", "su3", "so4", "so5"])
@@ -39,7 +39,7 @@ def test_total_antisymmetry_after_normalization(name, scale):
     # observed as total antisymmetry of the rotated constants
     algebra = lc.resolve_algebra(name)
     model = lc.binormalize(algebra, lc.killing_metric(algebra, scale))
-    assert lc.antisymmetry_defect(model) <= 1e-10
+    assert lc.antisymmetry_defect(model.c) <= 1e-10
 
 
 def test_rotated_tensor_keeps_jacobi():
@@ -70,7 +70,7 @@ def test_binormalize_refuses_a_bad_tolerance(su2, tol):
 
 def test_binormalize_allows_zero_tolerance(su2):
     model = lc.binormalize(su2, lc.killing_metric(su2, 0.125), tol=0.0)
-    assert lc.antisymmetry_defect(model) == 0.0
+    assert lc.antisymmetry_defect(model.c) == 0.0
 
 
 def test_binormalize_rejects_non_invariant_gram(su2):
@@ -151,6 +151,13 @@ def test_orthonormal_model_checks_shape(su2_model):
         lc.OrthonormalModel(name="short", n=4, t=np.eye(4), c=su2_model.c)
 
 
+def test_orthonormal_model_refuses_no_dimension():
+    with pytest.raises(ValueError, match="^dimension n must be at least 1, got 0$"):
+        lc.OrthonormalModel(name="empty", n=0, t=np.eye(0), c=np.zeros((0, 0, 0)))
+    with pytest.raises(ValueError, match="^dimension n must be at least 1, got 0$"):
+        lc.scalar_curvature_closed(np.zeros((0, 0, 0)), [])
+
+
 @pytest.mark.parametrize("scale, match", [
     (float("nan"), "finite"), (float("inf"), "finite"), (0.0, "positive"), (-2.0, "positive"),
     (float("-inf"), "positive"), (1e308, "finite gram matrix"),
@@ -170,5 +177,5 @@ def test_binormalize_on_a_dense_basis_matches_the_one_step_contraction(name, den
     t = np.linalg.inv(np.linalg.cholesky(metric.gram)).T
     reference = np.einsum("ia,jb,kc,ijk->abc", t, t, metric.gram @ t, algebra.c)
     assert np.abs(model.c - reference).max() <= 1e-13 * np.abs(reference).max()
-    assert_allclose(model.killing_ratios, -np.diag(np.einsum("iba,jab->ij", model.c, model.c)),
+    assert_allclose(model.beta, -np.diag(np.einsum("iba,jab->ij", model.c, model.c)),
                     rtol=1e-13, atol=0.0)

@@ -213,13 +213,12 @@ def test_block_hessian_matches_central_differences(which, group_specs, flag_spec
 
     spec = {"su3": group_specs["su3"], "flag": flag_spec, "raw": _asymmetric_raw_spec()}[which]
     lams = np.random.default_rng(17).uniform(1.0, 6.0, size=(4, spec.s))
-    hess = _block_hessian(spec.beta, spec.coupling, spec.coupling_first_two, lams)
+    hess = _block_hessian(spec, lams)
     assert hess.shape == (4, spec.s, spec.s)
     h = 1e-5
     for lam, hs in zip(lams, hess):
         steps = h * np.eye(spec.s)  # row e of fd: central difference of the gradient along e
-        fd = (_block_gradient(spec.beta, spec.coupling, spec.coupling_first_two, lam + steps)
-              - _block_gradient(spec.beta, spec.coupling, spec.coupling_first_two, lam - steps)) / (2.0 * h)
+        fd = (_block_gradient(spec, lam + steps) - _block_gradient(spec, lam - steps)) / (2.0 * h)
         assert np.abs(fd - hs).max() <= 1e-8 * (1.0 + np.abs(hs).max())
         assert np.abs(hs - hs.T).max() <= 1e-12 * (1.0 + np.abs(hs).max())
 
@@ -230,8 +229,8 @@ def test_batched_kernels_match_single_points(group_specs):
     spec = group_specs["so5"]
     rows = 2 * CHUNK_ENTRIES // spec.s**2 + 7  # two full chunks and a partial one
     lams = np.random.default_rng(23).uniform(1.0, 10.0, size=(rows, spec.s))
-    values = _block_curvature(spec.beta, spec.coupling, lams)
-    grads = _block_gradient(spec.beta, spec.coupling, spec.coupling_first_two, lams)
+    values = _block_curvature(spec, lams)
+    grads = _block_gradient(spec, lams)
     assert grads.shape == lams.shape
     for lam, r, g in zip(lams, values, grads):
         assert r == pytest.approx(lc.scalar_curvature_homogeneous(spec, lam).R, rel=1e-13, abs=1e-13)
@@ -306,14 +305,26 @@ def test_single_point_results_equal_the_row_kernels_bitwise(group_models, flag_s
             row = lam[None, :]
             if name in models:
                 model = models[name]
-                assert lc.scalar_curvature_closed(model, lam).R == _block_curvature(
-                    model.killing_ratios, model.coupling, row)[0]
-                assert np.all(lc.scalar_gradient(model, lam) == _block_gradient(
-                    model.killing_ratios, model.coupling, model.coupling_first_two, row)[0])
-            assert lc.scalar_curvature_homogeneous(spec, lam).R == _block_curvature(
-                spec.beta, spec.coupling, row)[0]
-            assert np.all(lc.scalar_gradient_homogeneous(spec, lam) == _block_gradient(
-                spec.beta, spec.coupling, spec.coupling_first_two, row)[0])
+                assert lc.scalar_curvature_closed(model, lam).R == _block_curvature(model, row)[0]
+                assert np.all(lc.scalar_gradient(model, lam) == _block_gradient(model, row)[0])
+            assert lc.scalar_curvature_homogeneous(spec, lam).R == _block_curvature(spec, row)[0]
+            assert np.all(lc.scalar_gradient_homogeneous(spec, lam) == _block_gradient(spec, row)[0])
+
+
+@pytest.mark.parametrize("name", ["su3", "so5", "so7", "su5", "dense-so7", "dense-su5"])
+def test_model_and_its_group_spec_are_interchangeable_kernel_operands(name, dense_algebras):
+    from conftest import canonical_model
+    from liecurv.curvature import _block_curvature, _block_gradient, _block_hessian
+
+    if name.startswith("dense-"):
+        algebra = dense_algebras[name.removeprefix("dense-")]
+        model = lc.binormalize(algebra, lc.killing_metric(algebra, 1.0))
+    else:
+        model = canonical_model(name)
+    spec = lc.group_as_homogeneous(model)
+    lams = np.random.default_rng(41).uniform(0.1, 10.0, size=(20, model.n))
+    for kernel in (_block_curvature, _block_gradient, _block_hessian):
+        assert np.all(kernel(model, lams) == kernel(spec, lams)), kernel.__name__
 
 
 def test_derived_first_two_coupling_is_the_symmetrized_coupling(group_models, s2_spec, flag_spec):
@@ -331,7 +342,7 @@ def test_pickled_model_evaluates_identically(dense_algebras):
 
     model = lc.binormalize(dense_algebras["su5"], lc.killing_metric(dense_algebras["su5"], 1.0))
     loaded = pickle.loads(pickle.dumps(model))
-    for field in ("c", "killing_ratios", "coupling", "coupling_first_two"):
+    for field in ("c", "beta", "coupling", "coupling_first_two"):
         assert np.all(getattr(loaded, field) == getattr(model, field))
     for lam in np.random.default_rng(37).uniform(0.1, 10.0, size=(5, model.n)):
         assert lc.scalar_curvature_closed(loaded, lam).R == lc.scalar_curvature_closed(model, lam).R

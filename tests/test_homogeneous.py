@@ -411,12 +411,15 @@ def test_derived_spec_vectors_are_finite_numbers(field, value, message):
     (lambda: lc.HomogeneousSpec(name="flat", s=2, block_dims=[1, 1], killing_ratios=[1.0, 1.0],
                                 casimirs=[0.0, 0.0], coupling=np.zeros((2, 2)), provenance="raw-file"),
      r"coupling tensor must have shape \(2, 2, 2\)"),
+    (lambda: lc.HomogeneousSpec(name="empty", s=0, block_dims=[], killing_ratios=[], casimirs=[],
+                                coupling=np.zeros((0, 0, 0)), provenance="raw-file"),
+     "^block count s must be at least 1, got 0$"),
     (lambda: lc.SubalgebraEmbedding(parent=lc.build_su(2), h_basis=[[0.0, 0.0, 1.0]], blocks=()),
      "at least one complement block"),
     (lambda: lc.SubalgebraEmbedding(parent=lc.build_su(2), h_basis=[[0.0, 0.0, 1.0]],
                                     blocks=([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [])),
      "complement blocks must be non-empty"),
-], ids=["block-data-length", "coupling-shape", "no-block", "empty-block"])
+], ids=["block-data-length", "coupling-shape", "no-blocks-in-spec", "no-block", "empty-block"])
 def test_spec_and_embedding_shapes_are_checked_when_built(build, message):
     with pytest.raises(ValueError, match=message):
         build()

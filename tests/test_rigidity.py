@@ -183,14 +183,16 @@ def test_ascent_stationary_at_reference(group_specs):
     grad = lc.scalar_gradient_homogeneous(spec, ones)
     assert np.all(grad <= 0.0)
     assert np.all(_projected_gradient(ones, grad, 10.0) == 0.0)
-    ascent = _ascend_all(spec, ones[None, :], 10.0, lambda lams, rs: None)
+    start = ones[None, :]
+    ascent = _ascend_all(spec, start, _block_curvature(spec, start), 10.0, lambda lams, rs: None)
     assert np.array_equal(ascent.lam[0], ones)
     assert ascent.r[0] == pytest.approx(6.0, abs=1e-12)
 
 
 def test_ascent_descends_to_reference_corner(group_specs):
     spec = group_specs["su2"]
-    ascent = _ascend_all(spec, np.array([[4.0, 2.0, 7.0]]), 10.0, lambda lams, rs: None)
+    start = np.array([[4.0, 2.0, 7.0]])
+    ascent = _ascend_all(spec, start, _block_curvature(spec, start), 10.0, lambda lams, rs: None)
     assert np.abs(ascent.lam[0] - 1.0).max() <= 1e-6
     assert ascent.r[0] == pytest.approx(6.0, abs=1e-8)
 
@@ -199,7 +201,7 @@ def test_batch_curvature_matches_scalar(group_specs):
     spec = group_specs["so4"]
     rng = np.random.default_rng(2)
     lams = rng.uniform(0.5, 5.0, size=(20, spec.s))
-    batch = _block_curvature(spec.beta, spec.coupling, lams)
+    batch = _block_curvature(spec, lams)
     for row, expected in zip(lams, batch):
         assert lc.scalar_curvature_homogeneous(spec, row).R == pytest.approx(expected, rel=1e-12)
 
@@ -264,10 +266,11 @@ def test_report_records_configuration(group_specs):
 def test_lockstep_ascent_matches_one_start_at_a_time(group_specs, flag_spec):
     for spec in (group_specs["so5"], flag_spec):
         starts = np.random.default_rng(29).uniform(1.0, 10.0, size=(6, spec.s))
-        ascent = _ascend_all(spec, starts, 10.0, lambda lams, rs: None)
+        ascent = _ascend_all(spec, starts, _block_curvature(spec, starts), 10.0, lambda lams, rs: None)
         assert ascent.lam.shape == starts.shape and ascent.r.shape == (6,)
         for start, final, value in zip(starts, ascent.lam, ascent.r):
-            one = _ascend_all(spec, start[None, :], 10.0, lambda lams, rs: None)
+            one = _ascend_all(spec, start[None, :], _block_curvature(spec, start[None, :]), 10.0,
+                              lambda lams, rs: None)
             assert_allclose(final, one.lam[0], rtol=0.0, atol=1e-9)
             assert value == pytest.approx(one.r[0], rel=1e-13)
 
@@ -276,7 +279,8 @@ def test_lockstep_ascent_records_every_evaluation(group_specs):
     spec = group_specs["su3"]
     starts = np.random.default_rng(31).uniform(1.0, 10.0, size=(5, spec.s))
     seen = []
-    ascent = _ascend_all(spec, starts, 10.0, lambda lams, rs: seen.append((lams.copy(), rs.copy())))
+    ascent = _ascend_all(spec, starts, _block_curvature(spec, starts), 10.0,
+                         lambda lams, rs: seen.append((lams.copy(), rs.copy())))
     assert np.array_equal(seen[0][0], starts)
     for lam, r in zip(ascent.lam, ascent.r):
         # each final point was recorded with the value reported for it
@@ -359,7 +363,7 @@ def test_newton_step_stays_finite_where_the_free_hessian_vanishes(scale):
     spec = lc.group_as_homogeneous(lc.binormalize(algebra, lc.killing_metric(algebra, scale)))
     lam = np.ones((1, 8))
     lam[0, 0] = 1.107
-    grad = _block_gradient(spec.beta, spec.coupling, spec.coupling_first_two, lam)
+    grad = _block_gradient(spec, lam)
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         direction = _newton_direction(spec, lam, grad, 10.0)
     assert np.all(np.isfinite(direction))
