@@ -7,6 +7,9 @@ Arbitrary left-invariant metrics are then handled by diagonalizing their
 positive self-adjoint operator relative to the orthonormal frame
 (:func:`diagonalize_metric`); the eigenvalue vector is all downstream
 curvature formulas ever see.
+
+:class:`HomogeneousSpec`, the curvature formula's data, is defined here so
+that a model can build its group's spec (singleton blocks) once.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lie_core import DEFAULT_TOL, LieAlgebra, _negligible, _require, _tolerance, killing
+from .lie_core import DEFAULT_TOL, LieAlgebra, _negligible, _require, _structure_tensor, _tolerance, killing
 
 
 @dataclass(frozen=True)
@@ -61,17 +64,73 @@ def _first_two(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class HomogeneousSpec:
+    """Everything the homogeneous scalar curvature formula consumes.
+
+    ``coupling[i, j, k]`` sums the squared orthonormal structure constants
+    of complement-component brackets between blocks i, j read off against
+    block k; ``killing_ratios[i]`` is the factor relating the negative
+    Killing form to the reference metric on block i (zero exactly when the
+    block sits in the center); ``casimirs[i]`` is the scalar by which the
+    subalgebra Casimir operator acts on block i.  Two fields are derived here
+    once: ``beta``, with beta_i = b_i d_i (``killing_ratios * block_dims``),
+    the per-block coefficient of the 1/lam_i term, and ``coupling_first_two``,
+    the coupling symmetrized in its first two slots and flattened to (s, s*s);
+    with ``coupling`` they are what the curvature kernels read.
+    """
+
+    name: str
+    s: int
+    block_dims: np.ndarray
+    killing_ratios: np.ndarray
+    casimirs: np.ndarray
+    coupling: np.ndarray
+    provenance: str  # "from-algebra" | "raw-file"
+    beta: np.ndarray = field(init=False, repr=False)
+    coupling_first_two: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        d = np.asarray(self.block_dims, dtype=float)
+        b = np.asarray(self.killing_ratios, dtype=float)
+        c = np.asarray(self.casimirs, dtype=float)
+        a = np.asarray(self.coupling, dtype=float)
+        s = self.s
+        if s < 1:
+            raise ValueError(f"block count s must be at least 1, got {s}")
+        if d.shape != (s,) or b.shape != (s,) or c.shape != (s,):
+            raise ValueError("block data must all have length s")
+        if a.shape != (s, s, s):
+            raise ValueError(f"coupling tensor must have shape ({s}, {s}, {s})")
+        if not np.all(np.isfinite(d) & (d == np.round(d)) & (d >= 1)):
+            raise ValueError("block dimensions must be positive integers")
+        d = d.astype(int)
+        if not all(np.all(np.isfinite(x)) for x in (b, c, a)):
+            raise ValueError("Killing ratios, Casimir constants and coupling must be finite")
+        if np.any(c < 0):
+            raise ValueError("Casimir constants must be nonnegative")
+        if np.any(a < 0):
+            raise ValueError("coupling tensor entries must be nonnegative")
+        for name, arr in (("block_dims", d), ("killing_ratios", b), ("casimirs", c), ("coupling", a),
+                          ("beta", b * d), ("coupling_first_two", _first_two(a))):
+            object.__setattr__(self, name, arr)
+
+    def central_blocks(self) -> list[int]:
+        """Blocks in the center: Killing ratio negligible against the largest."""
+        size = np.abs(self.killing_ratios)
+        return np.flatnonzero(_negligible(size, size.max())).tolist()
+
+
+@dataclass(frozen=True)
 class OrthonormalModel:
     """Structure constants in a basis orthonormal for a bi-invariant metric.
 
     ``t`` maps original to orthonormal coordinates (columns are the new
     basis vectors); ``c`` is totally antisymmetric up to roundoff, checked
     here once (at ``tol`` against the largest constant) for every consumer.
-    The group's curvature data are derived here once, too, the operands of
-    the curvature kernels and the group's spec: ``beta`` (minus the Killing
-    form's diagonal, beta_i = sum_jk c[i,j,k]^2, the formula's beta for
-    singleton blocks), ``coupling`` (c * c) and ``coupling_first_two`` (the
-    coupling symmetrized in its first two slots, see :func:`_first_two`).
+    ``spec`` is the group's curvature data, built here once as a
+    :class:`HomogeneousSpec` of singleton blocks with no subalgebra: Killing
+    ratios minus the Killing form's diagonal (sum_jk c[i,j,k]^2), Casimirs
+    zero and coupling c * c.  The curvature kernels read it.
     """
 
     name: str
@@ -79,9 +138,7 @@ class OrthonormalModel:
     t: np.ndarray
     c: np.ndarray
     tol: InitVar[float] = DEFAULT_TOL
-    beta: np.ndarray = field(init=False, repr=False)
-    coupling: np.ndarray = field(init=False, repr=False)
-    coupling_first_two: np.ndarray = field(init=False, repr=False)
+    spec: HomogeneousSpec = field(init=False, repr=False)
 
     def __post_init__(self, tol):
         c = np.asarray(self.c, dtype=float)
@@ -93,9 +150,10 @@ class OrthonormalModel:
         _require(antisymmetry_defect(c), np.abs(c).max(),
                  "not bi-invariant-orthonormal: structure tensor is not totally antisymmetric", tol)
         object.__setattr__(self, "c", c)
-        object.__setattr__(self, "beta", -np.einsum("iba,iab->i", c, c))
-        object.__setattr__(self, "coupling", c * c)
-        object.__setattr__(self, "coupling_first_two", _first_two(self.coupling))
+        object.__setattr__(self, "spec", HomogeneousSpec(
+            name=self.name, s=n, block_dims=np.ones(n, dtype=int),
+            killing_ratios=-np.einsum("iba,iab->i", c, c), casimirs=np.zeros(n), coupling=c * c,
+            provenance="from-algebra"))
 
 
 @dataclass(frozen=True)
@@ -159,7 +217,7 @@ def binormalize(algebra: LieAlgebra, metric: BiInvariantMetric, tol: float = DEF
 def antisymmetry_defect(c) -> float:
     """Largest violation of total antisymmetry of a structure tensor over the
     three transpositions."""
-    c = np.asarray(c, dtype=float)
+    c = _structure_tensor(c)
     d01 = np.abs(c + c.swapaxes(0, 1)).max()
     d12 = np.abs(c + c.swapaxes(1, 2)).max()
     d02 = np.abs(c + c.swapaxes(0, 2)).max()

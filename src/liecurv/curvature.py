@@ -2,11 +2,10 @@
 
 The private kernel :func:`_block_curvature`, its gradient
 :func:`_block_gradient` and its Hessian :func:`_block_hessian` hold the one
-block formula, used for groups (:func:`scalar_curvature_closed`: singleton
-blocks, A = c^2) and for homogeneous quotients.  Each takes the model or
-spec itself and rows of ``lams``; the public evaluators, which take one
-point, and the certificate search pass the model or spec, so no caller
-picks the operands.
+block formula, used for groups and for homogeneous quotients.  Each takes a
+``HomogeneousSpec`` and rows of ``lams``.  A group's spec is ``model.spec``
+(singleton blocks, A = c^2), which :func:`scalar_curvature_closed` and
+:func:`scalar_gradient` pass; the public evaluators take one point.
 :func:`scalar_curvature_koszul` rebuilds the same number from first
 principles (frame, Koszul connection, full curvature tensor, trace) and
 shares no algebra with the kernel, which makes it a genuine oracle.  It does
@@ -14,8 +13,8 @@ its own contractions, as BLAS matrix products over reshaped tensors (see
 :func:`frame_connection`).
 
 Inputs are validated where they are built: :class:`OrthonormalModel` checks
-total antisymmetry and ``HomogeneousSpec`` its block data, and both derive
-the kernels' three operands once.  The evaluators check only the
+total antisymmetry and ``HomogeneousSpec`` its block data, and a spec
+derives the kernels' operands once.  The evaluators check only the
 eigenvalue vector: its length, then one reduction each for positive and
 finite values, so a single-point evaluation costs about what its kernel
 costs.
@@ -27,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binorm import DiagonalMetric, OrthonormalModel
+from .binorm import DiagonalMetric, HomogeneousSpec, OrthonormalModel
+from .lie_core import _structure_tensor
 
 # Entries of the (rows, s^2) intermediate in one matrix product of
 # :func:`_block_curvature` (512 KB); 10k su(4) samples at once would need 18 MB.
@@ -54,11 +54,11 @@ class FrameConnection:
 
 
 def _model(model_or_tensor) -> OrthonormalModel:
-    """A model as given; a raw tensor is wrapped in one, whose constructor
-    checks its total antisymmetry."""
+    """A model as given; a raw (n, n, n) tensor is wrapped in one, whose
+    constructor checks its total antisymmetry."""
     if isinstance(model_or_tensor, OrthonormalModel):
         return model_or_tensor
-    c = np.asarray(model_or_tensor, dtype=float)
+    c = _structure_tensor(model_or_tensor)
     n = c.shape[0]
     return OrthonormalModel(name="tensor", n=n, t=np.eye(n), c=c)
 
@@ -85,23 +85,21 @@ def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x[:, :, None] * y[:, None, :]).reshape(len(x), -1)
 
 
-def _block_curvature(data, lams: np.ndarray) -> np.ndarray:
+def _block_curvature(spec: HomogeneousSpec, lams: np.ndarray) -> np.ndarray:
     """R = 1/2 sum_i beta_i / lam_i - 1/4 sum_ijk a[i,j,k] lam_k / (lam_i lam_j) per row of
     ``lams``.
 
-    ``data`` is an :class:`OrthonormalModel` (singleton blocks) or a
-    ``HomogeneousSpec``; the three kernels read its derived fields ``beta``
-    (beta_i = b_i d_i; for a group, -K[i,i] = sum_jk c[i,j,k]^2), ``coupling``
-    (a, shape (s, s, s); for a group, c^2) and ``coupling_first_two``
-    (a + a^T01 flattened to (s, s*s), the gradient's and Hessian's operand).
-    The coupling sum is a matrix product over chunks of rows, so the
-    (rows, s^2) intermediate stays within CHUNK_ENTRIES however many rows
-    come in.
+    The three kernels read the spec's ``beta`` (beta_i = b_i d_i; for a
+    group, -K[i,i] = sum_jk c[i,j,k]^2), ``coupling`` (a, shape (s, s, s);
+    for a group, c^2) and ``coupling_first_two`` (a + a^T01 flattened to
+    (s, s*s), the gradient's and Hessian's operand).  The coupling sum is a
+    matrix product over chunks of rows, so the (rows, s^2) intermediate
+    stays within CHUNK_ENTRIES however many rows come in.
     """
-    s = len(data.beta)
-    a_flat = data.coupling.reshape(s * s, s)
+    s = spec.s
+    a_flat = spec.coupling.reshape(s * s, s)
     inv = 1.0 / lams
-    out = 0.5 * (inv @ data.beta)
+    out = 0.5 * (inv @ spec.beta)
     chunk = max(1, CHUNK_ENTRIES // (s * s))
     for lo in range(0, len(lams), chunk):
         rows = slice(lo, lo + chunk)
@@ -110,23 +108,21 @@ def _block_curvature(data, lams: np.ndarray) -> np.ndarray:
     return out
 
 
-def _block_gradient(data, lams: np.ndarray) -> np.ndarray:
+def _block_gradient(spec: HomogeneousSpec, lams: np.ndarray) -> np.ndarray:
     """Gradient of :func:`_block_curvature` per row of ``lams``, accumulating
-    the three index roles a coordinate plays in the coupling term; ``data``,
-    a model or spec, as there.
+    the three index roles a coordinate plays in the coupling term.
     """
-    s = len(data.beta)
+    s = spec.s
     inv = 1.0 / lams
     inv2 = inv * inv
     # First two slots together: first_two[m, j*s + k] u_j lam_k; last slot alone.
-    e12 = inv2 * (_outer(inv, lams) @ data.coupling_first_two.T)
-    e3 = _outer(inv, inv) @ data.coupling.reshape(s * s, s)
-    return -0.5 * data.beta * inv2 + 0.25 * (e12 - e3)
+    e12 = inv2 * (_outer(inv, lams) @ spec.coupling_first_two.T)
+    e3 = _outer(inv, inv) @ spec.coupling.reshape(s * s, s)
+    return -0.5 * spec.beta * inv2 + 0.25 * (e12 - e3)
 
 
-def _block_hessian(data, lams: np.ndarray) -> np.ndarray:
-    """Hessian of :func:`_block_curvature` per row of ``lams``, shape (m, s, s);
-    ``data``, a model or spec, as there.
+def _block_hessian(spec: HomogeneousSpec, lams: np.ndarray) -> np.ndarray:
+    """Hessian of :func:`_block_curvature` per row of ``lams``, shape (m, s, s).
 
     With u = 1/lam and T = sum a[i,j,k] u_i u_j lam_k, H = diag(beta u^3) - T''/4
     where T''[m,n] = 2 delta_mn u_m^3 (P_m + Q_m) + u_m^2 u_n^2 (S_mn + S_nm)
@@ -135,18 +131,18 @@ def _block_hessian(data, lams: np.ndarray) -> np.ndarray:
     X_mn = sum_j a[m,j,n] u_j and Y_mn = sum_i a[i,m,n] u_i.  No symmetry of
     ``a`` is assumed.
     """
-    s = len(data.beta)
+    s = spec.s
     u = 1.0 / lams
     u2 = u * u
     # xy[., m, n] = X_mn + Y_mn = sum_j (a[j,m,n] + a[m,j,n]) u_j; P + Q = xy @ lam.
-    xy = (u @ data.coupling_first_two).reshape(-1, s, s)
+    xy = (u @ spec.coupling_first_two).reshape(-1, s, s)
     pq = np.einsum("bmk,bk->bm", xy, lams)
-    st = (lams @ data.coupling.reshape(s * s, s).T).reshape(-1, s, s)
+    st = (lams @ spec.coupling.reshape(s * s, s).T).reshape(-1, s, s)
     cross = u2[:, :, None] * xy
     hess = -0.25 * (u2[:, :, None] * u2[:, None, :] * (st + st.transpose(0, 2, 1))
                     - cross - cross.transpose(0, 2, 1))
     diag = np.arange(s)
-    hess[:, diag, diag] += u2 * u * (data.beta - 0.5 * pq)
+    hess[:, diag, diag] += u2 * u * (spec.beta - 0.5 * pq)
     return hess
 
 
@@ -158,7 +154,7 @@ def scalar_curvature_closed(model, lam) -> CurvatureResult:
     """
     model = _model(model)
     values = _lambda_vector(lam, model.n)
-    r = _block_curvature(model, values[None, :])[0]
+    r = _block_curvature(model.spec, values[None, :])[0]
     return CurvatureResult(R=float(r), method="closed-form", algebra=model.name, lam=values.copy())
 
 
@@ -212,4 +208,4 @@ def scalar_gradient(model, lam) -> np.ndarray:
     """Analytic gradient of the closed-form scalar curvature in ``lam``."""
     model = _model(model)
     values = _lambda_vector(lam, model.n)
-    return _block_gradient(model, values[None, :])[0]
+    return _block_gradient(model.spec, values[None, :])[0]

@@ -8,8 +8,9 @@ subalgebra action, and the tensor of summed squared structure constants of
 brackets between blocks.  All four, and the closure and invariance checks,
 are slices of the structure constants rotated into the adapted frame
 (subalgebra first, then the blocks), cut at the block edges.  The group
-itself is the case of singleton blocks with no subalgebra
-(:func:`group_as_homogeneous`).
+itself is the case of singleton blocks with no subalgebra, whose spec an
+``OrthonormalModel`` builds once (``model.spec``, which
+:func:`group_as_homogeneous` returns; the class lives in :mod:`liecurv.binorm`).
 
 The formula lives once, in :mod:`liecurv.curvature`; a spec validates its
 data (shapes, signs, finiteness) when built, so evaluators check only lam.
@@ -18,72 +19,15 @@ data (shapes, signs, finiteness) when built, so evaluators check only lam.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .binorm import BiInvariantMetric, OrthonormalModel, _first_two, _in_frame, check_metric, killing_metric
+from .binorm import BiInvariantMetric, HomogeneousSpec, OrthonormalModel, _in_frame, check_metric, killing_metric
 from .curvature import CurvatureResult, _block_curvature, _block_gradient, _lambda_vector
 from .lie_core import (LieAlgebra, _negligible, _real, _require, _sparse_entries, _whole_number, killing,
                        resolve_algebra)
-
-
-@dataclass(frozen=True)
-class HomogeneousSpec:
-    """Everything the homogeneous scalar curvature formula consumes.
-
-    ``coupling[i, j, k]`` sums the squared orthonormal structure constants
-    of complement-component brackets between blocks i, j read off against
-    block k; ``killing_ratios[i]`` is the factor relating the negative
-    Killing form to the reference metric on block i (zero exactly when the
-    block sits in the center); ``casimirs[i]`` is the scalar by which the
-    subalgebra Casimir operator acts on block i.  Two fields are derived here
-    once: ``beta``, with beta_i = b_i d_i (``killing_ratios * block_dims``),
-    the per-block coefficient of the 1/lam_i term, and ``coupling_first_two``,
-    the coupling symmetrized in its first two slots and flattened to (s, s*s);
-    with ``coupling`` they are what the curvature kernels read.
-    """
-
-    name: str
-    s: int
-    block_dims: np.ndarray
-    killing_ratios: np.ndarray
-    casimirs: np.ndarray
-    coupling: np.ndarray
-    provenance: str  # "from-algebra" | "raw-file"
-    beta: np.ndarray = field(init=False, repr=False)
-    coupling_first_two: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        d = np.asarray(self.block_dims, dtype=float)
-        b = np.asarray(self.killing_ratios, dtype=float)
-        c = np.asarray(self.casimirs, dtype=float)
-        a = np.asarray(self.coupling, dtype=float)
-        s = self.s
-        if s < 1:
-            raise ValueError(f"block count s must be at least 1, got {s}")
-        if d.shape != (s,) or b.shape != (s,) or c.shape != (s,):
-            raise ValueError("block data must all have length s")
-        if a.shape != (s, s, s):
-            raise ValueError(f"coupling tensor must have shape ({s}, {s}, {s})")
-        if not np.all(np.isfinite(d) & (d == np.round(d)) & (d >= 1)):
-            raise ValueError("block dimensions must be positive integers")
-        d = d.astype(int)
-        if not all(np.all(np.isfinite(x)) for x in (b, c, a)):
-            raise ValueError("Killing ratios, Casimir constants and coupling must be finite")
-        if np.any(c < 0):
-            raise ValueError("Casimir constants must be nonnegative")
-        if np.any(a < 0):
-            raise ValueError("coupling tensor entries must be nonnegative")
-        for name, arr in (("block_dims", d), ("killing_ratios", b), ("casimirs", c), ("coupling", a),
-                          ("beta", b * d), ("coupling_first_two", _first_two(a))):
-            object.__setattr__(self, name, arr)
-
-    def central_blocks(self) -> list[int]:
-        """Blocks in the center: Killing ratio negligible against the largest."""
-        size = np.abs(self.killing_ratios)
-        return np.flatnonzero(_negligible(size, size.max())).tolist()
 
 
 @dataclass(frozen=True)
@@ -209,20 +153,9 @@ def build_spec(embedding: SubalgebraEmbedding, metric: BiInvariantMetric,
 
 
 def group_as_homogeneous(model: OrthonormalModel) -> HomogeneousSpec:
-    """Homogeneous data of the group itself: singleton blocks, no subalgebra.
-
-    Repackages the model's derived data: its ``beta`` as the Killing ratios
-    and its coupling (the squared structure constants); Casimirs vanish.
-    """
-    return HomogeneousSpec(
-        name=model.name,
-        s=model.n,
-        block_dims=np.ones(model.n, dtype=int),
-        killing_ratios=model.beta,
-        casimirs=np.zeros(model.n),
-        coupling=model.coupling,
-        provenance="from-algebra",
-    )
+    """The group's own spec, built with the model: singleton blocks, no
+    subalgebra, Casimirs zero, coupling c^2.  Returns ``model.spec`` itself."""
+    return model.spec
 
 
 def scalar_curvature_homogeneous(spec: HomogeneousSpec, lam) -> CurvatureResult:

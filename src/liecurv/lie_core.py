@@ -197,13 +197,21 @@ def killing(algebra: LieAlgebra) -> KillingData:
     )
 
 
+def _structure_tensor(c) -> np.ndarray:
+    """A raw structure tensor as a float array, refused unless of shape (n, n, n)."""
+    c = np.asarray(c, dtype=float)
+    if c.ndim != 3 or not c.shape[0] == c.shape[1] == c.shape[2]:
+        raise ValueError(f"structure tensor must have shape (n, n, n), got shape {c.shape}")
+    return c
+
+
 def jacobi_defect(algebra_or_tensor) -> float:
     """Largest absolute Jacobi residual over all index quadruples.
 
     Accepts a :class:`LieAlgebra` or a raw (n, n, n) tensor; zero for
     genuine Lie algebras.
     """
-    c = algebra_or_tensor.c if isinstance(algebra_or_tensor, LieAlgebra) else np.asarray(algebra_or_tensor, dtype=float)
+    c = algebra_or_tensor.c if isinstance(algebra_or_tensor, LieAlgebra) else _structure_tensor(algebra_or_tensor)
     n = c.shape[0]
     if n == 0:
         return 0.0

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -149,6 +150,16 @@ def test_orthonormal_model_checks_antisymmetry_when_built(su2_model):
 def test_orthonormal_model_checks_shape(su2_model):
     with pytest.raises(ValueError, match="shape"):
         lc.OrthonormalModel(name="short", n=4, t=np.eye(4), c=su2_model.c)
+    # Every entry point that takes a raw tensor refuses one of the wrong shape.
+    for c in (np.float64(2.0), np.zeros((2, 3, 4))):
+        message = rf"^structure tensor must have shape \(n, n, n\), got shape {re.escape(str(c.shape))}$"
+        for evaluate in (lc.scalar_curvature_closed, lc.scalar_curvature_koszul, lc.scalar_gradient,
+                         lc.frame_connection):
+            with pytest.raises(ValueError, match=message):
+                evaluate(c, [1.0])
+        for defect in (lc.jacobi_defect, lc.antisymmetry_defect):
+            with pytest.raises(ValueError, match=message):
+                defect(c)
 
 
 def test_orthonormal_model_refuses_no_dimension():
@@ -177,5 +188,5 @@ def test_binormalize_on_a_dense_basis_matches_the_one_step_contraction(name, den
     t = np.linalg.inv(np.linalg.cholesky(metric.gram)).T
     reference = np.einsum("ia,jb,kc,ijk->abc", t, t, metric.gram @ t, algebra.c)
     assert np.abs(model.c - reference).max() <= 1e-13 * np.abs(reference).max()
-    assert_allclose(model.beta, -np.diag(np.einsum("iba,jab->ij", model.c, model.c)),
+    assert_allclose(model.spec.beta, -np.diag(np.einsum("iba,jab->ij", model.c, model.c)),
                     rtol=1e-13, atol=0.0)

@@ -305,16 +305,17 @@ def test_single_point_results_equal_the_row_kernels_bitwise(group_models, flag_s
             row = lam[None, :]
             if name in models:
                 model = models[name]
-                assert lc.scalar_curvature_closed(model, lam).R == _block_curvature(model, row)[0]
-                assert np.all(lc.scalar_gradient(model, lam) == _block_gradient(model, row)[0])
+                assert lc.scalar_curvature_closed(model, lam).R == _block_curvature(model.spec, row)[0]
+                assert np.all(lc.scalar_gradient(model, lam) == _block_gradient(model.spec, row)[0])
             assert lc.scalar_curvature_homogeneous(spec, lam).R == _block_curvature(spec, row)[0]
             assert np.all(lc.scalar_gradient_homogeneous(spec, lam) == _block_gradient(spec, row)[0])
 
 
 @pytest.mark.parametrize("name", ["su3", "so5", "so7", "su5", "dense-so7", "dense-su5"])
 def test_model_and_its_group_spec_are_interchangeable_kernel_operands(name, dense_algebras):
+    # The model builds its group spec once and the group evaluators read it,
+    # so closed and homogeneous results agree by construction.
     from conftest import canonical_model
-    from liecurv.curvature import _block_curvature, _block_gradient, _block_hessian
 
     if name.startswith("dense-"):
         algebra = dense_algebras[name.removeprefix("dense-")]
@@ -322,19 +323,19 @@ def test_model_and_its_group_spec_are_interchangeable_kernel_operands(name, dens
     else:
         model = canonical_model(name)
     spec = lc.group_as_homogeneous(model)
-    lams = np.random.default_rng(41).uniform(0.1, 10.0, size=(20, model.n))
-    for kernel in (_block_curvature, _block_gradient, _block_hessian):
-        assert np.all(kernel(model, lams) == kernel(spec, lams)), kernel.__name__
+    assert spec is model.spec
+    for lam in np.random.default_rng(41).uniform(0.1, 10.0, size=(20, model.n)):
+        assert lc.scalar_curvature_closed(model, lam).R == lc.scalar_curvature_homogeneous(spec, lam).R
+        assert np.all(lc.scalar_gradient(model, lam) == lc.scalar_gradient_homogeneous(spec, lam))
 
 
 def test_derived_first_two_coupling_is_the_symmetrized_coupling(group_models, s2_spec, flag_spec):
-    models, specs = _bitwise_cases(group_models, flag_spec)
-    holders = [*models.values(), *specs.values(), s2_spec, _asymmetric_raw_spec()]
-    for holder in holders:
-        a = holder.coupling
+    _, specs = _bitwise_cases(group_models, flag_spec)  # the group specs are the models' own
+    for spec in [*specs.values(), s2_spec, _asymmetric_raw_spec()]:
+        a = spec.coupling
         s = a.shape[0]
-        assert holder.coupling_first_two.shape == (s, s * s)
-        assert np.all(holder.coupling_first_two.reshape(s, s, s) == a + a.transpose(1, 0, 2))
+        assert spec.coupling_first_two.shape == (s, s * s)
+        assert np.all(spec.coupling_first_two.reshape(s, s, s) == a + a.transpose(1, 0, 2))
 
 
 def test_pickled_model_evaluates_identically(dense_algebras):
@@ -342,8 +343,9 @@ def test_pickled_model_evaluates_identically(dense_algebras):
 
     model = lc.binormalize(dense_algebras["su5"], lc.killing_metric(dense_algebras["su5"], 1.0))
     loaded = pickle.loads(pickle.dumps(model))
-    for field in ("c", "beta", "coupling", "coupling_first_two"):
-        assert np.all(getattr(loaded, field) == getattr(model, field))
+    assert np.all(loaded.c == model.c)
+    for field in ("block_dims", "killing_ratios", "casimirs", "coupling", "beta", "coupling_first_two"):
+        assert np.all(getattr(loaded.spec, field) == getattr(model.spec, field))
     for lam in np.random.default_rng(37).uniform(0.1, 10.0, size=(5, model.n)):
         assert lc.scalar_curvature_closed(loaded, lam).R == lc.scalar_curvature_closed(model, lam).R
         assert np.all(lc.scalar_gradient(loaded, lam) == lc.scalar_gradient(model, lam))
