@@ -21,7 +21,6 @@ from .lie_core import (
 )
 from .binorm import (
     BiInvariantMetric,
-    DiagonalMetric,
     OrthonormalModel,
     antisymmetry_defect,
     binormalize,
@@ -66,7 +65,7 @@ __all__ = [
     "LieAlgebra", "KillingData", "MatrixBasis", "abelian", "algebra_from_dict",
     "algebra_from_file", "algebra_to_dict", "build_so", "build_su", "direct_sum",
     "from_matrix_basis", "jacobi_defect", "killing", "pauli_basis", "resolve_algebra",
-    "BiInvariantMetric", "DiagonalMetric", "OrthonormalModel", "antisymmetry_defect",
+    "BiInvariantMetric", "OrthonormalModel", "antisymmetry_defect",
     "binormalize", "diagonalize_metric", "killing_metric", "metric_invariance_defect",
     "CurvatureResult", "FrameConnection", "frame_connection", "scalar_curvature_closed",
     "scalar_curvature_koszul", "scalar_gradient",

@@ -5,8 +5,9 @@ Given an ad-invariant positive-definite inner product on a Lie algebra,
 basis (via Cholesky), where bi-invariance makes them totally antisymmetric.
 Arbitrary left-invariant metrics are then handled by diagonalizing their
 positive self-adjoint operator relative to the orthonormal frame
-(:func:`diagonalize_metric`); the eigenvalue vector is all downstream
-curvature formulas ever see.
+(:func:`diagonalize_metric`, which returns the rotation, the eigenvalues as
+``.metric.values`` and the rotated structure constants); the eigenvalue
+array is all downstream curvature formulas ever see.
 
 :class:`HomogeneousSpec`, the curvature formula's data, is defined here so
 that a model can build its group's spec (singleton blocks) once.
@@ -156,22 +157,6 @@ class OrthonormalModel:
             provenance="from-algebra"))
 
 
-@dataclass(frozen=True)
-class DiagonalMetric:
-    """Eigenvalue ratios of a left-invariant metric relative to the
-    bi-invariant reference, one per basis vector or per block."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1 or values.size == 0:
-            raise ValueError("diagonal metric must be a non-empty vector")
-        if not np.all(values > 0):
-            raise ValueError("diagonal metric entries must be positive")
-        object.__setattr__(self, "values", values)
-
-
 def metric_invariance_defect(metric: BiInvariantMetric) -> float:
     """Largest violation of <[x, e_i], e_j> + <e_i, [x, e_j]> = 0 over basis triples."""
     c = metric.base.c
@@ -224,6 +209,14 @@ def antisymmetry_defect(c) -> float:
     return float(max(d01, d12, d02))
 
 
+class DiagonalMetric(NamedTuple):
+    """Eigenvalue ratios of a left-invariant metric to the bi-invariant reference,
+    ascending, as :func:`diagonalize_metric`, their only producer, checks and
+    returns them; the evaluators take the array ``values`` itself."""
+
+    values: np.ndarray
+
+
 class DiagonalizedMetric(NamedTuple):
     rotation: np.ndarray
     metric: DiagonalMetric
@@ -234,9 +227,10 @@ def diagonalize_metric(model: OrthonormalModel, operator) -> DiagonalizedMetric:
     """Diagonalize a symmetric positive-definite metric operator.
 
     Returns the orthogonal eigenvector matrix (columns sorted by ascending
-    eigenvalue), the eigenvalues as a :class:`DiagonalMetric`, and the
-    structure constants rotated into the eigenbasis.  The rotation is
-    orthogonal for the reference metric, so total antisymmetry survives.
+    eigenvalue), the eigenvalues as a :class:`DiagonalMetric`, checked
+    here for shape and positive definiteness, and the structure constants
+    rotated into the eigenbasis.  The rotation is orthogonal for the
+    reference metric, so total antisymmetry survives.
     """
     s = np.asarray(operator, dtype=float)
     n = model.n

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binorm import DiagonalMetric, HomogeneousSpec, OrthonormalModel
+from .binorm import HomogeneousSpec, OrthonormalModel
 from .lie_core import _structure_tensor
 
 # Entries of the (rows, s^2) intermediate in one matrix product of
@@ -64,13 +64,14 @@ def _model(model_or_tensor) -> OrthonormalModel:
 
 
 def _lambda_vector(lam, n: int) -> np.ndarray:
-    """Validated eigenvalue vector of length ``n``.
+    """Validated eigenvalue vector of length ``n``, from any array-like; the
+    one check each public evaluator runs once per call.
 
     The minimum propagates NaN, so NaN, zero, negative values and -inf all
     fail ``min > 0`` as not positive; past that, ``max < inf`` fails only
     on +inf.
     """
-    values = lam.values if isinstance(lam, DiagonalMetric) else np.asarray(lam, dtype=float)
+    values = np.asarray(lam, dtype=float)
     if values.shape != (n,):
         raise ValueError(f"metric eigenvalue vector must have length {n}")
     if not values.min() > 0.0:
@@ -198,10 +199,9 @@ def frame_connection(model, lam) -> FrameConnection:
 def scalar_curvature_koszul(model, lam) -> CurvatureResult:
     """Scalar curvature via the full frame curvature tensor (the oracle route)."""
     model = _model(model)
-    values = _lambda_vector(lam, model.n)
-    conn = frame_connection(model, values)
+    conn = frame_connection(model, lam)  # checks lam
     r = np.einsum("ijji->", conn.riem)
-    return CurvatureResult(R=float(r), method="koszul", algebra=model.name, lam=values.copy())
+    return CurvatureResult(R=float(r), method="koszul", algebra=model.name, lam=np.array(lam, dtype=float))
 
 
 def scalar_gradient(model, lam) -> np.ndarray:

@@ -237,10 +237,7 @@ def pauli_basis() -> MatrixBasis:
     The sign is fixed so that [E_1, E_2] = 2 E_3 together with its cyclic
     permutations; +i would flip all three brackets.
     """
-    s1 = np.array([[0, 1], [1, 0]], dtype=complex)
-    s2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    s3 = np.array([[1, 0], [0, -1]], dtype=complex)
-    return MatrixBasis(tuple(-1j * s for s in (s1, s2, s3)), name="su2")
+    return MatrixBasis(tuple(-1j * g for g in _hermitian_generators(2)), name="su2")
 
 
 def _hermitian_generators(n: int) -> list[np.ndarray]:

@@ -27,7 +27,7 @@ import numpy as np
 from .binorm import killing_metric, binormalize
 from .curvature import (_block_curvature, _block_gradient, _block_hessian, _lambda_vector,
                         scalar_curvature_closed, scalar_curvature_koszul)
-from .homogeneous import HomogeneousSpec, scalar_curvature_homogeneous
+from .homogeneous import HomogeneousSpec
 from .lie_core import _negligible, _require, _tolerance, build_su
 
 # Certificate defaults: box, search effort, allowed excess in R (times |r0|) and lambda.
@@ -113,8 +113,8 @@ def gap_breakdown(spec: HomogeneousSpec, lam) -> GapBreakdown:
     _require(sym_defect, max(np.abs(a3).max(), np.abs(spec.killing_ratios).max()),
              "decomposition identity requires bi-invariant reference: coupling tensor is not symmetric")
     values = _lambda_vector(lam, spec.s)
-    r0 = scalar_curvature_homogeneous(spec, np.ones(spec.s)).R
-    rg = scalar_curvature_homogeneous(spec, values).R
+    # One row per call: a two-row batch takes another BLAS path and can move R by an ulp.
+    r0, rg = (float(_block_curvature(spec, x[None, :])[0]) for x in (np.ones(spec.s), values))
     gap = r0 - rg
     casimir = float(np.sum(spec.casimirs * spec.block_dims * (values - 1.0) / values))
     q = gap_polynomial(values[:, None, None], values[None, :, None], values[None, None, :])
@@ -204,6 +204,15 @@ def _projected_gradient(lam: np.ndarray, grad: np.ndarray, hi: float) -> np.ndar
     return np.where(blocked, 0.0, grad)
 
 
+def _norm(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of ``x``, taken on the row scaled by a power
+    of two near its largest entry, so the squares neither overflow nor
+    underflow at any finite scale; the scaling is exact, so it changes no bit
+    where the plain norm does neither."""
+    _, e = np.frexp(np.abs(x).max(axis=1))
+    return np.ldexp(np.linalg.norm(np.ldexp(x, -e[:, None]), axis=1), e)
+
+
 def _newton_direction(spec: HomogeneousSpec, lam: np.ndarray, grad: np.ndarray, hi: float) -> np.ndarray:
     """Projected-Newton ascent direction per row (Bertsekas 1982).
 
@@ -218,8 +227,7 @@ def _newton_direction(spec: HomogeneousSpec, lam: np.ndarray, grad: np.ndarray, 
     hess = _block_hessian(spec, lam) * (free[:, :, None] & free[:, None, :])
     mu, vec = np.linalg.eigh(hess)
     size = np.abs(mu)
-    floor = EIG_FLOOR * np.maximum(size.max(axis=1, keepdims=True),
-                                   np.linalg.norm(grad, axis=1, keepdims=True))
+    floor = EIG_FLOOR * np.maximum(size.max(axis=1, keepdims=True), _norm(grad)[:, None])
     coef = np.einsum("bji,bj->bi", vec, np.where(free, grad, 0.0)) / np.maximum(size, floor)
     return np.where(free, np.einsum("bij,bj->bi", vec, coef), grad)
 
@@ -277,7 +285,7 @@ def _ascend_all(spec: HomogeneousSpec, starts: np.ndarray, r_starts: np.ndarray,
             break
         x = lam[running]
         grad = _block_gradient(spec, x)
-        done = _negligible(np.linalg.norm(_projected_gradient(x, grad, hi), axis=1), r_ref, GRAD_STOP)
+        done = _negligible(_norm(_projected_gradient(x, grad, hi)), r_ref, GRAD_STOP)
         status[running[done]] = "converged"
         running, x, grad = running[~done], x[~done], grad[~done]
         if not running.size:

@@ -233,12 +233,6 @@ def test_reference_value_specialization(group_specs, s2_spec):
         assert lc.scalar_curvature_homogeneous(spec, np.ones(spec.s)).R == expected
 
 
-def test_diagonal_metric_wrapper_accepted(s2_spec, su2_model):
-    wrapped = lc.DiagonalMetric(np.array([2.0]))
-    assert lc.scalar_curvature_homogeneous(s2_spec, wrapped).R == pytest.approx(4.0)
-    assert lc.scalar_curvature_closed(su2_model, lc.DiagonalMetric(np.ones(3))).R == 6.0
-
-
 def test_homogeneous_lambda_validation(s2_spec):
     with pytest.raises(ValueError, match="length"):
         lc.scalar_curvature_homogeneous(s2_spec, [1.0, 1.0])
