@@ -2,6 +2,21 @@
 homogeneous spaces, with numerical rigidity certificates for bi-invariant
 reference metrics."""
 
+import os
+
+# liecurv's matrices are at most a few dozen entries on a side, so a second
+# BLAS thread buys nothing: it spin-waits after numpy loads and after each
+# threaded product, and the process is charged for that CPU.  OpenBLAS reads
+# its thread count once, when numpy loads it.  So unless the caller set a
+# count, numpy is loaded here on one thread and the environment is restored
+# at once; a program that imported numpy first keeps numpy's choice.
+if not {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
 from .lie_core import (
     LieAlgebra,
     KillingData,
