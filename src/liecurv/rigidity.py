@@ -266,16 +266,16 @@ class _Ascent(NamedTuple):
     iterations: np.ndarray  # (m,) accepted steps
 
 
-def _ascend_all(spec: HomogeneousSpec, starts: np.ndarray, r_starts: np.ndarray, hi: float,
+def _ascend_all(spec: HomogeneousSpec, starts: np.ndarray, r_starts: np.ndarray, r0: float, hi: float,
                 record: Callable[[np.ndarray, np.ndarray], None]) -> _Ascent:
     """Projected-Newton ascent inside the box [1, hi] from every row of
     ``starts``, where the curvature is ``r_starts``, in lockstep: one batched
     gradient call per iteration, over the rows still running.  A row stops
-    when its projected gradient norm reaches GRAD_STOP times |R(1, ..., 1)|
-    (converged), when its line search fails, or after MAX_ITER iterations."""
+    when its projected gradient norm reaches GRAD_STOP times |r0|, the
+    reference curvature R(1, ..., 1) (converged), when its line search
+    fails, or after MAX_ITER iterations."""
     lam = np.array(starts, dtype=float)
     r = np.array(r_starts, dtype=float)
-    r_ref = abs(float(_block_curvature(spec, np.ones((1, spec.s)))[0]))
     record(lam, r)
     status = np.full(len(lam), "max-iter", dtype=object)
     iterations = np.zeros(len(lam), dtype=int)
@@ -285,7 +285,7 @@ def _ascend_all(spec: HomogeneousSpec, starts: np.ndarray, r_starts: np.ndarray,
             break
         x = lam[running]
         grad = _block_gradient(spec, x)
-        done = _negligible(_norm(_projected_gradient(x, grad, hi)), r_ref, GRAD_STOP)
+        done = _negligible(_norm(_projected_gradient(x, grad, hi)), abs(r0), GRAD_STOP)
         status[running[done]] = "converged"
         running, x, grad = running[~done], x[~done], grad[~done]
         if not running.size:
@@ -341,16 +341,18 @@ def verify_rigidity(spec: HomogeneousSpec, max_lambda: float = DEFAULT_MAX_LAMBD
         samples = rng.uniform(1.0, max_lambda, size=(n_samples, spec.s)) if n_samples > 0 else None
         starts = np.vstack([np.ones(spec.s),
                             rng.uniform(1.0, max_lambda, size=(n_starts - 1, spec.s))])
-        r_starts = _block_curvature(spec, starts)
-        r0 = float(r_starts[0])
+        # R(1) once, on one row as the public evaluators take it: a row's
+        # value can move by ulps with the number of rows in its product.
+        r0 = float(_block_curvature(spec, starts[:1])[0])
         if not math.isfinite(r0) or r0 == 0.0:
             what = "zero" if r0 == 0.0 else "not finite"
             raise ValueError(f"reference curvature is {what} ({r0}): spec data out of range")
+        r_starts = np.concatenate([[r0], _block_curvature(spec, starts[1:])])
         tracker = _Tracker(r0, tol, tol_lambda)
         if samples is not None:
             tracker.record(samples, _block_curvature(spec, samples))
         t_ascent = time.perf_counter()
-        ascent = _ascend_all(spec, starts, r_starts, max_lambda, tracker.record)
+        ascent = _ascend_all(spec, starts, r_starts, r0, max_lambda, tracker.record)
     t_end = time.perf_counter()
 
     certified = (_negligible(tracker.max_violation, abs(r0), tol) and tracker.equality_ok

@@ -184,7 +184,7 @@ def test_ascent_stationary_at_reference(group_specs):
     assert np.all(grad <= 0.0)
     assert np.all(_projected_gradient(ones, grad, 10.0) == 0.0)
     start = ones[None, :]
-    ascent = _ascend_all(spec, start, _block_curvature(spec, start), 10.0, lambda lams, rs: None)
+    ascent = _ascend_all(spec, start, _block_curvature(spec, start), 6.0, 10.0, lambda lams, rs: None)
     assert np.array_equal(ascent.lam[0], ones)
     assert ascent.r[0] == pytest.approx(6.0, abs=1e-12)
 
@@ -192,7 +192,7 @@ def test_ascent_stationary_at_reference(group_specs):
 def test_ascent_descends_to_reference_corner(group_specs):
     spec = group_specs["su2"]
     start = np.array([[4.0, 2.0, 7.0]])
-    ascent = _ascend_all(spec, start, _block_curvature(spec, start), 10.0, lambda lams, rs: None)
+    ascent = _ascend_all(spec, start, _block_curvature(spec, start), 6.0, 10.0, lambda lams, rs: None)
     assert np.abs(ascent.lam[0] - 1.0).max() <= 1e-6
     assert ascent.r[0] == pytest.approx(6.0, abs=1e-8)
 
@@ -266,10 +266,11 @@ def test_report_records_configuration(group_specs):
 def test_lockstep_ascent_matches_one_start_at_a_time(group_specs, flag_spec):
     for spec in (group_specs["so5"], flag_spec):
         starts = np.random.default_rng(29).uniform(1.0, 10.0, size=(6, spec.s))
-        ascent = _ascend_all(spec, starts, _block_curvature(spec, starts), 10.0, lambda lams, rs: None)
+        r0 = lc.scalar_curvature_homogeneous(spec, np.ones(spec.s)).R
+        ascent = _ascend_all(spec, starts, _block_curvature(spec, starts), r0, 10.0, lambda lams, rs: None)
         assert ascent.lam.shape == starts.shape and ascent.r.shape == (6,)
         for start, final, value in zip(starts, ascent.lam, ascent.r):
-            one = _ascend_all(spec, start[None, :], _block_curvature(spec, start[None, :]), 10.0,
+            one = _ascend_all(spec, start[None, :], _block_curvature(spec, start[None, :]), r0, 10.0,
                               lambda lams, rs: None)
             assert_allclose(final, one.lam[0], rtol=0.0, atol=1e-9)
             assert value == pytest.approx(one.r[0], rel=1e-13)
@@ -279,7 +280,8 @@ def test_lockstep_ascent_records_every_evaluation(group_specs):
     spec = group_specs["su3"]
     starts = np.random.default_rng(31).uniform(1.0, 10.0, size=(5, spec.s))
     seen = []
-    ascent = _ascend_all(spec, starts, _block_curvature(spec, starts), 10.0,
+    r0 = lc.scalar_curvature_homogeneous(spec, np.ones(spec.s)).R
+    ascent = _ascend_all(spec, starts, _block_curvature(spec, starts), r0, 10.0,
                          lambda lams, rs: seen.append((lams.copy(), rs.copy())))
     assert np.array_equal(seen[0][0], starts)
     for lam, r in zip(ascent.lam, ascent.r):
@@ -449,3 +451,14 @@ def test_tolerances_must_be_finite_and_nonnegative(s2_spec, name, value):
 def test_zero_tolerance_is_allowed(s2_spec, name):
     report = lc.verify_rigidity(s2_spec, n_starts=2, n_samples=10, **{name: 0.0})
     assert getattr(report, name) == 0.0
+
+
+@pytest.mark.parametrize("name", ["su2", "su3", "su4", "su5", "so5", "so7", "s2", "flag"])
+def test_reference_curvature_is_the_single_point_value(name, s2_spec, flag_spec):
+    from conftest import canonical_model
+
+    # Bitwise: r0 is R(1) on one row, as the public evaluator takes it, not a
+    # row of the batch of starts, whose product can round differently.
+    spec = {"s2": s2_spec, "flag": flag_spec}.get(name) or lc.group_as_homogeneous(canonical_model(name))
+    report = lc.verify_rigidity(spec, n_samples=0)
+    assert report.r0 == lc.scalar_curvature_homogeneous(spec, np.ones(spec.s)).R
