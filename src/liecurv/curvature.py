@@ -174,8 +174,8 @@ def frame_connection(model, lam) -> FrameConnection:
     the only n^4 array the call allocates.  t1 is written into it, turned
     into t1 - t1^T01 in place, and t3 is subtracted one slice at a time.  A
     second fresh n^4 buffer would cost more in page faults than the products
-    themselves (su5: 1.3k faults per call), and one large product ran on two
-    BLAS threads at twice the CPU time.
+    themselves (su5: 1.3k faults per call), and a variant with one large
+    product took 2.5 times the CPU time, measured on two BLAS threads.
     """
     model = _model(model)
     values = _lambda_vector(lam, model.n)
