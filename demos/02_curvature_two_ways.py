@@ -2,9 +2,9 @@
 
 The closed formula is a single contraction of squared structure constants
 against the eigenvalue ratios.  The independent check rebuilds the number
-from Koszul's formula: frame brackets, connection coefficients, the full
-curvature tensor, and a trace.  Agreement across random metrics is the
-evidence that both are right.
+from Koszul's formula: frame brackets, connection coefficients, and the
+trace of the curvature tensor, taken inside its contraction.  Agreement
+across random metrics is the evidence that both are right.
 """
 
 import numpy as np
@@ -28,8 +28,8 @@ for lam in ([1.0, 1.0, 2.0], [0.5, 0.5, 1.0], [0.2, 0.2, 0.5]):
     print(f"  lam={lam}: closed {closed:+.6f}, koszul {koszul:+.6f}, "
           f"diff {abs(closed - koszul):.2e}")
 
-# The oracle really is a full curvature tensor; on the round reference all
-# frame planes have sectional curvature one.
+# The same connection gives the full curvature tensor; on the round
+# reference all frame planes have sectional curvature one.
 conn = lc.frame_connection(model, ones)
 print("sectional curvatures:", [round(float(conn.riem[i, j, j, i]), 12)
                                 for i in range(3) for j in range(3) if i != j])

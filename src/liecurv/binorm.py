@@ -132,6 +132,11 @@ class OrthonormalModel:
     :class:`HomogeneousSpec` of singleton blocks with no subalgebra: Killing
     ratios minus the Killing form's diagonal (sum_jk c[i,j,k]^2), Casimirs
     zero and coupling c * c.  The curvature kernels read it.
+
+    A pickle holds only the constructor fields ``name``, ``n``, ``t`` and
+    ``c``; loading rebuilds ``spec`` from them, bitwise as built, and skips
+    the antisymmetry check, which the model passed when it was built (at
+    whatever ``tol`` it was given).
     """
 
     name: str
@@ -142,7 +147,7 @@ class OrthonormalModel:
     spec: HomogeneousSpec = field(init=False, repr=False)
 
     def __post_init__(self, tol):
-        c = np.asarray(self.c, dtype=float)
+        c = np.ascontiguousarray(self.c, dtype=float)  # the layout a pickle restores
         n = self.n
         if n < 1:
             raise ValueError(f"dimension n must be at least 1, got {n}")
@@ -151,10 +156,22 @@ class OrthonormalModel:
         _require(antisymmetry_defect(c), np.abs(c).max(),
                  "not bi-invariant-orthonormal: structure tensor is not totally antisymmetric", tol)
         object.__setattr__(self, "c", c)
+        self._build_spec()
+
+    def _build_spec(self):
+        c = self.c
         object.__setattr__(self, "spec", HomogeneousSpec(
-            name=self.name, s=n, block_dims=np.ones(n, dtype=int),
-            killing_ratios=-np.einsum("iba,iab->i", c, c), casimirs=np.zeros(n), coupling=c * c,
+            name=self.name, s=self.n, block_dims=np.ones(self.n, dtype=int),
+            killing_ratios=-np.einsum("iba,iab->i", c, c), casimirs=np.zeros(self.n), coupling=c * c,
             provenance="from-algebra"))
+
+    def __getstate__(self):
+        return {"name": self.name, "n": self.n, "t": self.t, "c": self.c}
+
+    def __setstate__(self, state):
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
+        self._build_spec()
 
 
 def metric_invariance_defect(metric: BiInvariantMetric) -> float:

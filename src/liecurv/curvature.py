@@ -7,10 +7,10 @@ block formula, used for groups and for homogeneous quotients.  Each takes a
 (singleton blocks, A = c^2), which :func:`scalar_curvature_closed` and
 :func:`scalar_gradient` pass; the public evaluators take one point.
 :func:`scalar_curvature_koszul` rebuilds the same number from first
-principles (frame, Koszul connection, full curvature tensor, trace) and
-shares no algebra with the kernel, which makes it a genuine oracle.  It does
-its own contractions, as BLAS matrix products over reshaped tensors (see
-:func:`frame_connection`).
+principles (frame brackets, Koszul connection, the curvature's trace taken
+inside its contraction) and shares no algebra with the kernel, which makes
+it a genuine oracle.  :func:`frame_connection` assembles the full curvature
+tensor from the same connection, for sectional curvatures.
 
 Inputs are validated where they are built: :class:`OrthonormalModel` checks
 total antisymmetry and ``HomogeneousSpec`` its block data, and a spec
@@ -159,6 +159,16 @@ def scalar_curvature_closed(model, lam) -> CurvatureResult:
     return CurvatureResult(R=float(r), method="closed-form", algebra=model.name, lam=values.copy())
 
 
+def _frame_brackets(model: OrthonormalModel, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Frame brackets cc[i,j,k] = <[F_i, F_j], F_k>_g in the g-orthonormal
+    frame F_i = E_i / sqrt(lam_i), and the Koszul connection
+    gamma[i,j,k] = (cc[i,j,k] - cc[j,k,i] + cc[k,i,j]) / 2."""
+    inv_sqrt = 1.0 / np.sqrt(values)
+    cc = model.c * np.einsum("i,j,k->ijk", inv_sqrt, inv_sqrt, np.sqrt(values))
+    gamma = 0.5 * (cc - cc.transpose(2, 0, 1) + cc.transpose(1, 2, 0))
+    return cc, gamma
+
+
 def frame_connection(model, lam) -> FrameConnection:
     """Connection and curvature tensors in the g-orthonormal frame F_i = E_i / sqrt(lam_i).
 
@@ -175,14 +185,12 @@ def frame_connection(model, lam) -> FrameConnection:
     into t1 - t1^T01 in place, and t3 is subtracted one slice at a time.  A
     second fresh n^4 buffer would cost more in page faults than the products
     themselves (su5: 1.3k faults per call), and a variant with one large
-    product took 2.5 times the CPU time, measured on two BLAS threads.
+    product took 2.5 times the CPU time.
     """
     model = _model(model)
     values = _lambda_vector(lam, model.n)
     n = model.n
-    inv_sqrt = 1.0 / np.sqrt(values)
-    cc = model.c * np.einsum("i,j,k->ijk", inv_sqrt, inv_sqrt, np.sqrt(values))
-    gamma = 0.5 * (cc - cc.transpose(2, 0, 1) + cc.transpose(1, 2, 0))
+    cc, gamma = _frame_brackets(model, values)
     riem = np.empty((n, n, n, n))
     np.matmul(gamma.reshape(n * n, n), gamma, out=riem.reshape(n, n * n, n))  # t1
     gamma_km = gamma.reshape(n, n * n)
@@ -197,11 +205,23 @@ def frame_connection(model, lam) -> FrameConnection:
 
 
 def scalar_curvature_koszul(model, lam) -> CurvatureResult:
-    """Scalar curvature via the full frame curvature tensor (the oracle route)."""
+    """Scalar curvature sum_ij riem[i,j,j,i] from the Koszul connection (the oracle route).
+
+    The trace of :func:`frame_connection`'s formula, taken inside the
+    contraction in O(n^3) with no symmetry of cc or gamma assumed:
+    sum_l (sum_j gamma[j,j,l]) (sum_i gamma[i,l,i]) - sum_ijl gamma[i,j,l] gamma[j,l,i]
+    - sum_ijl cc[i,j,l] gamma[l,j,i].  The two n^3 sums are elementwise
+    products reduced by ``sum``, not BLAS dot products, which OpenBLAS may
+    split across threads; so the value does not depend on the thread count.
+    """
     model = _model(model)
-    conn = frame_connection(model, lam)  # checks lam
-    r = np.einsum("ijji->", conn.riem)
-    return CurvatureResult(R=float(r), method="koszul", algebra=model.name, lam=np.array(lam, dtype=float))
+    values = _lambda_vector(lam, model.n)
+    cc, gamma = _frame_brackets(model, values)
+    first = np.einsum("jjl->l", gamma) @ np.einsum("ili->l", gamma)
+    second = (gamma * gamma.transpose(2, 0, 1)).sum()
+    third = (cc * gamma.transpose(2, 1, 0)).sum()
+    r = first - second - third
+    return CurvatureResult(R=float(r), method="koszul", algebra=model.name, lam=values.copy())
 
 
 def scalar_gradient(model, lam) -> np.ndarray:

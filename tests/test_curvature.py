@@ -193,6 +193,30 @@ def test_group_gradient_matches_singleton_block_gradient(name, group_models):
                         lc.scalar_gradient_homogeneous(spec, lam), rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("name", ["dense-so7", "dense-su5", "su2-round"])
+def test_traced_koszul_equals_the_full_tensor_trace(name, dense_algebras, su2_model):
+    # The oracle takes the trace inside the contraction; the reference
+    # traces frame_connection's full curvature tensor.
+    if name == "su2-round":
+        model, lams = su2_model, [np.ones(3)]
+    else:
+        algebra = dense_algebras[name.removeprefix("dense-")]
+        model = lc.binormalize(algebra, lc.killing_metric(algebra, 1.0))
+        lams = np.random.default_rng(53).uniform(0.1, 10.0, size=(10, model.n))
+    for lam in lams:
+        traced = lc.scalar_curvature_koszul(model, lam).R
+        full = np.einsum("ijji->", lc.frame_connection(model, lam).riem)
+        assert abs(traced - full) <= 1e-13 * abs(full)
+
+
+def test_koszul_scalar_does_not_build_the_curvature_tensor():
+    from liecurv import curvature
+
+    names = set(curvature.scalar_curvature_koszul.__code__.co_names)
+    assert "frame_connection" not in names
+    assert not {name for name in names if name.startswith("_block_")}
+
+
 def test_koszul_route_does_not_use_the_hessian():
     from liecurv import curvature
 
@@ -350,3 +374,24 @@ def test_pickled_model_evaluates_identically(dense_algebras):
         assert lc.scalar_curvature_closed(loaded, lam).R == lc.scalar_curvature_closed(model, lam).R
         assert np.all(lc.scalar_gradient(loaded, lam) == lc.scalar_gradient(model, lam))
         assert lc.scalar_curvature_koszul(loaded, lam).R == lc.scalar_curvature_koszul(model, lam).R
+
+
+def test_model_pickles_its_constructor_fields_only(dense_algebras):
+    import pickle
+
+    model = lc.binormalize(dense_algebras["su5"], lc.killing_metric(dense_algebras["su5"], 1.0))
+    assert len(pickle.dumps(model)) < 1.5 * len(pickle.dumps(model.c))
+
+
+def test_model_built_at_a_loose_tolerance_loads():
+    # Loading does not repeat the antisymmetry check at the default tolerance.
+    import pickle
+
+    model = lc.binormalize(lc.build_su(3), lc.killing_metric(lc.build_su(3), 1.0))
+    c = model.c + 1e-8 * np.random.default_rng(3).standard_normal(model.c.shape)
+    with pytest.raises(ValueError, match="not totally antisymmetric"):
+        lc.OrthonormalModel(name="loose", n=model.n, t=model.t, c=c)
+    loose = lc.OrthonormalModel(name="loose", n=model.n, t=model.t, c=c, tol=1e-6)
+    loaded = pickle.loads(pickle.dumps(loose))
+    assert np.all(loaded.c == loose.c)
+    assert np.all(loaded.spec.coupling_first_two == loose.spec.coupling_first_two)

@@ -98,9 +98,11 @@ def _flag_spec_file(tmp_path) -> str:
 
 def test_structured_output_does_not_depend_on_thread_count(tmp_path):
     so7_lambda = ",".join(f"{1.0 + 0.37 * i:g}" for i in range(21))
+    su5_lambda = ",".join(f"{1.0 + 0.29 * i:g}" for i in range(24))  # Koszul sums over 24^3 entries
     invocations = [
         ["rigidity", "--algebra", "su5", "--trajectories"],
         ["scalar", "--algebra", "so7", "--lambda", so7_lambda],
+        ["scalar", "--algebra", "su5", "--lambda", su5_lambda],
         ["rigidity", "--homogeneous", _flag_spec_file(tmp_path), "--trajectories"],
     ]
     for argv in invocations:
