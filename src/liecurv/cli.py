@@ -375,6 +375,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (MemoryError, RecursionError) as exc:
+        print(f"error: input too large or too deeply nested: {exc}", file=sys.stderr)
+        return 2
 
 
 def entry_point() -> None:

@@ -177,30 +177,16 @@ def frame_connection(model, lam) -> FrameConnection:
     the curvature tensor follows from R(X, Y) = [nabla_X, nabla_Y] -
     nabla_[X, Y] evaluated on frame fields:
     riem[i,j,k,m] = t1[i,j,k,m] - t1[j,i,k,m] - t3[i,j,k,m] with
-    t1 = sum_l gamma[j,k,l] gamma[i,l,m] and t3 = sum_l cc[i,j,l] gamma[l,k,m].
-
-    Both sums are matrix products over reshaped tensors (BLAS), one
-    (n^2, n) x (n, n) or (n, n) x (n, n^2) product per index i, and riem is
-    the only n^4 array the call allocates.  t1 is written into it, turned
-    into t1 - t1^T01 in place, and t3 is subtracted one slice at a time.  A
-    second fresh n^4 buffer would cost more in page faults than the products
-    themselves (su5: 1.3k faults per call), and a variant with one large
-    product took 2.5 times the CPU time.
+    t1 = sum_l gamma[j,k,l] gamma[i,l,m] and t3 = sum_l cc[i,j,l] gamma[l,k,m],
+    each one matrix product over reshaped tensors.
     """
     model = _model(model)
     values = _lambda_vector(lam, model.n)
     n = model.n
     cc, gamma = _frame_brackets(model, values)
-    riem = np.empty((n, n, n, n))
-    np.matmul(gamma.reshape(n * n, n), gamma, out=riem.reshape(n, n * n, n))  # t1
-    gamma_km = gamma.reshape(n, n * n)
-    for i in range(n):
-        # Pairs with an index below i are antisymmetrized already; for j >= i,
-        # t1[i, j] - t1[j, i] goes to row i and its negative to column i.
-        d = riem[i, i:] - riem[i:, i]
-        np.negative(d, out=riem[i:, i])
-        riem[i, i:] = d
-        riem[i] -= (cc[i] @ gamma_km).reshape(n, n, n)  # t3[i]
+    t1 = (gamma.reshape(n * n, n) @ gamma).reshape(n, n, n, n)
+    t3 = (cc.reshape(n * n, n) @ gamma.reshape(n, n * n)).reshape(n, n, n, n)
+    riem = t1 - t1.transpose(1, 0, 2, 3) - t3
     return FrameConnection(gamma=gamma, riem=riem)
 
 

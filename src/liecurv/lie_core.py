@@ -213,18 +213,10 @@ def jacobi_defect(algebra_or_tensor) -> float:
     """
     c = algebra_or_tensor.c if isinstance(algebra_or_tensor, LieAlgebra) else _structure_tensor(algebra_or_tensor)
     n = c.shape[0]
-    if n == 0:
-        return 0.0
-    # r[i,j,k,l] = sum_m c[i,j,m] c[m,k,l] is one matrix product; the residual
-    # r[i,j,k,l] + r[j,k,i,l] + r[k,i,j,l] is summed one i at a time, so the
-    # only n^4 array is r and each slice of the sum stays in cache.
+    # r[i,j,k,l] = sum_m c[i,j,m] c[m,k,l], one matrix product; the residual
+    # is r[i,j,k,l] + r[j,k,i,l] + r[k,i,j,l].
     r = (c.reshape(n * n, n) @ c.reshape(n, n * n)).reshape(n, n, n, n)
-    worst = np.empty(n)
-    for i in range(n):
-        resid = r[i] + r[:, :, i]
-        resid += r[:, i].transpose(1, 0, 2)
-        worst[i] = np.abs(resid, out=resid).max()
-    return float(worst.max())
+    return float(np.abs(r + r.transpose(2, 0, 1, 3) + r.transpose(1, 2, 0, 3)).max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -598,3 +598,35 @@ def test_killing_overflow_names_its_cause(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "structure constants are too large" in err
+
+
+@pytest.mark.parametrize("command, obj", [
+    ("algebra", {"name": "huge", "dim": 100000, "structure_constants": [[0, 1, 2, 1.0]]}),
+    ("homogeneous", {"s": 100000, "d": [1] * 100000, "b": [1.0] * 100000, "c": [0.0] * 100000}),
+])
+def test_input_too_large_to_allocate_exits_2(capsys, tmp_path, command, obj):
+    # The (100000,)*3 tensor (7 PiB) fails to allocate at once; no limit is imposed.
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    code, out, err = run(capsys, command, f"--{command}", str(path))
+    assert code == 2
+    assert err.startswith("error: input too large") and err.count("\n") == 1
+    assert out == ""
+
+
+@pytest.mark.parametrize("key, depth", [
+    ("blocks", 100000),  # json.load recurses out
+    # json.load reads these; the loader's number check recurses out, or where
+    # it does not (inlined comprehensions), numpy refuses over 64 dimensions.
+    ("blocks", 500),
+    ("h_basis", 900),
+])
+def test_deeply_nested_spec_exits_2(capsys, tmp_path, key, depth):
+    nested = "[" * depth + "1.0" + "]" * depth
+    other = '"blocks": [[[1, 0, 0]]]' if key == "h_basis" else '"h_basis": [[0, 0, 1]]'
+    path = tmp_path / "deep.spec"
+    path.write_text(f'{{"algebra": "su2", {other}, "{key}": {nested}}}', encoding="utf-8")
+    code, out, err = run(capsys, "homogeneous", "--homogeneous", str(path))
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert out == ""

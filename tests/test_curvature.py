@@ -70,8 +70,8 @@ def test_connection_and_curvature_symmetries(name, group_models):
 
 @pytest.mark.parametrize("name", ["so7", "su5"])
 def test_frame_connection_on_a_dense_basis_matches_the_einsum_formula(name, dense_algebras):
-    # frame_connection builds riem from per-slice matrix products in one
-    # buffer; the reference is the two-einsum formula, summed term by term.
+    # frame_connection builds riem from two whole-tensor matrix products;
+    # the reference is the two-einsum formula, summed term by term.
     model = lc.binormalize(dense_algebras[name], lc.killing_metric(dense_algebras[name], 1.0))
     lam = np.random.default_rng(7).uniform(0.3, 4.0, size=model.n)
     conn = lc.frame_connection(model, lam)

@@ -195,6 +195,31 @@ def test_jacobi_defect_detects_perturbation():
 
 def test_jacobi_defect_abelian_exact_zero():
     assert lc.jacobi_defect(lc.abelian(4)) == 0.0
+    assert lc.jacobi_defect(np.zeros((0, 0, 0))) == 0.0
+
+
+def test_jacobi_defect_matches_the_definition_on_a_dense_perturbed_basis():
+    # so5 in a seeded random orthogonal basis, antisymmetrized exactly, with
+    # one bracket moved by 1e-3; the reference sums
+    # c[i,j,m] c[m,k,l] + c[j,k,m] c[m,i,l] + c[k,i,m] c[m,j,l] quadruple by
+    # quadruple.  The residual cancels products of size ~1 down to ~6e-4, so
+    # rounding is measured against the largest product, as _negligible does.
+    so5 = lc.build_so(5)
+    n = so5.dim
+    q, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((n, n)))
+    c = np.einsum("ijk,ia,jb,kc->abc", so5.c, q, q, q)
+    c = 0.5 * (c - c.swapaxes(0, 1))
+    c[0, 1, 2] += 1e-3
+    c[1, 0, 2] -= 1e-3
+    perturbed = lc.LieAlgebra("so5-perturbed", n, c)
+    t = c.tolist()
+    reference = max(
+        abs(sum(t[i][j][m] * t[m][k][l] + t[j][k][m] * t[m][i][l] + t[k][i][m] * t[m][j][l]
+                for m in range(n)))
+        for i in range(n) for j in range(n) for k in range(n) for l in range(n))
+    assert reference > 1e-4
+    size = np.abs(np.einsum("ijm,mkl->ijkl", c, c)).max()
+    assert abs(lc.jacobi_defect(perturbed) - reference) <= 1e-14 * size
 
 
 def test_from_matrix_basis_rejects_non_closed():

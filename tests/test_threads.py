@@ -103,6 +103,7 @@ def test_structured_output_does_not_depend_on_thread_count(tmp_path):
         ["rigidity", "--algebra", "su5", "--trajectories"],
         ["scalar", "--algebra", "so7", "--lambda", so7_lambda],
         ["scalar", "--algebra", "su5", "--lambda", su5_lambda],
+        ["algebra", "--algebra", "su5"],  # Jacobi residual over 24^4 entries
         ["rigidity", "--homogeneous", _flag_spec_file(tmp_path), "--trajectories"],
     ]
     for argv in invocations:
