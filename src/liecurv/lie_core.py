@@ -121,9 +121,9 @@ class MatrixBasis:
         mats = tuple(np.asarray(m, dtype=complex) for m in self.matrices)
         if not mats:
             raise ValueError("matrix basis must be non-empty")
-        d = mats[0].shape[0]
+        d = mats[0].shape[0] if mats[0].ndim == 2 else 0
         for m in mats:
-            if m.ndim != 2 or m.shape != (d, d):
+            if d == 0 or m.shape != (d, d):
                 raise ValueError("all basis matrices must be square and of equal size")
             _require(np.abs(m + m.conj().T).max(), np.abs(m).max(), "basis matrices must be skew-Hermitian")
         object.__setattr__(self, "matrices", mats)
@@ -133,41 +133,39 @@ class MatrixBasis:
         return len(self.matrices)
 
 
-def trace_gram(basis: MatrixBasis) -> np.ndarray:
-    """Gram matrix of the pairing <A, B> = -Re tr(AB) over the basis."""
-    stack = np.stack(basis.matrices)
-    return -np.real(np.einsum("aij,bji->ab", stack, stack))
-
-
 def from_matrix_basis(basis: MatrixBasis) -> LieAlgebra:
     """Expand all commutators of a matrix basis into structure constants.
 
-    Each coefficient vector is obtained by solving the Gram system of the
-    trace pairing; the expansion residual must be negligible against
-    |M_i| |M_j| (the size of the commutator's terms) or the basis does not
-    close under the commutator.
+    All pairs i < j are expanded at once, one system per pair: the
+    coefficient vector of [M_i, M_j] solves the Gram system of the trace
+    pairing <A, B> = -Re tr(AB).  The expansion residual must be negligible
+    against |M_i| |M_j| (the size of the commutator's terms) or the basis
+    does not close under the commutator; the first such pair is named.
     """
     stack = np.stack(basis.matrices)
     n = basis.dim
-    gram = trace_gram(basis)
+    gram = -np.real(np.einsum("aij,bji->ab", stack, stack))
     svals = np.linalg.svd(gram, compute_uv=False)
     if _negligible(svals[-1], svals[0]):
         raise ValueError("dependent basis: trace-pairing Gram matrix is singular")
     size = np.abs(stack).max(axis=(1, 2))
+    i, j = np.triu_indices(n, 1)
+    comm = stack[i] @ stack[j] - stack[j] @ stack[i]
+    # Each pair's pairings are summed as a lone pair's are (one basis matrix
+    # at a time) and solved as one right-hand side: a batched pairing or a
+    # multi-column solve moves some constants by an ulp.
+    rhs = -np.real(np.stack([np.einsum("pij,ji->p", comm, m) for m in stack], axis=1))
+    coef = np.linalg.solve(gram, rhs[:, :, None])[:, :, 0]
+    residual = np.abs(comm - np.einsum("pk,kij->pij", coef, stack)).max(axis=(1, 2))
+    open_pairs = np.flatnonzero(~_negligible(residual, size[i] * size[j]))
+    if open_pairs.size:
+        p = open_pairs[0]
+        raise ValueError(f"not a subalgebra: [M_{i[p]}, M_{j[p]}] does not expand in the basis")
     c = np.zeros((n, n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            comm = stack[i] @ stack[j] - stack[j] @ stack[i]
-            rhs = -np.real(np.einsum("ij,kji->k", comm, stack))
-            coef = np.linalg.solve(gram, rhs)
-            recon = np.einsum("k,kij->ij", coef, stack)
-            _require(np.abs(comm - recon).max(), size[i] * size[j],
-                     f"not a subalgebra: [M_{i}, M_{j}] does not expand in the basis")
-            c[i, j] = coef
+    c[i, j] = coef
     # Drop relative to the largest constant, then mirror the i < j half.
     c[_negligible(np.abs(c), np.abs(c).max(), ZERO_DROP)] = 0.0
-    rows, cols = np.triu_indices(n, 1)
-    c[cols, rows] = -c[rows, cols]
+    c[j, i] = -c[i, j]
     return LieAlgebra(basis.name, n, c)
 
 

@@ -228,6 +228,68 @@ def test_from_matrix_basis_rejects_non_closed():
         lc.from_matrix_basis(lc.MatrixBasis(mats, name="open"))
 
 
+def test_from_matrix_basis_names_the_first_open_pair():
+    # [M_0, M_1] = 0 closes; [M_0, M_2] is symmetric off the diagonal and
+    # leaves the span, so it is the first pair named.
+    m2 = np.zeros((3, 3), dtype=complex)
+    m2[0, 1], m2[1, 0] = 1.0, -1.0
+    mats = (1j * np.diag([1.0, -1.0, 0.0]), 1j * np.diag([0.0, 1.0, -1.0]), m2)
+    with pytest.raises(ValueError, match=r"not a subalgebra: \[M_0, M_2\] does not expand"):
+        lc.from_matrix_basis(lc.MatrixBasis(mats, name="open"))
+
+
+def _su_basis(n):
+    return np.stack([-1j * g for g in lc.lie_core._hermitian_generators(n)])
+
+
+def _so_basis(n):
+    mats = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            m = np.zeros((n, n), dtype=complex)
+            m[i, j], m[j, i] = 1.0, -1.0
+            mats.append(m)
+    return np.stack(mats)
+
+
+def _pairwise_constants(stack):
+    """Structure constants expanded one pair i < j at a time, the reference
+    for the one-pass expansion of :func:`from_matrix_basis`."""
+    n = len(stack)
+    gram = -np.real(np.einsum("aij,bji->ab", stack, stack))
+    c = np.zeros((n, n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            comm = stack[i] @ stack[j] - stack[j] @ stack[i]
+            c[i, j] = np.linalg.solve(gram, -np.real(np.einsum("ij,kji->k", comm, stack)))
+    c[np.abs(c) <= lc.lie_core.ZERO_DROP * np.abs(c).max()] = 0.0
+    rows, cols = np.triu_indices(n, 1)
+    c[cols, rows] = -c[rows, cols]
+    return c
+
+
+@pytest.mark.parametrize("stack", [_su_basis(n) for n in range(2, 7)] + [_so_basis(n) for n in range(3, 9)],
+                         ids=[f"su{n}" for n in range(2, 7)] + [f"so{n}" for n in range(3, 9)])
+def test_one_pass_expansion_is_bitwise_the_pairwise_one(stack):
+    c = lc.from_matrix_basis(lc.MatrixBasis(tuple(stack))).c
+    reference = _pairwise_constants(stack)
+    assert np.array_equal(c, reference)
+    assert np.array_equal(np.signbit(c), np.signbit(reference))  # -0.0 included
+
+
+@pytest.mark.parametrize("stack", [_su_basis(4), _so_basis(5)], ids=["su4", "so5"])
+@pytest.mark.parametrize("seed", range(4))
+def test_one_pass_expansion_of_a_non_orthogonal_basis(stack, seed):
+    # A random invertible mix is not orthogonal for the trace pairing, so
+    # every coefficient comes from a genuine Gram solve.
+    mix = np.random.default_rng(seed).normal(size=(len(stack), len(stack)))
+    mixed = np.einsum("ab,bij->aij", mix, stack)
+    c = lc.from_matrix_basis(lc.MatrixBasis(tuple(mixed))).c
+    comm = np.einsum("aij,bjk->abik", mixed, mixed) - np.einsum("bij,ajk->abik", mixed, mixed)
+    assert np.abs(comm - np.einsum("abk,kij->abij", c, mixed)).max() <= 1e-12 * np.abs(mixed).max() ** 2
+    assert np.abs(c - _pairwise_constants(mixed)).max() <= 1e-13 * np.abs(c).max()
+
+
 def test_from_matrix_basis_rejects_dependent():
     m = lc.pauli_basis().matrices[0]
     with pytest.raises(ValueError, match="dependent basis"):
@@ -246,10 +308,12 @@ def test_matrix_basis_rejects_non_skew():
     (lambda: lc.MatrixBasis(()), "non-empty"),
     (lambda: lc.MatrixBasis((np.eye(2) * 1j, np.eye(3) * 1j)), "square and of equal size"),
     (lambda: lc.MatrixBasis((np.ones(2) * 1j,)), "square and of equal size"),
+    (lambda: lc.MatrixBasis((np.complex128(0),)), "square and of equal size"),
+    (lambda: lc.MatrixBasis((np.zeros((0, 0)),)), "square and of equal size"),
     (lambda: lc.abelian(0), "dim >= 1"),
     (lambda: lc.algebra_from_dict({"name": "keyless", "dim": 3}), "must define name, dim, structure_constants"),
-], ids=["dim-0", "tensor-shape", "ad-length", "empty-basis", "unequal-matrices", "vector-matrix", "abelian-0",
-        "missing-key"])
+], ids=["dim-0", "tensor-shape", "ad-length", "empty-basis", "unequal-matrices", "vector-matrix", "scalar-matrix",
+        "empty-matrix", "abelian-0", "missing-key"])
 def test_constructors_refuse_malformed_input(build, message):
     with pytest.raises(ValueError, match=message):
         build()
