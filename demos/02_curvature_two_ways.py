@@ -3,8 +3,9 @@
 The closed formula is a single contraction of squared structure constants
 against the eigenvalue ratios.  The independent check rebuilds the number
 from Koszul's formula: frame brackets, connection coefficients, and the
-trace of the curvature tensor, taken inside its contraction.  Agreement
-across random metrics is the evidence that both are right.
+sectional curvatures of the frame planes, whose sum is the scalar
+curvature.  Agreement across random metrics is the evidence that both are
+right.
 """
 
 import numpy as np
@@ -28,10 +29,10 @@ for lam in ([1.0, 1.0, 2.0], [0.5, 0.5, 1.0], [0.2, 0.2, 0.5]):
     print(f"  lam={lam}: closed {closed:+.6f}, koszul {koszul:+.6f}, "
           f"diff {abs(closed - koszul):.2e}")
 
-# The same connection gives the full curvature tensor; on the round
-# reference all frame planes have sectional curvature one.
-conn = lc.frame_connection(model, ones)
-print("sectional curvatures:", [round(float(conn.riem[i, j, j, i]), 12)
+# The oracle's frame-plane sectional curvatures K[i, j]; on the round
+# reference every frame plane has sectional curvature one.
+curvatures = lc.frame_curvatures(model, ones)
+print("sectional curvatures:", [round(float(curvatures[i, j]), 12)
                                 for i in range(3) for j in range(3) if i != j])
 
 # Random diagonal metrics on so(5): the two routes keep agreeing.
@@ -47,11 +48,13 @@ for _ in range(100):
 print("so(5), 100 random metrics, worst relative disagreement:", worst)
 
 # The analytic gradient drives the rigidity search; finite differences
-# confirm it.
+# confirm it, and so, exactly, does the Koszul route: the column sums of
+# K are the Ricci curvatures, and dR/dlam_j = -Ric(F_j, F_j) / lam_j.
 lam = np.array([1.3, 0.8, 2.0])
 grad = lc.scalar_gradient(model, lam)
 h = 1e-5
 fd = [(lc.scalar_curvature_closed(model, lam + h * e).R
        - lc.scalar_curvature_closed(model, lam - h * e).R) / (2 * h)
       for e in np.eye(3)]
-print("gradient:", grad, "| finite differences:", np.round(fd, 8))
+ricci = lc.frame_curvatures(model, lam).sum(axis=0)
+print("gradient:", grad, "| finite differences:", np.round(fd, 8), "| -Ric/lam:", -ricci / lam)

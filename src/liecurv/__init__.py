@@ -45,8 +45,7 @@ from .binorm import (
 )
 from .curvature import (
     CurvatureResult,
-    FrameConnection,
-    frame_connection,
+    frame_curvatures,
     scalar_curvature_closed,
     scalar_curvature_koszul,
     scalar_gradient,
@@ -82,7 +81,7 @@ __all__ = [
     "from_matrix_basis", "jacobi_defect", "killing", "pauli_basis", "resolve_algebra",
     "BiInvariantMetric", "OrthonormalModel", "antisymmetry_defect",
     "binormalize", "diagonalize_metric", "killing_metric", "metric_invariance_defect",
-    "CurvatureResult", "FrameConnection", "frame_connection", "scalar_curvature_closed",
+    "CurvatureResult", "frame_curvatures", "scalar_curvature_closed",
     "scalar_curvature_koszul", "scalar_gradient",
     "HomogeneousSpec", "SubalgebraEmbedding", "build_spec", "group_as_homogeneous",
     "scalar_curvature_homogeneous", "scalar_gradient_homogeneous", "spec_from_dict",

@@ -7,10 +7,11 @@ block formula, used for groups and for homogeneous quotients.  Each takes a
 (singleton blocks, A = c^2), which :func:`scalar_curvature_closed` and
 :func:`scalar_gradient` pass; the public evaluators take one point.
 :func:`scalar_curvature_koszul` rebuilds the same number from first
-principles (frame brackets, Koszul connection, the curvature's trace taken
-inside its contraction) and shares no algebra with the kernel, which makes
-it a genuine oracle.  :func:`frame_connection` assembles the full curvature
-tensor from the same connection, for sectional curvatures.
+principles and shares no algebra with the kernel, which makes it a genuine
+oracle: frame brackets give the Koszul connection, and the connection the
+frame-plane sectional curvatures K of :func:`frame_curvatures` in
+O(n^3).  K's sum is the scalar curvature, and its column sums, the Ricci
+curvatures, give the gradient dR/dlam_j = -Ric(F_j, F_j) / lam_j.
 
 Inputs are validated where they are built: :class:`OrthonormalModel` checks
 total antisymmetry and ``HomogeneousSpec`` its block data, and a spec
@@ -42,15 +43,6 @@ class CurvatureResult:
     method: str
     algebra: str
     lam: np.ndarray
-
-
-@dataclass(frozen=True)
-class FrameConnection:
-    """Connection and curvature coefficients in a metric-orthonormal
-    left-invariant frame; all entries are constants on the group."""
-
-    gamma: np.ndarray  # gamma[i, j, k] = <nabla_{F_i} F_j, F_k>
-    riem: np.ndarray   # riem[i, j, k, l] = <R(F_i, F_j) F_k, F_l>
 
 
 def _model(model_or_tensor) -> OrthonormalModel:
@@ -159,55 +151,34 @@ def scalar_curvature_closed(model, lam) -> CurvatureResult:
     return CurvatureResult(R=float(r), method="closed-form", algebra=model.name, lam=values.copy())
 
 
-def _frame_brackets(model: OrthonormalModel, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Frame brackets cc[i,j,k] = <[F_i, F_j], F_k>_g in the g-orthonormal
-    frame F_i = E_i / sqrt(lam_i), and the Koszul connection
-    gamma[i,j,k] = (cc[i,j,k] - cc[j,k,i] + cc[k,i,j]) / 2."""
+def frame_curvatures(model, lam) -> np.ndarray:
+    """Frame-plane sectional curvatures K[i,j] = <R(F_i, F_j) F_j, F_i>_g in
+    the g-orthonormal frame F_i = E_i / sqrt(lam_i), shape (n, n).
+
+    Frame brackets give cc[i,j,k] = <[F_i, F_j], F_k>_g; Koszul's formula
+    then yields gamma[i,j,k] = <nabla_{F_i} F_j, F_k> = (cc[i,j,k] -
+    cc[j,k,i] + cc[k,i,j]) / 2, and R(X, Y) = [nabla_X, nabla_Y] -
+    nabla_[X, Y] on frame fields gives
+    K[i,j] = sum_l gamma[j,j,l] gamma[i,l,i] - gamma[i,j,l] gamma[j,l,i] - cc[i,j,l] gamma[l,j,i],
+    with no symmetry of cc or gamma assumed.  The Ricci curvatures are
+    Ric(F_j, F_j) = sum_i K[i,j], and the scalar curvature is K's sum.
+    Each sum is a plain ``einsum``, not a BLAS product, which OpenBLAS may
+    split across threads; so K does not depend on the thread count.
+    """
+    model = _model(model)
+    values = _lambda_vector(lam, model.n)
     inv_sqrt = 1.0 / np.sqrt(values)
     cc = model.c * np.einsum("i,j,k->ijk", inv_sqrt, inv_sqrt, np.sqrt(values))
     gamma = 0.5 * (cc - cc.transpose(2, 0, 1) + cc.transpose(1, 2, 0))
-    return cc, gamma
-
-
-def frame_connection(model, lam) -> FrameConnection:
-    """Connection and curvature tensors in the g-orthonormal frame F_i = E_i / sqrt(lam_i).
-
-    Frame brackets give cc[i,j,k] = <[F_i, F_j], F_k>_g; Koszul's formula
-    then yields gamma[i,j,k] = (cc[i,j,k] - cc[j,k,i] + cc[k,i,j]) / 2 and
-    the curvature tensor follows from R(X, Y) = [nabla_X, nabla_Y] -
-    nabla_[X, Y] evaluated on frame fields:
-    riem[i,j,k,m] = t1[i,j,k,m] - t1[j,i,k,m] - t3[i,j,k,m] with
-    t1 = sum_l gamma[j,k,l] gamma[i,l,m] and t3 = sum_l cc[i,j,l] gamma[l,k,m],
-    each one matrix product over reshaped tensors.
-    """
-    model = _model(model)
-    values = _lambda_vector(lam, model.n)
-    n = model.n
-    cc, gamma = _frame_brackets(model, values)
-    t1 = (gamma.reshape(n * n, n) @ gamma).reshape(n, n, n, n)
-    t3 = (cc.reshape(n * n, n) @ gamma.reshape(n, n * n)).reshape(n, n, n, n)
-    riem = t1 - t1.transpose(1, 0, 2, 3) - t3
-    return FrameConnection(gamma=gamma, riem=riem)
+    return (np.einsum("jjl,ili->ij", gamma, gamma) - np.einsum("ijl,jli->ij", gamma, gamma)
+            - np.einsum("ijl,lji->ij", cc, gamma))
 
 
 def scalar_curvature_koszul(model, lam) -> CurvatureResult:
-    """Scalar curvature sum_ij riem[i,j,j,i] from the Koszul connection (the oracle route).
-
-    The trace of :func:`frame_connection`'s formula, taken inside the
-    contraction in O(n^3) with no symmetry of cc or gamma assumed:
-    sum_l (sum_j gamma[j,j,l]) (sum_i gamma[i,l,i]) - sum_ijl gamma[i,j,l] gamma[j,l,i]
-    - sum_ijl cc[i,j,l] gamma[l,j,i].  The two n^3 sums are elementwise
-    products reduced by ``sum``, not BLAS dot products, which OpenBLAS may
-    split across threads; so the value does not depend on the thread count.
-    """
+    """Scalar curvature as the sum of :func:`frame_curvatures` (the oracle route)."""
     model = _model(model)
-    values = _lambda_vector(lam, model.n)
-    cc, gamma = _frame_brackets(model, values)
-    first = np.einsum("jjl->l", gamma) @ np.einsum("ili->l", gamma)
-    second = (gamma * gamma.transpose(2, 0, 1)).sum()
-    third = (cc * gamma.transpose(2, 1, 0)).sum()
-    r = first - second - third
-    return CurvatureResult(R=float(r), method="koszul", algebra=model.name, lam=values.copy())
+    r = frame_curvatures(model, lam).sum()
+    return CurvatureResult(R=float(r), method="koszul", algebra=model.name, lam=np.array(lam, dtype=float))
 
 
 def scalar_gradient(model, lam) -> np.ndarray:

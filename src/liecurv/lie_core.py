@@ -375,15 +375,10 @@ def algebra_from_file(path: str | Path) -> LieAlgebra:
 
 def algebra_to_dict(algebra: LieAlgebra) -> dict:
     """Serialize to the structure-constant file format (i < j entries only)."""
-    entries = []
-    n = algebra.dim
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(n):
-                v = algebra.c[i, j, k]
-                if v != 0.0:
-                    entries.append([i, j, k, float(v)])
-    return {"name": algebra.name, "dim": n, "structure_constants": entries}
+    idx = np.argwhere(algebra.c != 0.0)  # C order: (i, j, k) lexicographic
+    idx = idx[idx[:, 0] < idx[:, 1]]
+    entries = [[*ijk, v] for ijk, v in zip(idx.tolist(), algebra.c[tuple(idx.T)].tolist())]
+    return {"name": algebra.name, "dim": algebra.dim, "structure_constants": entries}
 
 
 _BUILTIN_RE = re.compile(r"^(su|so)(\d+)$")

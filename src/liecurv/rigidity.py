@@ -313,10 +313,10 @@ def verify_rigidity(spec: HomogeneousSpec, max_lambda: float = DEFAULT_MAX_LAMBD
     start converged.  Specs with central blocks are refused outright: on
     such blocks the curvature does not decay and rigidity fails
     structurally.  A spec whose reference curvature is not finite or is
-    zero is an input error, as are a box bound that is not finite, no start
-    and a negative sample count (zero samples runs the ascent alone), and so
-    is a ``tol`` or ``tol_lambda`` that is negative or not finite (zero is
-    allowed).
+    zero is an input error, as are a box bound that is not finite, no start,
+    a negative sample count (zero samples runs the ascent alone) and a
+    negative seed, and so is a ``tol`` or ``tol_lambda`` that is negative or
+    not finite (zero is allowed).
     """
     _tolerance(tol, "tol")
     _tolerance(tol_lambda, "tol_lambda")
@@ -328,6 +328,8 @@ def verify_rigidity(spec: HomogeneousSpec, max_lambda: float = DEFAULT_MAX_LAMBD
         raise ValueError(f"n_starts must be at least 1, got {n_starts}")
     if n_samples < 0:
         raise ValueError(f"n_samples must be nonnegative, got {n_samples}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     central = spec.central_blocks()
     if central:
         raise CenterPresentError(

@@ -168,7 +168,7 @@ def test_orthonormal_model_checks_shape(su2_model):
     for c in (np.float64(2.0), np.zeros((2, 3, 4))):
         message = rf"^structure tensor must have shape \(n, n, n\), got shape {re.escape(str(c.shape))}$"
         for evaluate in (lc.scalar_curvature_closed, lc.scalar_curvature_koszul, lc.scalar_gradient,
-                         lc.frame_connection):
+                         lc.frame_curvatures):
             with pytest.raises(ValueError, match=message):
                 evaluate(c, [1.0])
         for defect in (lc.jacobi_defect, lc.antisymmetry_defect):

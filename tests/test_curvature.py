@@ -13,11 +13,11 @@ def test_round_reference_curvature(su2_model):
 
 def test_round_sphere_sectional_curvatures(su2_model):
     # every frame plane of the round reference has sectional curvature one
-    conn = lc.frame_connection(su2_model, np.ones(3))
+    curvatures = lc.frame_curvatures(su2_model, np.ones(3))
     for i in range(3):
         for j in range(3):
             if i != j:
-                assert conn.riem[i, j, j, i] == pytest.approx(1.0, abs=1e-12)
+                assert curvatures[i, j] == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("lam", [0.05, 0.2, 0.5, 0.9])
@@ -51,16 +51,27 @@ def test_abelian_metrics_are_flat():
         assert lc.scalar_curvature_koszul(model, lam).R == 0.0
 
 
+def _reference_connection(model, lam):
+    """Frame brackets, Koszul connection and the full n^4 curvature tensor
+    riem[i,j,k,m] = <R(F_i, F_j) F_k, F_m>, each sum an einsum term."""
+    inv_sqrt = 1.0 / np.sqrt(lam)
+    cc = model.c * np.einsum("i,j,k->ijk", inv_sqrt, inv_sqrt, np.sqrt(lam))
+    gamma = 0.5 * (cc - cc.transpose(2, 0, 1) + cc.transpose(1, 2, 0))
+    t1 = np.einsum("jkl,ilm->ijkm", gamma, gamma)
+    t3 = np.einsum("ijl,lkm->ijkm", cc, gamma)
+    return gamma, t1 - t1.transpose(1, 0, 2, 3) - t3
+
+
 @pytest.mark.parametrize("name", ["su3", "so4"])
 def test_connection_and_curvature_symmetries(name, group_models):
     model = group_models[name]
     rng = np.random.default_rng(5)
     lam = rng.uniform(0.3, 4.0, size=model.n)
-    conn = lc.frame_connection(model, lam)
-    scale = max(1.0, np.abs(conn.riem).max())
+    gamma, riem = _reference_connection(model, lam)
+    scale = max(1.0, np.abs(riem).max())
+    assert np.abs(lc.frame_curvatures(model, lam) - np.einsum("ijji->ij", riem)).max() <= 1e-10 * scale
     # metric compatibility
-    assert np.abs(conn.gamma + conn.gamma.transpose(0, 2, 1)).max() <= 1e-10
-    riem = conn.riem
+    assert np.abs(gamma + gamma.transpose(0, 2, 1)).max() <= 1e-10
     assert np.abs(riem + riem.transpose(1, 0, 2, 3)).max() <= 1e-10 * scale
     assert np.abs(riem + riem.transpose(0, 1, 3, 2)).max() <= 1e-10 * scale
     assert np.abs(riem - riem.transpose(2, 3, 0, 1)).max() <= 1e-10 * scale
@@ -70,21 +81,13 @@ def test_connection_and_curvature_symmetries(name, group_models):
 
 @pytest.mark.parametrize("name", ["so7", "su5"])
 def test_frame_connection_on_a_dense_basis_matches_the_einsum_formula(name, dense_algebras):
-    # frame_connection builds riem from two whole-tensor matrix products;
-    # the reference is the two-einsum formula, summed term by term.
+    # frame_curvatures contracts to the frame planes in O(n^3); the
+    # reference is the full n^4 tensor, summed term by term.
     model = lc.binormalize(dense_algebras[name], lc.killing_metric(dense_algebras[name], 1.0))
     lam = np.random.default_rng(7).uniform(0.3, 4.0, size=model.n)
-    conn = lc.frame_connection(model, lam)
-    inv_sqrt = 1.0 / np.sqrt(lam)
-    cc = model.c * np.einsum("i,j,k->ijk", inv_sqrt, inv_sqrt, np.sqrt(lam))
-    gamma = 0.5 * (cc - cc.transpose(2, 0, 1) + cc.transpose(1, 2, 0))
-    t1 = np.einsum("jkl,ilm->ijkm", gamma, gamma)
-    t3 = np.einsum("ijl,lkm->ijkm", cc, gamma)
-    reference = t1 - t1.transpose(1, 0, 2, 3) - t3
-    riem = conn.riem
-    scale = np.abs(reference).max()
-    assert np.array_equal(conn.gamma, gamma)
-    assert np.abs(riem - reference).max() <= 1e-12 * scale
+    _, riem = _reference_connection(model, lam)
+    scale = np.abs(riem).max()
+    assert np.abs(lc.frame_curvatures(model, lam) - np.einsum("ijji->ij", riem)).max() <= 1e-12 * scale
     assert np.abs(riem + riem.transpose(1, 0, 2, 3)).max() <= 1e-12 * scale
     assert np.abs(riem + riem.transpose(0, 1, 3, 2)).max() <= 1e-12 * scale
     assert np.abs(riem - riem.transpose(2, 3, 0, 1)).max() <= 1e-12 * scale
@@ -176,7 +179,7 @@ def test_koszul_route_shares_no_curvature_kernel():
     from liecurv import curvature
 
     kernel = {"_block_curvature", "_block_gradient"}
-    for fn in (curvature.frame_connection, curvature.scalar_curvature_koszul):
+    for fn in (curvature.frame_curvatures, curvature.scalar_curvature_koszul):
         assert not kernel & set(fn.__code__.co_names)
     for fn in (curvature.scalar_curvature_closed, curvature.scalar_gradient):
         assert kernel & set(fn.__code__.co_names)
@@ -195,8 +198,8 @@ def test_group_gradient_matches_singleton_block_gradient(name, group_models):
 
 @pytest.mark.parametrize("name", ["dense-so7", "dense-su5", "su2-round"])
 def test_traced_koszul_equals_the_full_tensor_trace(name, dense_algebras, su2_model):
-    # The oracle takes the trace inside the contraction; the reference
-    # traces frame_connection's full curvature tensor.
+    # The oracle sums the frame-plane curvatures; the reference traces the
+    # full n^4 curvature tensor.
     if name == "su2-round":
         model, lams = su2_model, [np.ones(3)]
     else:
@@ -205,22 +208,70 @@ def test_traced_koszul_equals_the_full_tensor_trace(name, dense_algebras, su2_mo
         lams = np.random.default_rng(53).uniform(0.1, 10.0, size=(10, model.n))
     for lam in lams:
         traced = lc.scalar_curvature_koszul(model, lam).R
-        full = np.einsum("ijji->", lc.frame_connection(model, lam).riem)
+        full = np.einsum("ijji->", _reference_connection(model, lam)[1])
         assert abs(traced - full) <= 1e-13 * abs(full)
 
 
 def test_koszul_scalar_does_not_build_the_curvature_tensor():
+    # No step of the oracle route allocates an n^4 array: on su5 the peak
+    # stays below eight n^3 arrays, against n^4 = 24 n^3 for the full tensor.
+    import tracemalloc
+
+    from conftest import canonical_model
     from liecurv import curvature
 
+    model = canonical_model("su5")
+    lam = np.linspace(0.5, 3.0, model.n)
+    for evaluate in (lc.frame_curvatures, lc.scalar_curvature_koszul):
+        tracemalloc.start()
+        try:
+            evaluate(model, lam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * model.n ** 3 * 8
     names = set(curvature.scalar_curvature_koszul.__code__.co_names)
-    assert "frame_connection" not in names
     assert not {name for name in names if name.startswith("_block_")}
+
+
+def _oracle_model(name, dense_algebras):
+    """A model named by ``name`` and its Killing scale s (metric -s B)."""
+    from conftest import canonical_model, canonical_scale
+
+    if name.startswith("dense-"):
+        algebra = dense_algebras[name.removeprefix("dense-")]
+        return lc.binormalize(algebra, lc.killing_metric(algebra, 1.0)), 1.0
+    return canonical_model(name), canonical_scale(name)
+
+
+ORACLE_ALGEBRAS = ["su2", "su3", "su4", "su5", "so5", "so7", "dense-so7", "dense-su5"]
+
+
+@pytest.mark.parametrize("name", ORACLE_ALGEBRAS)
+def test_gradient_is_minus_the_koszul_ricci_over_lambda(name, dense_algebras):
+    # First variation of the scalar curvature along invariant metrics:
+    # dR/dlam_j = -Ric(F_j, F_j) / lam_j, with Ric(F_j, F_j) = sum_i K[i,j]
+    # (Besse, Einstein Manifolds, ch. 4).  An exact check, unlike differences.
+    model, _ = _oracle_model(name, dense_algebras)
+    for lam in np.random.default_rng(59).uniform(0.3, 4.0, size=(5, model.n)):
+        grad = lc.scalar_gradient(model, lam)
+        ricci = lc.frame_curvatures(model, lam).sum(axis=0)
+        assert np.abs(grad + ricci / lam).max() <= 1e-12 * np.abs(grad).max()
+
+
+@pytest.mark.parametrize("name", ORACLE_ALGEBRAS)
+def test_reference_metric_is_einstein(name, dense_algebras):
+    # At lam = 1 the metric -s B is Einstein with Ric = g / (4 s), so the
+    # gradient -Ric / lam is negative in every coordinate.
+    model, scale = _oracle_model(name, dense_algebras)
+    ricci = lc.frame_curvatures(model, np.ones(model.n)).sum(axis=0)
+    assert np.abs(ricci - 1.0 / (4.0 * scale)).max() <= 1e-12 / (4.0 * scale)
 
 
 def test_koszul_route_does_not_use_the_hessian():
     from liecurv import curvature
 
-    for fn in (curvature.frame_connection, curvature.scalar_curvature_koszul):
+    for fn in (curvature.frame_curvatures, curvature.scalar_curvature_koszul):
         assert "_block_hessian" not in fn.__code__.co_names
 
 

@@ -374,12 +374,18 @@ def test_algebra_constructor_enforces_antisymmetry():
 # ---------------------------------------------------------------------------
 
 def test_algebra_file_roundtrip(tmp_path):
-    algebra = lc.build_su(2)
-    path = tmp_path / "su2.json"
-    path.write_text(json.dumps(lc.algebra_to_dict(algebra)), encoding="utf-8")
-    loaded = lc.algebra_from_file(path)
-    assert loaded.name == algebra.name
-    assert_allclose(loaded.c, algebra.c)
+    for algebra in (lc.build_su(2), lc.build_su(3), lc.build_so(5),
+                    lc.direct_sum(lc.build_su(2), lc.abelian(1))):
+        doc = lc.algebra_to_dict(algebra)
+        n, c = algebra.dim, algebra.c
+        # the entries in the order of a loop over i < j, then k
+        assert doc["structure_constants"] == [[i, j, k, float(c[i, j, k])] for i in range(n)
+                                              for j in range(i + 1, n) for k in range(n) if c[i, j, k] != 0.0]
+        path = tmp_path / f"{algebra.name}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        loaded = lc.algebra_from_file(path)
+        assert loaded.name == algebra.name
+        assert np.array_equal(loaded.c, algebra.c)
 
 
 def test_algebra_dict_completion():

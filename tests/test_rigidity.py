@@ -412,6 +412,7 @@ def test_reference_start_value_is_the_reference(name):
     ({"n_starts": -3}, "n_starts"),
     ({"n_samples": -5}, "n_samples"),
     ({"max_lambda": 1.0}, "max_lambda must exceed 1"),
+    ({"seed": -1}, "^seed must be nonnegative, got -1$"),
 ])
 def test_search_parameters_are_validated(s2_spec, change, match):
     with pytest.raises(ValueError, match=match):
