@@ -32,15 +32,16 @@ print("sum rule defect:", lc.sum_rule_defect(sphere))
 # The normal metric has scalar curvature 8 (a round sphere of radius 1/2);
 # stretching the block by t scales it like 1/t.
 for t in (0.5, 1.0, 2.0, 4.0):
-    print(f"  R at stretch {t}: {lc.scalar_curvature_homogeneous(sphere, [t]).R}")
+    print(f"  R at stretch {t}: {lc.scalar_curvature_closed(sphere, [t]).R}")
 
 # The group itself is the quotient by the trivial subgroup: singleton
-# blocks, vanishing Casimirs, and the same curvature as the group formula.
+# blocks and vanishing Casimirs.  Its spec, built with the model, gives the
+# same curvature through the same evaluator.
 model = lc.binormalize(su2, metric)
-group = lc.group_as_homogeneous(model)
+group = model.spec
 lam = np.array([1.0, 1.0, 2.0])
 print("\ngroup-as-quotient check:",
-      lc.scalar_curvature_homogeneous(group, lam).R,
+      lc.scalar_curvature_closed(group, lam).R,
       "vs", lc.scalar_curvature_closed(model, lam).R)
 
 # Central blocks are allowed in the data but flagged: their Killing ratio

@@ -18,7 +18,7 @@ import liecurv as lc
 
 su2 = lc.build_su(2)
 model = lc.binormalize(su2, lc.killing_metric(su2, 0.125))
-spec = lc.group_as_homogeneous(model)
+spec = model.spec
 
 # The polynomial behind the certificate: zero exactly at (1, 1, 1),
 # positive elsewhere on the constrained box, which the ordered five-term
@@ -39,7 +39,7 @@ print()
 for name, s in (("su2", spec), ("so5", None), ("s2", None)):
     if name == "so5":
         so5 = lc.build_so(5)
-        s = lc.group_as_homogeneous(lc.binormalize(so5, lc.killing_metric(so5, 1.0)))
+        s = lc.binormalize(so5, lc.killing_metric(so5, 1.0)).spec
     elif name == "s2":
         emb = lc.SubalgebraEmbedding(parent=su2, h_basis=[[0.0, 0.0, 1.0]],
                                      blocks=([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],))
@@ -56,7 +56,7 @@ for name, s in (("su2", spec), ("so5", None), ("s2", None)):
 # so stretching it costs no curvature and the certificate refuses to run.
 u2_like = lc.direct_sum(su2, lc.abelian(1))
 m = lc.binormalize(u2_like, lc.BiInvariantMetric(u2_like, np.diag([8.0, 8.0, 8.0, 1.0])))
-flat_spec = lc.group_as_homogeneous(m)
+flat_spec = m.spec
 try:
     lc.verify_rigidity(flat_spec)
 except lc.CenterPresentError as exc:

@@ -31,7 +31,6 @@ from .lie_core import (
     from_matrix_basis,
     jacobi_defect,
     killing,
-    pauli_basis,
     resolve_algebra,
 )
 from .binorm import (
@@ -54,13 +53,12 @@ from .homogeneous import (
     HomogeneousSpec,
     SubalgebraEmbedding,
     build_spec,
-    group_as_homogeneous,
-    scalar_curvature_homogeneous,
-    scalar_gradient_homogeneous,
     spec_from_dict,
     spec_from_file,
     sum_rule_defect,
 )
+# Not in __all__: old names the benchmark in perfbench/ still calls.
+from .homogeneous import group_as_homogeneous, scalar_curvature_homogeneous, scalar_gradient_homogeneous
 from .rigidity import (
     CenterPresentError,
     GapBreakdown,
@@ -78,13 +76,12 @@ __version__ = "0.1.0"
 __all__ = [
     "LieAlgebra", "KillingData", "MatrixBasis", "abelian", "algebra_from_dict",
     "algebra_from_file", "algebra_to_dict", "build_so", "build_su", "direct_sum",
-    "from_matrix_basis", "jacobi_defect", "killing", "pauli_basis", "resolve_algebra",
+    "from_matrix_basis", "jacobi_defect", "killing", "resolve_algebra",
     "BiInvariantMetric", "OrthonormalModel", "antisymmetry_defect",
     "binormalize", "diagonalize_metric", "killing_metric", "metric_invariance_defect",
     "CurvatureResult", "frame_curvatures", "scalar_curvature_closed",
     "scalar_curvature_koszul", "scalar_gradient",
-    "HomogeneousSpec", "SubalgebraEmbedding", "build_spec", "group_as_homogeneous",
-    "scalar_curvature_homogeneous", "scalar_gradient_homogeneous", "spec_from_dict",
+    "HomogeneousSpec", "SubalgebraEmbedding", "build_spec", "spec_from_dict",
     "spec_from_file", "sum_rule_defect",
     "CenterPresentError", "GapBreakdown", "RigidityReport", "ShrinkExample",
     "gap_breakdown", "gap_polynomial", "ordered_gap_terms", "su2_shrink_example",

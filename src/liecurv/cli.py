@@ -24,15 +24,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .binorm import antisymmetry_defect, binormalize, killing_metric
+from .binorm import HomogeneousSpec, antisymmetry_defect, binormalize, killing_metric
 from .curvature import scalar_curvature_closed, scalar_curvature_koszul
-from .homogeneous import (
-    HomogeneousSpec,
-    group_as_homogeneous,
-    scalar_curvature_homogeneous,
-    spec_from_file,
-    sum_rule_defect,
-)
+from .homogeneous import spec_from_file, sum_rule_defect
 from .lie_core import DEFAULT_TOL, _tolerance, jacobi_defect, killing, resolve_algebra
 from .rigidity import (DEFAULT_MAX_LAMBDA, DEFAULT_SAMPLES, DEFAULT_STARTS, DEFAULT_TOL_LAMBDA,
                        DEFAULT_TOL_R, CenterPresentError, su2_shrink_example, verify_rigidity)
@@ -191,15 +185,14 @@ def cmd_algebra(args) -> int:
 def cmd_scalar(args) -> int:
     source, config = _source(args, "scalar", "scale", "tol")
     lam = _parse_lambda(args.lam)
+    closed = scalar_curvature_closed(source, lam)
     if isinstance(source, HomogeneousSpec):
-        homogeneous = scalar_curvature_homogeneous(source, lam)
-        result = {"R": homogeneous.R, "method": homogeneous.method}
+        result = {"R": closed.R, "method": closed.method}
         labels = {"R": "homogeneous formula"}
         title = f"scalar curvature: {source.name} (lambda {_cell(lam)})"
     else:
-        closed = scalar_curvature_closed(source, lam).R
         koszul = scalar_curvature_koszul(source, lam).R
-        result = {"R_closed": closed, "R_koszul": koszul, "discrepancy": abs(closed - koszul)}
+        result = {"R_closed": closed.R, "R_koszul": koszul, "discrepancy": abs(closed.R - koszul)}
         labels = {"R_closed": "closed form", "R_koszul": "koszul", "discrepancy": "discrepancy"}
         title = f"scalar curvature: {source.name} (scale {config['scale']}, lambda {_cell(lam)})"
     doc = {"command": "scalar", "config": {**config, "lambda": lam}, "result": result}
@@ -210,7 +203,7 @@ def cmd_scalar(args) -> int:
 def cmd_rigidity(args) -> int:
     source, config = _source(args, "rigidity", "scale")
     seed = _resolve_seed(args)
-    spec = source if isinstance(source, HomogeneousSpec) else group_as_homogeneous(source)
+    spec = source if isinstance(source, HomogeneousSpec) else source.spec
     report = verify_rigidity(spec, max_lambda=args.max_lambda, n_starts=args.starts,
                              n_samples=args.samples, seed=seed, tol=args.tol,
                              tol_lambda=args.tol_lambda)

@@ -3,9 +3,11 @@
 The private kernel :func:`_block_curvature`, its gradient
 :func:`_block_gradient` and its Hessian :func:`_block_hessian` hold the one
 block formula, used for groups and for homogeneous quotients.  Each takes a
-``HomogeneousSpec`` and rows of ``lams``.  A group's spec is ``model.spec``
-(singleton blocks, A = c^2), which :func:`scalar_curvature_closed` and
-:func:`scalar_gradient` pass; the public evaluators take one point.
+``HomogeneousSpec`` and rows of ``lams``.  The public evaluators
+:func:`scalar_curvature_closed` and :func:`scalar_gradient` take one point
+and a spec, a model or a raw structure tensor; a group is the quotient by
+the trivial subgroup, whose spec is ``model.spec`` (singleton blocks,
+A = c^2).
 :func:`scalar_curvature_koszul` rebuilds the same number from first
 principles and shares no algebra with the kernel, which makes it a genuine
 oracle: frame brackets give the Koszul connection, and the connection the
@@ -139,16 +141,19 @@ def _block_hessian(spec: HomogeneousSpec, lams: np.ndarray) -> np.ndarray:
     return hess
 
 
-def scalar_curvature_closed(model, lam) -> CurvatureResult:
+def scalar_curvature_closed(source, lam) -> CurvatureResult:
     """Closed-form scalar curvature of the diagonal metric given by ``lam``.
 
-    At lam = (1, ..., 1) this reduces to one quarter of the sum of squared
-    structure constants.
+    ``source`` is a ``HomogeneousSpec`` (``lam`` holds its block ratios;
+    method "homogeneous"), or a model or raw tensor, evaluated through its
+    group spec (method "closed-form").  On a group at lam = (1, ..., 1)
+    this reduces to one quarter of the sum of squared structure constants.
     """
-    model = _model(model)
-    values = _lambda_vector(lam, model.n)
-    r = _block_curvature(model.spec, values[None, :])[0]
-    return CurvatureResult(R=float(r), method="closed-form", algebra=model.name, lam=values.copy())
+    spec = source if isinstance(source, HomogeneousSpec) else _model(source).spec
+    values = _lambda_vector(lam, spec.s)
+    r = _block_curvature(spec, values[None, :])[0]
+    method = "homogeneous" if spec is source else "closed-form"
+    return CurvatureResult(R=float(r), method=method, algebra=spec.name, lam=values.copy())
 
 
 def frame_curvatures(model, lam) -> np.ndarray:
@@ -181,8 +186,9 @@ def scalar_curvature_koszul(model, lam) -> CurvatureResult:
     return CurvatureResult(R=float(r), method="koszul", algebra=model.name, lam=np.array(lam, dtype=float))
 
 
-def scalar_gradient(model, lam) -> np.ndarray:
-    """Analytic gradient of the closed-form scalar curvature in ``lam``."""
-    model = _model(model)
-    values = _lambda_vector(lam, model.n)
-    return _block_gradient(model.spec, values[None, :])[0]
+def scalar_gradient(source, lam) -> np.ndarray:
+    """Analytic gradient of :func:`scalar_curvature_closed` in ``lam``, for
+    the same sources; the result has the shape of ``lam``."""
+    spec = source if isinstance(source, HomogeneousSpec) else _model(source).spec
+    values = _lambda_vector(lam, spec.s)
+    return _block_gradient(spec, values[None, :])[0]

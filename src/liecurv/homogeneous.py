@@ -9,11 +9,13 @@ brackets between blocks.  All four, and the closure and invariance checks,
 are slices of the structure constants rotated into the adapted frame
 (subalgebra first, then the blocks), cut at the block edges.  The group
 itself is the case of singleton blocks with no subalgebra, whose spec an
-``OrthonormalModel`` builds once (``model.spec``, which
-:func:`group_as_homogeneous` returns; the class lives in :mod:`liecurv.binorm`).
+``OrthonormalModel`` builds once (``model.spec``; the class lives in
+:mod:`liecurv.binorm`).
 
-The formula lives once, in :mod:`liecurv.curvature`; a spec validates its
-data (shapes, signs, finiteness) when built, so evaluators check only lam.
+This module builds, loads and checks specs; every evaluation lives in
+:mod:`liecurv.curvature`, whose evaluators take a spec as they take a
+model.  A spec validates its data (shapes, signs, finiteness) when built,
+so evaluators check only lam.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .binorm import BiInvariantMetric, HomogeneousSpec, OrthonormalModel, _in_frame, check_metric, killing_metric
-from .curvature import CurvatureResult, _block_curvature, _block_gradient, _lambda_vector
+from .curvature import scalar_curvature_closed, scalar_gradient
 from .lie_core import (LieAlgebra, _negligible, _real, _require, _sparse_entries, _whole_number, killing,
                        resolve_algebra)
 
@@ -152,24 +154,14 @@ def build_spec(embedding: SubalgebraEmbedding, metric: BiInvariantMetric,
     )
 
 
+# Old names, kept only because the benchmark in perfbench/ calls them; they
+# go once its calls move to model.spec and the curvature evaluators.
+scalar_curvature_homogeneous = scalar_curvature_closed
+scalar_gradient_homogeneous = scalar_gradient
+
+
 def group_as_homogeneous(model: OrthonormalModel) -> HomogeneousSpec:
-    """The group's own spec, built with the model: singleton blocks, no
-    subalgebra, Casimirs zero, coupling c^2.  Returns ``model.spec`` itself."""
     return model.spec
-
-
-def scalar_curvature_homogeneous(spec: HomogeneousSpec, lam) -> CurvatureResult:
-    """Scalar curvature of the diagonal invariant metric with block ratios ``lam``."""
-    values = _lambda_vector(lam, spec.s)
-    r = _block_curvature(spec, values[None, :])[0]
-    return CurvatureResult(R=float(r), method="homogeneous", algebra=spec.name, lam=values.copy())
-
-
-def scalar_gradient_homogeneous(spec: HomogeneousSpec, lam) -> np.ndarray:
-    """Analytic gradient of :func:`scalar_curvature_homogeneous` at the one
-    point ``lam``, shape (s,); the result has the same shape."""
-    values = _lambda_vector(lam, spec.s)
-    return _block_gradient(spec, values[None, :])[0]
 
 
 def sum_rule_defect(spec: HomogeneousSpec) -> np.ndarray:

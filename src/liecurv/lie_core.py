@@ -196,8 +196,12 @@ def killing(algebra: LieAlgebra) -> KillingData:
 
 
 def _structure_tensor(c) -> np.ndarray:
-    """A raw structure tensor as a float array, refused unless of shape (n, n, n)."""
-    c = np.asarray(c, dtype=float)
+    """A raw structure tensor as a float array, refused unless numeric and of
+    shape (n, n, n)."""
+    try:
+        c = np.asarray(c, dtype=float)
+    except TypeError:
+        raise ValueError(f"structure tensor must be a numeric array, got {type(c).__name__}") from None
     if c.ndim != 3 or not c.shape[0] == c.shape[1] == c.shape[2]:
         raise ValueError(f"structure tensor must have shape (n, n, n), got shape {c.shape}")
     return c
@@ -220,15 +224,6 @@ def jacobi_defect(algebra_or_tensor) -> float:
 # ---------------------------------------------------------------------------
 # Built-in constructors
 # ---------------------------------------------------------------------------
-
-def pauli_basis() -> MatrixBasis:
-    """su(2) as -i times the Pauli matrices.
-
-    The sign is fixed so that [E_1, E_2] = 2 E_3 together with its cyclic
-    permutations; +i would flip all three brackets.
-    """
-    return MatrixBasis(tuple(-1j * g for g in _hermitian_generators(2)), name="su2")
-
 
 def _hermitian_generators(n: int) -> list[np.ndarray]:
     """Generalized Gell-Mann matrices: symmetric pairs, antisymmetric pairs,
@@ -256,8 +251,8 @@ def _hermitian_generators(n: int) -> list[np.ndarray]:
 def build_su(n: int) -> LieAlgebra:
     """su(n) from skew-Hermitian generators -i G_a, dim n^2 - 1.
 
-    For n = 2 this reproduces the Pauli conventions of :func:`pauli_basis`,
-    including [E_1, E_2] = 2 E_3.
+    For n = 2 these are -i times the Pauli matrices, with [E_1, E_2] = 2 E_3
+    and its cyclic permutations (+i would flip all three brackets).
     """
     if n < 2:
         raise ValueError("build_su requires n >= 2")

@@ -113,9 +113,7 @@ def gap_breakdown(spec: HomogeneousSpec, lam) -> GapBreakdown:
     _require(sym_defect, max(np.abs(a3).max(), np.abs(spec.killing_ratios).max()),
              "decomposition identity requires bi-invariant reference: coupling tensor is not symmetric")
     values = _lambda_vector(lam, spec.s)
-    # One row per call: a two-row batch takes another BLAS path and can move R by an ulp.
-    r0, rg = (float(_block_curvature(spec, x[None, :])[0]) for x in (np.ones(spec.s), values))
-    gap = r0 - rg
+    gap = scalar_curvature_closed(spec, np.ones(spec.s)).R - scalar_curvature_closed(spec, values).R
     casimir = float(np.sum(spec.casimirs * spec.block_dims * (values - 1.0) / values))
     q = gap_polynomial(values[:, None, None], values[None, :, None], values[None, None, :])
     denom = np.einsum("i,j,k->ijk", values, values, values)

@@ -176,6 +176,17 @@ def test_orthonormal_model_checks_shape(su2_model):
                 defect(c)
 
 
+def test_a_spec_is_not_a_structure_tensor(su2_model):
+    # The curvature evaluators take a spec; the tensor routes refuse one by name.
+    message = "^structure tensor must be a numeric array, got HomogeneousSpec$"
+    for evaluate in (lc.scalar_curvature_koszul, lc.frame_curvatures):
+        with pytest.raises(ValueError, match=message):
+            evaluate(su2_model.spec, [1.0, 1.0, 1.0])
+    for defect in (lc.jacobi_defect, lc.antisymmetry_defect):
+        with pytest.raises(ValueError, match=message):
+            defect(su2_model.spec)
+
+
 def test_orthonormal_model_refuses_no_dimension():
     with pytest.raises(ValueError, match="^dimension n must be at least 1, got 0$"):
         lc.OrthonormalModel(name="empty", n=0, t=np.eye(0), c=np.zeros((0, 0, 0)))

@@ -399,9 +399,22 @@ def test_model_and_its_group_spec_are_interchangeable_kernel_operands(name, dens
         model = canonical_model(name)
     spec = lc.group_as_homogeneous(model)
     assert spec is model.spec
+    sources = ((model, "closed-form"), (model.c, "closed-form"), (spec, "homogeneous"))
     for lam in np.random.default_rng(41).uniform(0.1, 10.0, size=(20, model.n)):
-        assert lc.scalar_curvature_closed(model, lam).R == lc.scalar_curvature_homogeneous(spec, lam).R
-        assert np.all(lc.scalar_gradient(model, lam) == lc.scalar_gradient_homogeneous(spec, lam))
+        r, grad = lc.scalar_curvature_closed(model, lam).R, lc.scalar_gradient(model, lam)
+        for source, method in sources:
+            result = lc.scalar_curvature_closed(source, lam)
+            assert (result.R, result.method) == (r, method)
+            assert np.all(lc.scalar_gradient(source, lam) == grad)
+
+
+def test_old_homogeneous_names_are_aliases_off_the_public_surface(su2_model):
+    assert lc.scalar_curvature_homogeneous is lc.scalar_curvature_closed
+    assert lc.scalar_gradient_homogeneous is lc.scalar_gradient
+    assert lc.group_as_homogeneous(su2_model) is su2_model.spec
+    old = {"scalar_curvature_homogeneous", "scalar_gradient_homogeneous", "group_as_homogeneous"}
+    assert not old & set(lc.__all__)
+    assert all(hasattr(lc, name) for name in lc.__all__)
 
 
 def test_derived_first_two_coupling_is_the_symmetrized_coupling(group_models, s2_spec, flag_spec):

@@ -435,7 +435,8 @@ def test_one_beta_for_the_evaluators_and_the_search(group_specs, flag_spec):
 def test_search_calls_the_kernels_not_the_public_evaluators():
     from liecurv import rigidity
 
-    public = {"scalar_gradient_homogeneous", "scalar_curvature_homogeneous"}
+    public = {"scalar_gradient_homogeneous", "scalar_curvature_homogeneous", "scalar_curvature_closed",
+              "scalar_gradient"}
     for fn in (rigidity._ascend_all, rigidity._line_search, rigidity._newton_direction,
                rigidity.verify_rigidity):
         assert not public & set(fn.__code__.co_names), fn.__name__
