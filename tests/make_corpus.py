@@ -8,15 +8,22 @@ structured output::
 Each case is one ``liecurv ... --format structured`` invocation, run in this
 process through ``cli.main`` with ``tests/data`` as the working directory:
 spec files are named by relative path there, because the ``homogeneous``
-config echoes the path as given.  The corpus file records argv, exit code,
-stdout and stderr per case, with the fingerprint of the environment that
-wrote it.  Rewriting prints every field that moved: the case, the field's
-path, its old and new value and their distance in ulps.
+config echoes the path as given.  The canonical cases (:func:`cases`) use
+built-in algebras and the specs beside the corpus.  The dense cases are the
+benchmark's cli workload at seeds ``DENSE_SEEDS``, built by its own
+generator in ``perfbench/workloads.py``: rewriting writes their algebra and
+spec files under ``tests/data/cli-<seed>/`` and records their argv in the
+corpus, so the replay needs neither ``perfbench`` nor the generator.  The
+corpus file records argv, exit code, stdout and stderr per case, with the
+fingerprint of the environment that wrote it.  Rewriting prints every field
+that moved: the case, the field's path, its old and new value and their
+distance in ulps.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import io
 import json
 import os
@@ -28,6 +35,8 @@ import numpy as np
 
 DATA = Path(__file__).resolve().parent / "data"
 CORPUS = DATA / "structured_corpus.json"
+PERFBENCH = DATA.parent.parent / "perfbench"
+DENSE_SEEDS = (1, 2, 3, 4)
 ALGEBRAS = ("su2", "su3", "su4", "su5", "su6", "so3", "so4", "so5", "so6", "so7", "so8")
 SPECS = {"s2.spec": 1, "flag.spec": 3, "raw.spec": 2}  # file: block count
 
@@ -60,16 +69,55 @@ def cases() -> list[list[str]]:
     return [argv + ["--format", "structured"] for argv in out]
 
 
+def dense_cases() -> list[list[str]]:
+    """Argv of the benchmark's cli workload at each of ``DENSE_SEEDS``, less
+    its repeated run; writes each seed's files under ``DATA/cli-<seed>``.
+    Imports ``perfbench/workloads.py``, so only a rewrite calls it."""
+    sys.path.insert(0, str(PERFBENCH))
+    import workloads
+
+    out, saved_dir = [], os.getcwd()
+    os.chdir(DATA)
+    try:
+        for seed in DENSE_SEEDS:
+            for _, argv, _ in workloads.Cli(seed, Path(f"cli-{seed}")).setup():
+                if argv not in out:
+                    out.append(argv)
+    finally:
+        os.chdir(saved_dir)
+    return out
+
+
+def blas_core() -> str | None:
+    """The kernel set OpenBLAS picked for this CPU at run time, read from
+    the ``get_corename`` symbol of the library bundled with numpy; None where
+    no such library or symbol is found."""
+    root = Path(np.__file__).resolve().parent
+    for lib in sorted([*root.parent.glob("numpy.libs/*openblas*"), *root.glob(".dylibs/*openblas*")]):
+        try:
+            blas = ctypes.CDLL(str(lib))
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                       "openblas_get_corename64_", "openblas_get_corename"):
+            get = getattr(blas, symbol, None)
+            if get is not None:
+                get.restype = ctypes.c_char_p
+                return get().decode()
+    return None
+
+
 def fingerprint() -> dict:
-    """What the output's last bits depend on: numpy, Python, the machine and
-    the SIMD extensions numpy found and dispatches to."""
+    """What the output's last bits depend on: numpy, Python, the machine,
+    the SIMD extensions numpy found and dispatches to, and OpenBLAS's core."""
     try:
         from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
     except ImportError:  # numpy < 2
         from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
     return {"numpy": np.__version__, "python": "%d.%d" % sys.version_info[:2],
             "machine": platform.machine(),
-            "simd_found": [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]}
+            "simd_found": [f for f in __cpu_dispatch__ if __cpu_features__.get(f)],
+            "blas_core": blas_core()}
 
 
 def run_case(argv: list[str]) -> dict:
@@ -133,12 +181,12 @@ def case_diffs(old: dict, new: dict) -> list[tuple]:
     return diffs
 
 
-def replay() -> list[dict]:
-    """Every case run from ``DATA``, with ``LIECURV_SEED`` unset."""
+def replay(argvs: list[list[str]]) -> list[dict]:
+    """Each invocation run from ``DATA``, with ``LIECURV_SEED`` unset."""
     saved_dir, saved_seed = os.getcwd(), os.environ.pop("LIECURV_SEED", None)
     os.chdir(DATA)
     try:
-        return [run_case(argv) for argv in cases()]
+        return [run_case(argv) for argv in argvs]
     finally:
         os.chdir(saved_dir)
         if saved_seed is not None:
@@ -146,7 +194,7 @@ def replay() -> list[dict]:
 
 
 def main() -> int:
-    new = {"fingerprint": fingerprint(), "cases": replay()}
+    new = {"fingerprint": fingerprint(), "cases": replay(cases() + dense_cases())}
     if CORPUS.exists():
         old = json.loads(CORPUS.read_text(encoding="utf-8"))
         if old["fingerprint"] != new["fingerprint"]:
