@@ -40,7 +40,6 @@ from .binorm import (
     binormalize,
     diagonalize_metric,
     killing_metric,
-    metric_invariance_defect,
 )
 from .curvature import (
     CurvatureResult,
@@ -78,7 +77,7 @@ __all__ = [
     "algebra_from_file", "algebra_to_dict", "build_so", "build_su", "direct_sum",
     "from_matrix_basis", "jacobi_defect", "killing", "resolve_algebra",
     "BiInvariantMetric", "OrthonormalModel", "antisymmetry_defect",
-    "binormalize", "diagonalize_metric", "killing_metric", "metric_invariance_defect",
+    "binormalize", "diagonalize_metric", "killing_metric",
     "CurvatureResult", "frame_curvatures", "scalar_curvature_closed",
     "scalar_curvature_koszul", "scalar_gradient",
     "HomogeneousSpec", "SubalgebraEmbedding", "build_spec", "spec_from_dict",

@@ -2,7 +2,9 @@
 
 Given an ad-invariant positive-definite inner product on a Lie algebra,
 :func:`binormalize` re-expresses the structure constants in an orthonormal
-basis (via Cholesky), where bi-invariance makes them totally antisymmetric.
+basis (via Cholesky), where bi-invariance makes them totally antisymmetric;
+that antisymmetry, checked by :class:`OrthonormalModel`, is the package's one
+bi-invariance check, for groups and quotients alike.
 Arbitrary left-invariant metrics are then handled by diagonalizing their
 positive self-adjoint operator relative to the orthonormal frame
 (:func:`diagonalize_metric`, which returns the rotation, the eigenvalues as
@@ -25,7 +27,11 @@ from .lie_core import DEFAULT_TOL, LieAlgebra, _negligible, _require, _structure
 
 @dataclass(frozen=True)
 class BiInvariantMetric:
-    """Ad-invariant inner product on a Lie algebra, as a finite Gram matrix."""
+    """Ad-invariant inner product on a Lie algebra, as a finite Gram matrix.
+
+    Only shape and finiteness are checked here; :func:`binormalize` checks
+    that the matrix is positive definite and, through the model it builds,
+    ad-invariant."""
 
     base: LieAlgebra
     gram: np.ndarray
@@ -174,24 +180,6 @@ class OrthonormalModel:
         self._build_spec()
 
 
-def metric_invariance_defect(metric: BiInvariantMetric) -> float:
-    """Largest violation of <[x, e_i], e_j> + <e_i, [x, e_j]> = 0 over basis triples."""
-    c = metric.base.c
-    gram = metric.gram
-    d = np.einsum("xik,kj->xij", c, gram) + np.einsum("ik,xjk->xij", gram, c)
-    return float(np.abs(d).max())
-
-
-def check_metric(metric: BiInvariantMetric, tol: float = DEFAULT_TOL) -> None:
-    """Raise unless the Gram matrix is positive definite and ad-invariant, each
-    relative to its data (the largest eigenvalue; |c|max |gram|max)."""
-    eigs = np.linalg.eigvalsh(0.5 * (metric.gram + metric.gram.T))
-    if _negligible(eigs[0], eigs[-1]):
-        raise ValueError("not a metric: gram matrix is not positive definite")
-    _require(metric_invariance_defect(metric), np.abs(metric.base.c).max() * np.abs(metric.gram).max(),
-             "not bi-invariant: ad-invariance fails on the gram matrix", tol)
-
-
 def _in_frame(c: np.ndarray, t: np.ndarray, co: np.ndarray) -> np.ndarray:
     """Structure constants in the frame f_a = sum_i t[i, a] e_i, read off with
     ``co[k, g] = <e_k, f_g>``: out[a, b, g] = <[f_a, f_b], f_g>.  Every change
@@ -204,12 +192,17 @@ def binormalize(algebra: LieAlgebra, metric: BiInvariantMetric, tol: float = DEF
     """Rotate the structure constants into a metric-orthonormal basis.
 
     The change of basis comes from the Cholesky factor of the Gram matrix,
-    so repeated runs are bit-for-bit reproducible.  Total antisymmetry of
-    the result is the skew-adjointness of every ad(x); the model checks it.
-    ``tol`` must be finite and nonnegative.
+    so repeated runs are bit-for-bit reproducible.  The Gram matrix must be
+    positive definite (its smallest eigenvalue not negligible against its
+    largest).  Bi-invariance is checked once, by the model: a left-invariant
+    metric is bi-invariant exactly when every ad(x) is skew-adjoint, that is
+    when the constants in an orthonormal frame are totally antisymmetric, at
+    ``tol`` against the largest.  ``tol`` must be finite and nonnegative.
     """
     _tolerance(tol, "tol")
-    check_metric(metric, tol)
+    eigs = np.linalg.eigvalsh(0.5 * (metric.gram + metric.gram.T))
+    if _negligible(eigs[0], eigs[-1]):
+        raise ValueError("not a metric: gram matrix is not positive definite")
     L = np.linalg.cholesky(metric.gram)
     t = np.linalg.inv(L).T
     c_rot = _in_frame(algebra.c, t, metric.gram @ t)

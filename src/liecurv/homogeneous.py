@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .binorm import BiInvariantMetric, HomogeneousSpec, OrthonormalModel, _in_frame, check_metric, killing_metric
+from .binorm import BiInvariantMetric, HomogeneousSpec, OrthonormalModel, _in_frame, binormalize, killing_metric
 from .curvature import scalar_curvature_closed, scalar_gradient
 from .lie_core import (LieAlgebra, _negligible, _real, _require, _sparse_entries, _whole_number, killing,
                        resolve_algebra)
@@ -92,11 +92,13 @@ def build_spec(embedding: SubalgebraEmbedding, metric: BiInvariantMetric,
     in F).  Verifies the two necessary conditions the formulas rely on
     (Casimir scalar, Killing ratio constant on each block) rather than
     irreducibility itself; failures ask the caller to refine the blocks.
-    Each check is relative to its data, and the Gram matrix must be an
-    invariant metric of the embedding's algebra.
+    Each check is relative to its data.  First of all, the Gram matrix must
+    be an invariant metric of the embedding's algebra: :func:`binormalize`
+    checks it, as it does for a group, so a bad metric is refused with the
+    same message on both paths and never blamed on the blocks.
     """
     algebra, gram = embedding.parent, metric.gram
-    check_metric(BiInvariantMetric(algebra, gram))
+    binormalize(algebra, BiInvariantMetric(algebra, gram))  # for its checks only: every datum below is read in F
     n = algebra.dim
 
     z = _orthonormal_rows(embedding.h_basis, gram, "subalgebra")

@@ -119,7 +119,7 @@ def test_criterion_07_rigidity_certificates(group_specs, s2_spec):
 def test_criterion_08_central_blocks_rejected():
     algebra = lc.direct_sum(lc.build_su(2), lc.abelian(1))
     model = lc.binormalize(algebra, lc.BiInvariantMetric(algebra, np.diag([8.0, 8.0, 8.0, 1.0])))
-    spec = lc.group_as_homogeneous(model)
+    spec = model.spec
     reports_zero = spec.killing_ratios[3] == 0.0 and spec.central_blocks() == [3]
     refused = False
     try:
@@ -132,7 +132,7 @@ def test_criterion_08_central_blocks_rejected():
 
 
 def test_criterion_09_sphere_goldens(s2_spec):
-    values = {t: lc.scalar_curvature_homogeneous(s2_spec, [t]).R for t in (0.5, 1.0, 2.0)}
+    values = {t: lc.scalar_curvature_closed(s2_spec, [t]).R for t in (0.5, 1.0, 2.0)}
     ok = all(abs(values[t] - 8.0 / t) <= 1e-12 for t in values)
     _report(9, ok, f"sphere quotient curvature 8/t: {values}")
 

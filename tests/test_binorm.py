@@ -76,8 +76,39 @@ def test_binormalize_allows_zero_tolerance(su2):
 
 def test_binormalize_rejects_non_invariant_gram(su2):
     metric = lc.BiInvariantMetric(su2, np.diag([1.0, 2.0, 3.0]))
-    with pytest.raises(ValueError, match="not bi-invariant"):
+    with pytest.raises(ValueError, match="not bi-invariant-orthonormal"):
         lc.binormalize(su2, metric)
+
+
+def _one_extra_bracket(name: str, eps: float) -> lc.LieAlgebra:
+    """The algebra with [e0, e1] gaining eps * e0, which breaks Jacobi and
+    with it the invariance of the Killing metric by about eps."""
+    algebra = lc.resolve_algebra(name)
+    c = algebra.c.copy()
+    c[0, 1, 0] += eps
+    c[1, 0, 0] -= eps
+    return lc.LieAlgebra(name, algebra.dim, c)
+
+
+def _singleton_spec(algebra: lc.LieAlgebra) -> lc.HomogeneousSpec:
+    blocks = tuple([row] for row in np.eye(algebra.dim))
+    embedding = lc.SubalgebraEmbedding(parent=algebra, h_basis=[], blocks=blocks)
+    return lc.build_spec(embedding, lc.killing_metric(algebra))
+
+
+@pytest.mark.parametrize("name", ["su2", "su3", "so5"])
+def test_groups_and_quotients_share_one_bi_invariance_check(name):
+    # One rule, the model's antisymmetry at tol against the largest constant,
+    # and one message, whether the metric feeds a model or a spec.
+    small, large = _one_extra_bracket(name, 1e-10), _one_extra_bracket(name, 1e-8)
+    lc.binormalize(small, lc.killing_metric(small))
+    assert _singleton_spec(small).s == small.dim
+    message = "^not bi-invariant-orthonormal: structure tensor is not totally antisymmetric$"
+    with pytest.raises(ValueError, match=message):
+        lc.binormalize(large, lc.killing_metric(large))
+    with pytest.raises(ValueError, match=message):
+        _singleton_spec(large)
+    lc.binormalize(large, lc.killing_metric(large), tol=1e-6)
 
 
 def test_diagonalize_identity(su2_model):
@@ -148,10 +179,6 @@ def test_diagonalized_frame_evaluates_like_the_oracle(name, group_models, dense_
         assert abs(closed - koszul) <= 1e-12 * abs(closed)
         eigs = np.linalg.eigvalsh(p)
         assert np.abs(diag.metric.values - eigs).max() <= 1e-12 * eigs[-1]
-
-
-def test_metric_invariance_defect_zero_for_killing(su2):
-    assert lc.metric_invariance_defect(lc.killing_metric(su2, 0.125)) <= 1e-12
 
 
 def test_orthonormal_model_checks_antisymmetry_when_built(su2_model):

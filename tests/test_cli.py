@@ -81,25 +81,26 @@ def test_algebra_non_compact_exit(capsys, sl2_file):
 
 @pytest.mark.parametrize("fmt", ["table", "structured"])
 def test_algebra_normalization_failure_is_an_input_error(capsys, fmt):
-    # su3's own Killing metric has a roundoff invariance defect, which a zero
-    # tolerance refuses: an error naming the cause, not "n/a".
+    # su3's own Killing metric has a roundoff invariance defect (antisymmetry
+    # in its orthonormal frame), which a zero tolerance refuses: an error
+    # naming the cause, not "n/a".
     code, out, err = run(capsys, "algebra", "--algebra", "su3", "--tol", "0", "--format", fmt)
     assert code == 2
-    assert err == "error: not bi-invariant: ad-invariance fails on the gram matrix\n"
+    assert err == "error: not bi-invariant-orthonormal: structure tensor is not totally antisymmetric\n"
     assert out == ""
 
 
 def test_algebra_perturbed_file_exits_2(capsys, tmp_path):
     # su2 with [e0, e1] = e2 + 1e-8 e0 breaks Jacobi by 1e-8 and keeps a
-    # definite Killing form, which then fails ad-invariance: an error naming
-    # the check, not a report with "n/a".
+    # definite Killing form, which then fails bi-invariance (antisymmetry in
+    # its orthonormal frame): an error naming the check, not a report with "n/a".
     obj = {"name": "su2p", "dim": 3, "structure_constants": [
         [0, 1, 2, 1.0], [1, 2, 0, 1.0], [2, 0, 1, 1.0], [0, 1, 0, 1e-8]]}
     path = tmp_path / "su2p.json"
     path.write_text(json.dumps(obj), encoding="utf-8")
     code, out, err = run(capsys, "algebra", "--algebra", str(path))
     assert code == 2
-    assert err == "error: not bi-invariant: ad-invariance fails on the gram matrix\n"
+    assert err == "error: not bi-invariant-orthonormal: structure tensor is not totally antisymmetric\n"
     assert out == ""
 
 

@@ -188,12 +188,12 @@ def test_koszul_route_shares_no_curvature_kernel():
 @pytest.mark.parametrize("name", ["su2", "su3"])
 def test_group_gradient_matches_singleton_block_gradient(name, group_models):
     model = group_models[name]
-    spec = lc.group_as_homogeneous(model)
+    spec = model.spec
     rng = np.random.default_rng(43)
     for _ in range(20):
         lam = rng.uniform(0.2, 8.0, size=model.n)
         assert_allclose(lc.scalar_gradient(model, lam),
-                        lc.scalar_gradient_homogeneous(spec, lam), rtol=1e-12, atol=1e-12)
+                        lc.scalar_gradient(spec, lam), rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("name", ["dense-so7", "dense-su5", "su2-round"])
@@ -308,8 +308,8 @@ def test_batched_kernels_match_single_points(group_specs):
     grads = _block_gradient(spec, lams)
     assert grads.shape == lams.shape
     for lam, r, g in zip(lams, values, grads):
-        assert r == pytest.approx(lc.scalar_curvature_homogeneous(spec, lam).R, rel=1e-13, abs=1e-13)
-        assert_allclose(g, lc.scalar_gradient_homogeneous(spec, lam), rtol=1e-12, atol=1e-13)
+        assert r == pytest.approx(lc.scalar_curvature_closed(spec, lam).R, rel=1e-13, abs=1e-13)
+        assert_allclose(g, lc.scalar_gradient(spec, lam), rtol=1e-12, atol=1e-13)
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan, -np.inf])
@@ -319,19 +319,20 @@ def test_eigenvalues_must_be_finite_and_positive(su2_model, s2_spec, bad):
         with pytest.raises(ValueError, match="finite" if bad == np.inf else "positive"):
             evaluate(su2_model, lam)
     with pytest.raises(ValueError):
-        lc.scalar_curvature_homogeneous(s2_spec, lam[:1])
+        lc.scalar_curvature_closed(s2_spec, lam[:1])
     with pytest.raises(ValueError):
-        lc.scalar_gradient_homogeneous(s2_spec, [bad])
+        lc.scalar_gradient(s2_spec, [bad])
 
 
 def _evaluators(model, spec):
-    """The five public single-point evaluators, each bound to its model or spec."""
+    """The three public single-point evaluators bound to a model, and the
+    closed form and gradient bound to its spec."""
     return {
         "closed": lambda lam: lc.scalar_curvature_closed(model, lam),
         "gradient": lambda lam: lc.scalar_gradient(model, lam),
         "koszul": lambda lam: lc.scalar_curvature_koszul(model, lam),
-        "homogeneous": lambda lam: lc.scalar_curvature_homogeneous(spec, lam),
-        "homogeneous-gradient": lambda lam: lc.scalar_gradient_homogeneous(spec, lam),
+        "homogeneous": lambda lam: lc.scalar_curvature_closed(spec, lam),
+        "homogeneous-gradient": lambda lam: lc.scalar_gradient(spec, lam),
     }
 
 
@@ -365,7 +366,7 @@ def _bitwise_cases(group_models, flag_spec):
 
     models = {"su3": group_models["su3"], "so5": group_models["so5"],
               "so7": canonical_model("so7"), "su5": canonical_model("su5")}
-    specs = {name: lc.group_as_homogeneous(model) for name, model in models.items()}
+    specs = {name: model.spec for name, model in models.items()}
     specs["flag"] = flag_spec
     return models, specs
 
@@ -382,8 +383,8 @@ def test_single_point_results_equal_the_row_kernels_bitwise(group_models, flag_s
                 model = models[name]
                 assert lc.scalar_curvature_closed(model, lam).R == _block_curvature(model.spec, row)[0]
                 assert np.all(lc.scalar_gradient(model, lam) == _block_gradient(model.spec, row)[0])
-            assert lc.scalar_curvature_homogeneous(spec, lam).R == _block_curvature(spec, row)[0]
-            assert np.all(lc.scalar_gradient_homogeneous(spec, lam) == _block_gradient(spec, row)[0])
+            assert lc.scalar_curvature_closed(spec, lam).R == _block_curvature(spec, row)[0]
+            assert np.all(lc.scalar_gradient(spec, lam) == _block_gradient(spec, row)[0])
 
 
 @pytest.mark.parametrize("name", ["su3", "so5", "so7", "su5", "dense-so7", "dense-su5"])
@@ -397,7 +398,7 @@ def test_model_and_its_group_spec_are_interchangeable_kernel_operands(name, dens
         model = lc.binormalize(algebra, lc.killing_metric(algebra, 1.0))
     else:
         model = canonical_model(name)
-    spec = lc.group_as_homogeneous(model)
+    spec = model.spec
     assert spec is model.spec
     sources = ((model, "closed-form"), (model.c, "closed-form"), (spec, "homogeneous"))
     for lam in np.random.default_rng(41).uniform(0.1, 10.0, size=(20, model.n)):

@@ -29,11 +29,11 @@ def test_sphere_spec_data(s2_spec):
 
 
 def test_sphere_scalar_curvature(s2_spec):
-    assert lc.scalar_curvature_homogeneous(s2_spec, [1.0]).R == pytest.approx(8.0, abs=1e-12)
+    assert lc.scalar_curvature_closed(s2_spec, [1.0]).R == pytest.approx(8.0, abs=1e-12)
     for t in (0.5, 1.0, 2.0):
-        assert lc.scalar_curvature_homogeneous(s2_spec, [t]).R == pytest.approx(8.0 / t, abs=1e-12)
+        assert lc.scalar_curvature_closed(s2_spec, [t]).R == pytest.approx(8.0 / t, abs=1e-12)
     # strictly decreasing in the stretch
-    values = [lc.scalar_curvature_homogeneous(s2_spec, [t]).R for t in (0.5, 1.0, 2.0, 5.0)]
+    values = [lc.scalar_curvature_closed(s2_spec, [t]).R for t in (0.5, 1.0, 2.0, 5.0)]
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
@@ -50,7 +50,7 @@ def test_abelian_blocks_flagged_not_rejected():
 
 def test_group_shortcut_matches_full_construction(group_specs, su2_model):
     via_blocks = group_specs["su2"]
-    shortcut = lc.group_as_homogeneous(su2_model)
+    shortcut = su2_model.spec
     assert_allclose(shortcut.killing_ratios, via_blocks.killing_ratios, atol=1e-12)
     assert_allclose(shortcut.coupling, via_blocks.coupling, atol=1e-12)
     assert_allclose(shortcut.block_dims, via_blocks.block_dims)
@@ -61,11 +61,11 @@ def test_group_shortcut_matches_full_construction(group_specs, su2_model):
 def test_group_reduction_reproduces_closed_formula(name, group_models):
     # One derivation of beta and the coupling, so the two routes agree bitwise.
     model = group_models[name]
-    spec = lc.group_as_homogeneous(model)
+    spec = model.spec
     rng = np.random.default_rng(37)
     for _ in range(100):
         lam = rng.uniform(0.2, 8.0, size=model.n)
-        r_homog = lc.scalar_curvature_homogeneous(spec, lam).R
+        r_homog = lc.scalar_curvature_closed(spec, lam).R
         r_closed = lc.scalar_curvature_closed(model, lam).R
         assert r_homog == r_closed
 
@@ -73,10 +73,10 @@ def test_group_reduction_reproduces_closed_formula(name, group_models):
 def test_group_as_homogeneous_abelian():
     algebra = lc.abelian(2)
     model = lc.binormalize(algebra, lc.BiInvariantMetric(algebra, np.eye(2)))
-    spec = lc.group_as_homogeneous(model)
+    spec = model.spec
     assert np.all(spec.killing_ratios == 0.0)
     assert np.all(spec.coupling == 0.0)
-    assert lc.scalar_curvature_homogeneous(spec, [0.3, 7.0]).R == 0.0
+    assert lc.scalar_curvature_closed(spec, [0.3, 7.0]).R == 0.0
 
 
 @pytest.mark.parametrize("name", ["su3", "so4", "so5"])
@@ -159,8 +159,15 @@ def test_blocks_must_be_orthogonal(su2):
 def test_metric_must_be_invariant_for_the_embedded_algebra(su2):
     embedding = lc.SubalgebraEmbedding(parent=su2, h_basis=[], blocks=tuple([row] for row in np.eye(3)))
     # same dimension, but diag(1, 2, 3) is ad-invariant only for the abelian algebra
-    with pytest.raises(ValueError, match="not bi-invariant"):
-        lc.build_spec(embedding, lc.BiInvariantMetric(lc.abelian(3), np.diag([1.0, 2.0, 3.0])))
+    metric = lc.BiInvariantMetric(lc.abelian(3), np.diag([1.0, 2.0, 3.0]))
+    with pytest.raises(ValueError, match="not bi-invariant-orthonormal"):
+        lc.build_spec(embedding, metric)
+    # blocks that are not mutually orthogonal either: the metric is checked
+    # first, so its failure is named, not the blocks'
+    skewed = lc.SubalgebraEmbedding(parent=su2, h_basis=[],
+                                    blocks=([[1.0, 0.0, 0.0]], [[1.0, 1.0, 0.0]], [[0.0, 0.0, 1.0]]))
+    with pytest.raises(ValueError, match="not bi-invariant-orthonormal"):
+        lc.build_spec(skewed, metric)
     with pytest.raises(ValueError, match="shape"):
         lc.build_spec(embedding, lc.killing_metric(lc.build_su(3)))
 
@@ -199,7 +206,7 @@ def test_four_sphere_from_so5():
     assert sphere.killing_ratios[0] == pytest.approx(1.0, abs=1e-12)
     assert sphere.casimirs[0] == pytest.approx(0.5, abs=1e-12)
     assert np.abs(sphere.coupling).max() <= 1e-12
-    assert lc.scalar_curvature_homogeneous(sphere, [1.0]).R == pytest.approx(2.0, abs=1e-12)
+    assert lc.scalar_curvature_closed(sphere, [1.0]).R == pytest.approx(2.0, abs=1e-12)
     assert lc.sum_rule_defect(sphere).max() <= 1e-12
 
 
@@ -217,7 +224,7 @@ def test_flag_manifold_from_su3():
     assert_allclose(flag.killing_ratios, [1.0, 1.0, 1.0], atol=1e-12)
     assert_allclose(flag.casimirs, [1.0 / 3.0] * 3, atol=1e-12)
     assert flag.coupling.sum() == pytest.approx(2.0, abs=1e-12)
-    assert lc.scalar_curvature_homogeneous(flag, np.ones(3)).R == pytest.approx(2.5, abs=1e-12)
+    assert lc.scalar_curvature_closed(flag, np.ones(3)).R == pytest.approx(2.5, abs=1e-12)
     assert lc.sum_rule_defect(flag).max() <= 1e-12
     # both deficit mechanisms are active on this space
     gb = lc.gap_breakdown(flag, [2.0, 1.5, 3.0])
@@ -230,14 +237,14 @@ def test_reference_value_specialization(group_specs, s2_spec):
     for spec in (group_specs["so4"], s2_spec):
         expected = 0.5 * float(np.sum(spec.killing_ratios * spec.block_dims)) \
             - 0.25 * float(spec.coupling.sum())
-        assert lc.scalar_curvature_homogeneous(spec, np.ones(spec.s)).R == expected
+        assert lc.scalar_curvature_closed(spec, np.ones(spec.s)).R == expected
 
 
 def test_homogeneous_lambda_validation(s2_spec):
     with pytest.raises(ValueError, match="length"):
-        lc.scalar_curvature_homogeneous(s2_spec, [1.0, 1.0])
+        lc.scalar_curvature_closed(s2_spec, [1.0, 1.0])
     with pytest.raises(ValueError, match="positive"):
-        lc.scalar_curvature_homogeneous(s2_spec, [-1.0])
+        lc.scalar_curvature_closed(s2_spec, [-1.0])
 
 
 def test_gradient_matches_finite_differences(s2_spec, group_specs):
@@ -246,12 +253,12 @@ def test_gradient_matches_finite_differences(s2_spec, group_specs):
     for spec in (s2_spec, group_specs["su3"]):
         for _ in range(10):
             lam = rng.uniform(0.5, 5.0, size=spec.s)
-            grad = lc.scalar_gradient_homogeneous(spec, lam)
+            grad = lc.scalar_gradient(spec, lam)
             for m in range(spec.s):
                 up = lam.copy(); up[m] += h
                 dn = lam.copy(); dn[m] -= h
-                fd = (lc.scalar_curvature_homogeneous(spec, up).R
-                      - lc.scalar_curvature_homogeneous(spec, dn).R) / (2.0 * h)
+                fd = (lc.scalar_curvature_closed(spec, up).R
+                      - lc.scalar_curvature_closed(spec, dn).R) / (2.0 * h)
                 assert abs(grad[m] - fd) <= 1e-6
 
 
@@ -376,10 +383,10 @@ def test_spec_must_be_an_object():
 def test_gradient_takes_one_point(group_specs):
     spec = group_specs["su3"]
     lams = np.random.default_rng(3).uniform(1.0, 5.0, size=(3, spec.s))
-    assert lc.scalar_gradient_homogeneous(spec, lams[0]).shape == (spec.s,)
+    assert lc.scalar_gradient(spec, lams[0]).shape == (spec.s,)
     for batch in (lams, np.ones((1, spec.s)), np.ones((2, 2, spec.s))):
         with pytest.raises(ValueError, match="length"):
-            lc.scalar_gradient_homogeneous(spec, batch)
+            lc.scalar_gradient(spec, batch)
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -547,7 +554,7 @@ def test_ill_conditioned_spanning_vectors_still_build(eps):
     embedding = lc.SubalgebraEmbedding(parent=su2, h_basis=[[0.0, 0.0, 1.0]],
                                        blocks=([[1.0, 0.0, 0.0], [1.0, eps, 0.0]],))
     spec = lc.build_spec(embedding, lc.killing_metric(su2, 0.125))
-    assert lc.scalar_curvature_homogeneous(spec, [1.0]).R == pytest.approx(8.0, rel=1e-12, abs=0.0)
+    assert lc.scalar_curvature_closed(spec, [1.0]).R == pytest.approx(8.0, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("quotient, message", [
@@ -577,7 +584,7 @@ def test_rebased_group_spec_is_the_squared_structure_constants(name):
     embedding, metric = _rebased(lc.SubalgebraEmbedding(parent=algebra, h_basis=[], blocks=blocks),
                                  lc.killing_metric(algebra, 1.0), seed=5)
     spec = lc.build_spec(embedding, metric)
-    canonical = lc.group_as_homogeneous(lc.binormalize(algebra, lc.killing_metric(algebra, 1.0)))
+    canonical = lc.binormalize(algebra, lc.killing_metric(algebra, 1.0)).spec
     assert_allclose(spec.coupling, canonical.coupling, rtol=0.0, atol=1e-12)
     assert_allclose(spec.killing_ratios, canonical.killing_ratios, rtol=0.0, atol=1e-12)
     assert np.all(spec.casimirs == 0.0)

@@ -171,7 +171,7 @@ def test_verify_rigidity_refuses_central_blocks():
     algebra = lc.direct_sum(lc.build_su(2), lc.abelian(1))
     gram = np.diag([8.0, 8.0, 8.0, 1.0])
     model = lc.binormalize(algebra, lc.BiInvariantMetric(algebra, gram))
-    spec = lc.group_as_homogeneous(model)
+    spec = model.spec
     assert spec.killing_ratios[3] == 0.0
     with pytest.raises(lc.CenterPresentError, match="center present"):
         lc.verify_rigidity(spec)
@@ -180,7 +180,7 @@ def test_verify_rigidity_refuses_central_blocks():
 def test_ascent_stationary_at_reference(group_specs):
     spec = group_specs["su2"]
     ones = np.ones(3)
-    grad = lc.scalar_gradient_homogeneous(spec, ones)
+    grad = lc.scalar_gradient(spec, ones)
     assert np.all(grad <= 0.0)
     assert np.all(_projected_gradient(ones, grad, 10.0) == 0.0)
     start = ones[None, :]
@@ -203,7 +203,7 @@ def test_batch_curvature_matches_scalar(group_specs):
     lams = rng.uniform(0.5, 5.0, size=(20, spec.s))
     batch = _block_curvature(spec, lams)
     for row, expected in zip(lams, batch):
-        assert lc.scalar_curvature_homogeneous(spec, row).R == pytest.approx(expected, rel=1e-12)
+        assert lc.scalar_curvature_closed(spec, row).R == pytest.approx(expected, rel=1e-12)
 
 
 def test_shrink_example_deep():
@@ -266,7 +266,7 @@ def test_report_records_configuration(group_specs):
 def test_lockstep_ascent_matches_one_start_at_a_time(group_specs, flag_spec):
     for spec in (group_specs["so5"], flag_spec):
         starts = np.random.default_rng(29).uniform(1.0, 10.0, size=(6, spec.s))
-        r0 = lc.scalar_curvature_homogeneous(spec, np.ones(spec.s)).R
+        r0 = lc.scalar_curvature_closed(spec, np.ones(spec.s)).R
         ascent = _ascend_all(spec, starts, _block_curvature(spec, starts), r0, 10.0, lambda lams, rs: None)
         assert ascent.lam.shape == starts.shape and ascent.r.shape == (6,)
         for start, final, value in zip(starts, ascent.lam, ascent.r):
@@ -280,7 +280,7 @@ def test_lockstep_ascent_records_every_evaluation(group_specs):
     spec = group_specs["su3"]
     starts = np.random.default_rng(31).uniform(1.0, 10.0, size=(5, spec.s))
     seen = []
-    r0 = lc.scalar_curvature_homogeneous(spec, np.ones(spec.s)).R
+    r0 = lc.scalar_curvature_closed(spec, np.ones(spec.s)).R
     ascent = _ascend_all(spec, starts, _block_curvature(spec, starts), r0, 10.0,
                          lambda lams, rs: seen.append((lams.copy(), rs.copy())))
     assert np.array_equal(seen[0][0], starts)
@@ -295,12 +295,12 @@ def test_lockstep_ascent_records_every_evaluation(group_specs):
 @pytest.mark.parametrize("seed", [11, 2020])
 def test_every_start_converges(name, seed):
     algebra = lc.resolve_algebra(name)
-    spec = lc.group_as_homogeneous(lc.binormalize(algebra, lc.killing_metric(algebra, 1.0)))
+    spec = lc.binormalize(algebra, lc.killing_metric(algebra, 1.0)).spec
     report = lc.verify_rigidity(spec, seed=seed)
     assert report.certified
     assert report.ascent_status == ("converged",) * report.n_starts
     for lam in report.ascent_finals:
-        grad = lc.scalar_gradient_homogeneous(spec, lam)
+        grad = lc.scalar_gradient(spec, lam)
         assert np.linalg.norm(_projected_gradient(lam, grad, 10.0)) <= GRAD_STOP
 
 
@@ -362,7 +362,7 @@ def test_newton_step_stays_finite_where_the_free_hessian_vanishes(scale):
     # R is linear in lam_0 while every other ratio sits on the lower bound with
     # its gradient pointing out of the box: the free Hessian block is exactly 0.
     algebra = lc.build_su(3)
-    spec = lc.group_as_homogeneous(lc.binormalize(algebra, lc.killing_metric(algebra, scale)))
+    spec = lc.binormalize(algebra, lc.killing_metric(algebra, scale)).spec
     lam = np.ones((1, 8))
     lam[0, 0] = 1.107
     grad = _block_gradient(spec, lam)
@@ -399,7 +399,7 @@ def test_reference_start_value_is_the_reference(name):
     # r0 and the all-ones start come out of one matrix product, so the
     # reference cannot beat itself by a rounding difference.
     algebra = lc.resolve_algebra(name)
-    spec = lc.group_as_homogeneous(lc.binormalize(algebra, lc.killing_metric(algebra, 1.0)))
+    spec = lc.binormalize(algebra, lc.killing_metric(algebra, 1.0)).spec
     report = lc.verify_rigidity(spec, seed=0)
     assert report.ascent_values[0] == report.r0
     assert np.all(report.ascent_finals[0] == 1.0)
@@ -461,6 +461,6 @@ def test_reference_curvature_is_the_single_point_value(name, s2_spec, flag_spec)
 
     # Bitwise: r0 is R(1) on one row, as the public evaluator takes it, not a
     # row of the batch of starts, whose product can round differently.
-    spec = {"s2": s2_spec, "flag": flag_spec}.get(name) or lc.group_as_homogeneous(canonical_model(name))
+    spec = {"s2": s2_spec, "flag": flag_spec}.get(name) or canonical_model(name).spec
     report = lc.verify_rigidity(spec, n_samples=0)
-    assert report.r0 == lc.scalar_curvature_homogeneous(spec, np.ones(spec.s)).R
+    assert report.r0 == lc.scalar_curvature_closed(spec, np.ones(spec.s)).R

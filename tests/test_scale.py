@@ -19,7 +19,7 @@ FLAG_BLOCKS = (np.vstack([E8[0], E8[3]]), np.vstack([E8[1], E8[4]]), np.vstack([
 def _group(name, scale):
     algebra = lc.resolve_algebra(name)
     canonical = 0.125 if name == "su2" else 1.0
-    return lc.group_as_homogeneous(lc.binormalize(algebra, lc.killing_metric(algebra, canonical * scale)))
+    return lc.binormalize(algebra, lc.killing_metric(algebra, canonical * scale)).spec
 
 
 def _quotient(name, scale):
