@@ -49,6 +49,6 @@ print("\ngroup-as-quotient check:",
 torus = lc.abelian(2)
 flat = lc.build_spec(
     lc.SubalgebraEmbedding(parent=torus, h_basis=[], blocks=([[1.0, 0.0]], [[0.0, 1.0]])),
-    lc.BiInvariantMetric(torus, np.eye(2)), name="t2")
+    np.eye(2), name="t2")
 print("\ntorus killing ratios:", flat.killing_ratios,
       "| central blocks:", flat.central_blocks())

@@ -34,7 +34,6 @@ from .lie_core import (
     resolve_algebra,
 )
 from .binorm import (
-    BiInvariantMetric,
     OrthonormalModel,
     antisymmetry_defect,
     binormalize,
@@ -76,7 +75,7 @@ __all__ = [
     "LieAlgebra", "KillingData", "MatrixBasis", "abelian", "algebra_from_dict",
     "algebra_from_file", "algebra_to_dict", "build_so", "build_su", "direct_sum",
     "from_matrix_basis", "jacobi_defect", "killing", "resolve_algebra",
-    "BiInvariantMetric", "OrthonormalModel", "antisymmetry_defect",
+    "OrthonormalModel", "antisymmetry_defect",
     "binormalize", "diagonalize_metric", "killing_metric",
     "CurvatureResult", "frame_curvatures", "scalar_curvature_closed",
     "scalar_curvature_koszul", "scalar_gradient",

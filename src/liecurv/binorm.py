@@ -1,10 +1,10 @@
 """Orthonormal frames adapted to a bi-invariant metric.
 
-Given an ad-invariant positive-definite inner product on a Lie algebra,
+Given the Gram matrix of an ad-invariant inner product on a Lie algebra,
 :func:`binormalize` re-expresses the structure constants in an orthonormal
-basis (via Cholesky), where bi-invariance makes them totally antisymmetric;
-that antisymmetry, checked by :class:`OrthonormalModel`, is the package's one
-bi-invariance check, for groups and quotients alike.
+basis (via Cholesky), where bi-invariance makes them totally antisymmetric:
+the package's one bi-invariance rule, checked by :class:`OrthonormalModel`
+and by ``build_spec`` on a quotient's constants in its adapted frame.
 Arbitrary left-invariant metrics are then handled by diagonalizing their
 positive self-adjoint operator relative to the orthonormal frame
 (:func:`diagonalize_metric`, which returns the rotation, the eigenvalues as
@@ -24,31 +24,13 @@ import numpy as np
 
 from .lie_core import DEFAULT_TOL, LieAlgebra, _negligible, _require, _structure_tensor, _tolerance, killing
 
-
-@dataclass(frozen=True)
-class BiInvariantMetric:
-    """Ad-invariant inner product on a Lie algebra, as a finite Gram matrix.
-
-    Only shape and finiteness are checked here; :func:`binormalize` checks
-    that the matrix is positive definite and, through the model it builds,
-    ad-invariant."""
-
-    base: LieAlgebra
-    gram: np.ndarray
-
-    def __post_init__(self):
-        gram = np.asarray(self.gram, dtype=float)
-        n = self.base.dim
-        if gram.shape != (n, n):
-            raise ValueError(f"gram matrix must have shape ({n}, {n})")
-        if not np.all(np.isfinite(gram)):
-            raise ValueError("gram matrix must be finite")
-        object.__setattr__(self, "gram", gram)
+# The one bi-invariance failure, for a model's constants and a quotient's alike.
+_NOT_ANTISYMMETRIC = "not bi-invariant-orthonormal: structure tensor is not totally antisymmetric"
 
 
-def killing_metric(algebra: LieAlgebra, scale: float = 1.0) -> BiInvariantMetric:
-    """The metric s * B, with B the negative of the Killing form; s must be
-    positive, and s and s * B finite."""
+def killing_metric(algebra: LieAlgebra, scale: float = 1.0) -> np.ndarray:
+    """The Gram matrix s * B of a reference metric, with B the negative of the
+    Killing form; s must be positive, and s and s * B finite."""
     if scale <= 0:
         raise ValueError("metric scale must be positive")
     if not np.isfinite(scale):
@@ -56,7 +38,25 @@ def killing_metric(algebra: LieAlgebra, scale: float = 1.0) -> BiInvariantMetric
     B = killing(algebra).B
     if not np.isfinite(scale * float(np.abs(B).max())):  # exactly when s * B is not finite
         raise ValueError(f"metric scale must be small enough for a finite gram matrix s * B, got {scale}")
-    return BiInvariantMetric(algebra, scale * B)
+    return scale * B
+
+
+def _checked_gram(algebra: LieAlgebra, gram) -> tuple[np.ndarray, np.ndarray]:
+    """A reference metric's Gram matrix as a float array, checked against the
+    algebra it is used with, and its Cholesky factor L (gram = L L^T)."""
+    try:
+        gram = np.asarray(gram, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"gram matrix must be a numeric array, got {type(gram).__name__}") from None
+    n = algebra.dim
+    if gram.shape != (n, n):
+        raise ValueError(f"gram matrix must have shape ({n}, {n})")
+    if not np.all(np.isfinite(gram)):
+        raise ValueError("gram matrix must be finite")
+    eigs = np.linalg.eigvalsh(0.5 * (gram + gram.T))
+    if _negligible(eigs[0], eigs[-1]):
+        raise ValueError("not a metric: gram matrix is not positive definite")
+    return gram, np.linalg.cholesky(gram)
 
 
 def _first_two(a: np.ndarray) -> np.ndarray:
@@ -159,8 +159,7 @@ class OrthonormalModel:
             raise ValueError(f"dimension n must be at least 1, got {n}")
         if c.shape != (n, n, n):
             raise ValueError(f"structure tensor must have shape ({n}, {n}, {n})")
-        _require(antisymmetry_defect(c), np.abs(c).max(),
-                 "not bi-invariant-orthonormal: structure tensor is not totally antisymmetric", tol)
+        _require(antisymmetry_defect(c), np.abs(c).max(), _NOT_ANTISYMMETRIC, tol)
         object.__setattr__(self, "c", c)
         self._build_spec()
 
@@ -188,24 +187,21 @@ def _in_frame(c: np.ndarray, t: np.ndarray, co: np.ndarray) -> np.ndarray:
     return np.einsum("ia,jb,kc,ijk->abc", t, t, co, c, optimize=True)
 
 
-def binormalize(algebra: LieAlgebra, metric: BiInvariantMetric, tol: float = DEFAULT_TOL) -> OrthonormalModel:
+def binormalize(algebra: LieAlgebra, gram, tol: float = DEFAULT_TOL) -> OrthonormalModel:
     """Rotate the structure constants into a metric-orthonormal basis.
 
     The change of basis comes from the Cholesky factor of the Gram matrix,
     so repeated runs are bit-for-bit reproducible.  The Gram matrix must be
-    positive definite (its smallest eigenvalue not negligible against its
-    largest).  Bi-invariance is checked once, by the model: a left-invariant
-    metric is bi-invariant exactly when every ad(x) is skew-adjoint, that is
-    when the constants in an orthonormal frame are totally antisymmetric, at
-    ``tol`` against the largest.  ``tol`` must be finite and nonnegative.
+    finite, (n, n) and positive definite (its smallest eigenvalue not
+    negligible against its largest).  Bi-invariance is checked by the model:
+    a metric is bi-invariant exactly when every ad(x) is skew-adjoint, that
+    is when the constants in an orthonormal frame are totally antisymmetric,
+    at ``tol`` against the largest.  ``tol`` must be finite and nonnegative.
     """
     _tolerance(tol, "tol")
-    eigs = np.linalg.eigvalsh(0.5 * (metric.gram + metric.gram.T))
-    if _negligible(eigs[0], eigs[-1]):
-        raise ValueError("not a metric: gram matrix is not positive definite")
-    L = np.linalg.cholesky(metric.gram)
+    gram, L = _checked_gram(algebra, gram)
     t = np.linalg.inv(L).T
-    c_rot = _in_frame(algebra.c, t, metric.gram @ t)
+    c_rot = _in_frame(algebra.c, t, gram @ t)
     return OrthonormalModel(name=algebra.name, n=algebra.dim, t=t, c=c_rot, tol=tol)
 
 

@@ -26,7 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .binorm import BiInvariantMetric, HomogeneousSpec, OrthonormalModel, _in_frame, binormalize, killing_metric
+from .binorm import (_NOT_ANTISYMMETRIC, HomogeneousSpec, OrthonormalModel, _checked_gram, _in_frame,
+                     antisymmetry_defect, killing_metric)
 from .curvature import scalar_curvature_closed, scalar_gradient
 from .lie_core import (LieAlgebra, _negligible, _real, _require, _sparse_entries, _whole_number, killing,
                        resolve_algebra)
@@ -57,11 +58,12 @@ class SubalgebraEmbedding:
         object.__setattr__(self, "blocks", blocks)
 
 
-def _orthonormal_rows(rows: np.ndarray, gram: np.ndarray, what: str) -> np.ndarray:
+def _orthonormal_rows(rows: np.ndarray, L: np.ndarray, what: str) -> np.ndarray:
     """Orthonormalize spanning rows for the metric, in order (Gram-Schmidt).
 
-    With gram = L L^T, the rows' whitened coordinates w = rows L have the
-    Euclidean inner products of the metric.  A QR factorization w^T = Q R
+    With L the Cholesky factor of the metric's Gram matrix (gram = L L^T),
+    the finite rows' whitened coordinates w = rows L have the Euclidean
+    inner products of the metric.  A QR factorization w^T = Q R
     orthonormalizes them without squaring their condition number, as the
     Cholesky factor of their Gram matrix would; the result is Q^T L^-1.
     Each row is first scaled to unit largest entry, which leaves the span as
@@ -72,8 +74,9 @@ def _orthonormal_rows(rows: np.ndarray, gram: np.ndarray, what: str) -> np.ndarr
     k, n = rows.shape
     if k == 0:
         return rows
+    if not np.all(np.isfinite(rows)):
+        raise ValueError(f"{what} spanning vectors must be finite")
     size = np.abs(rows).max(axis=1, keepdims=True)
-    L = np.linalg.cholesky(gram)
     q, r = np.linalg.qr((rows / np.where(size > 0.0, size, 1.0) @ L).T)
     dist = np.abs(np.diag(r))
     if k > n or _negligible(dist.min(), dist.max()):
@@ -82,8 +85,7 @@ def _orthonormal_rows(rows: np.ndarray, gram: np.ndarray, what: str) -> np.ndarr
     return np.linalg.solve(L.T, q).T
 
 
-def build_spec(embedding: SubalgebraEmbedding, metric: BiInvariantMetric,
-               name: str | None = None) -> HomogeneousSpec:
+def build_spec(embedding: SubalgebraEmbedding, gram, name: str | None = None) -> HomogeneousSpec:
     """Reduce a quotient description to homogeneous curvature data.
 
     The orthonormalized subalgebra and blocks, h first, form the adapted
@@ -92,28 +94,31 @@ def build_spec(embedding: SubalgebraEmbedding, metric: BiInvariantMetric,
     in F).  Verifies the two necessary conditions the formulas rely on
     (Casimir scalar, Killing ratio constant on each block) rather than
     irreducibility itself; failures ask the caller to refine the blocks.
-    Each check is relative to its data.  First of all, the Gram matrix must
-    be an invariant metric of the embedding's algebra: :func:`binormalize`
-    checks it, as it does for a group, so a bad metric is refused with the
-    same message on both paths and never blamed on the blocks.
+    Each check is relative to its data.  The Gram matrix is checked as by
+    :func:`binormalize` and factored once; after the frame's own checks, the
+    metric must be invariant for the embedding's algebra by the model's rule
+    and message (cf totally antisymmetric), before orthogonality is checked,
+    so a bad metric is never blamed on the blocks.
     """
-    algebra, gram = embedding.parent, metric.gram
-    binormalize(algebra, BiInvariantMetric(algebra, gram))  # for its checks only: every datum below is read in F
+    algebra = embedding.parent
+    gram, L = _checked_gram(algebra, gram)
     n = algebra.dim
 
-    z = _orthonormal_rows(embedding.h_basis, gram, "subalgebra")
-    frames = [_orthonormal_rows(b, gram, f"block {i}") for i, b in enumerate(embedding.blocks)]
+    z = _orthonormal_rows(embedding.h_basis, L, "subalgebra")
+    frames = [_orthonormal_rows(b, L, f"block {i}") for i, b in enumerate(embedding.blocks)]
     dims = np.array([f.shape[0] for f in frames], dtype=int)
     s, h = len(frames), z.shape[0]
 
-    # Mutual orthogonality and completeness in one Gram check.
     full = np.vstack([z] + frames)
     if full.shape[0] != n:
         raise ValueError(f"subalgebra and blocks span dimension {full.shape[0]}, expected {n}")
-    _require(np.abs(full @ gram @ full.T - np.eye(n)).max(), 1.0,
-             "subalgebra and blocks are not mutually orthogonal")
     cf = _in_frame(algebra.c, full.T, gram @ full.T)
     size = np.abs(cf).max()
+    # Invariance gives cf[a, b, g] = -cf[a, g, b] for any vectors: sound before F is known orthonormal.
+    _require(antisymmetry_defect(cf), size, _NOT_ANTISYMMETRIC)
+    # Mutual orthogonality and, with the count above, completeness in one Gram check.
+    _require(np.abs(full @ gram @ full.T - np.eye(n)).max(), 1.0,
+             "subalgebra and blocks are not mutually orthogonal")
     edges = np.cumsum([h, *dims])
     block_of = np.repeat(np.arange(-1, s), [h, *dims])  # -1 on h
 
@@ -182,13 +187,10 @@ def sum_rule_defect(spec: HomogeneousSpec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _numbers(value, what: str):
-    """Nested JSON lists whose every entry is a finite number (see ``_real``)."""
+    """Nested JSON lists whose every entry is a number (see ``_real``)."""
     if isinstance(value, (list, tuple)):
         return [_numbers(v, what) for v in value]
-    x = _real(value, what)
-    if not np.isfinite(x):
-        raise ValueError(f"{what} must be finite, got {value!r}")
-    return x
+    return _real(value, what)
 
 
 def spec_from_dict(obj: dict, base_dir: str | Path = ".", name: str = "homogeneous-spec") -> HomogeneousSpec:

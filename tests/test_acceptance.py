@@ -118,7 +118,7 @@ def test_criterion_07_rigidity_certificates(group_specs, s2_spec):
 
 def test_criterion_08_central_blocks_rejected():
     algebra = lc.direct_sum(lc.build_su(2), lc.abelian(1))
-    model = lc.binormalize(algebra, lc.BiInvariantMetric(algebra, np.diag([8.0, 8.0, 8.0, 1.0])))
+    model = lc.binormalize(algebra, np.diag([8.0, 8.0, 8.0, 1.0]))
     spec = model.spec
     reports_zero = spec.killing_ratios[3] == 0.0 and spec.central_blocks() == [3]
     refused = False

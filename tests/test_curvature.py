@@ -45,7 +45,7 @@ def test_oracle_agreement_su2(su2_model):
 
 def test_abelian_metrics_are_flat():
     algebra = lc.abelian(3)
-    model = lc.binormalize(algebra, lc.BiInvariantMetric(algebra, np.eye(3)))
+    model = lc.binormalize(algebra, np.eye(3))
     for lam in ([1.0, 2.0, 3.0], [0.1, 0.1, 9.0]):
         assert lc.scalar_curvature_closed(model, lam).R == 0.0
         assert lc.scalar_curvature_koszul(model, lam).R == 0.0
@@ -149,7 +149,7 @@ def test_gradient_matches_finite_differences(name, group_models):
 
 def test_gradient_abelian_zero():
     algebra = lc.abelian(3)
-    model = lc.binormalize(algebra, lc.BiInvariantMetric(algebra, np.eye(3)))
+    model = lc.binormalize(algebra, np.eye(3))
     assert np.all(lc.scalar_gradient(model, [1.0, 2.0, 3.0]) == 0.0)
 
 

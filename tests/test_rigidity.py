@@ -170,7 +170,7 @@ def test_verify_rigidity_deterministic(group_specs):
 def test_verify_rigidity_refuses_central_blocks():
     algebra = lc.direct_sum(lc.build_su(2), lc.abelian(1))
     gram = np.diag([8.0, 8.0, 8.0, 1.0])
-    model = lc.binormalize(algebra, lc.BiInvariantMetric(algebra, gram))
+    model = lc.binormalize(algebra, gram)
     spec = model.spec
     assert spec.killing_ratios[3] == 0.0
     with pytest.raises(lc.CenterPresentError, match="center present"):

@@ -70,7 +70,7 @@ def _killing_ratio(scale):
     e = np.eye(6)
     embedding = lc.SubalgebraEmbedding(parent=algebra, h_basis=[],
                                        blocks=(np.vstack([e[0], e[3]]), [e[1]], [e[2]], [e[4]], [e[5]]))
-    return embedding, lc.BiInvariantMetric(algebra, np.diag([8.0, 8.0, 8.0, 16.0, 16.0, 16.0]) * scale)
+    return embedding, np.diag([8.0, 8.0, 8.0, 16.0, 16.0, 16.0]) * scale
 
 
 @pytest.mark.parametrize("scale", SCALES)
