@@ -39,7 +39,8 @@ class SubalgebraEmbedding:
 
     ``h_basis`` holds coefficient vectors spanning the subalgebra (possibly
     empty for the group case); ``blocks`` holds one list of spanning
-    coefficient vectors per complement block.
+    coefficient vectors per complement block.  Each is taken only as a list
+    of vectors of length ``parent.dim``, never reshaped into one.
     """
 
     parent: LieAlgebra
@@ -48,14 +49,30 @@ class SubalgebraEmbedding:
 
     def __post_init__(self):
         n = self.parent.dim
-        h = np.asarray(self.h_basis, dtype=float).reshape(-1, n)
-        blocks = tuple(np.asarray(b, dtype=float).reshape(-1, n) for b in self.blocks)
+        h = _vectors(self.h_basis, n, "subalgebra")
+        blocks = tuple(_vectors(b, n, f"block {i}") for i, b in enumerate(self.blocks))
         if not blocks:
             raise ValueError("at least one complement block is required")
         if any(b.shape[0] == 0 for b in blocks):
             raise ValueError("complement blocks must be non-empty")
         object.__setattr__(self, "h_basis", h)
         object.__setattr__(self, "blocks", blocks)
+
+
+def _vectors(value, n: int, what: str) -> np.ndarray:
+    """Coefficient vectors as a (k, n) float array (an empty list gives k = 0);
+    anything but a list of vectors of length n is refused by name."""
+    try:
+        rows = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):  # ragged or not numeric
+        raise ValueError(f"{what} must be a list of vectors of length {n}") from None
+    if rows.ndim == 1 and rows.size == 0:
+        return rows.reshape(0, n)
+    if rows.ndim != 2:
+        raise ValueError(f"{what} must be a list of vectors of length {n}")
+    if rows.shape[1] != n:
+        raise ValueError(f"{what} vectors must have length {n}")
+    return rows
 
 
 def _orthonormal_rows(rows: np.ndarray, L: np.ndarray, what: str) -> np.ndarray:
@@ -236,8 +253,8 @@ def spec_from_dict(obj: dict, base_dir: str | Path = ".", name: str = "homogeneo
             raise ValueError("derived homogeneous spec needs a 'blocks' list")
         embedding = SubalgebraEmbedding(
             parent=algebra,
-            h_basis=np.asarray(_numbers(obj.get("h_basis", []), "h_basis entry")).reshape(-1, algebra.dim),
-            blocks=tuple(np.asarray(_numbers(b, "blocks entry")) for b in obj["blocks"]),
+            h_basis=_numbers(obj.get("h_basis", []), "h_basis entry"),
+            blocks=tuple(_numbers(b, "blocks entry") for b in obj["blocks"]),
         )
         return build_spec(embedding, killing_metric(algebra, scale), name=name)
     raise ValueError("homogeneous spec must be raw (key 's') or derived (key 'algebra')")

@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import liecurv as lc
+from test_homogeneous import _rebased
 
 
 def test_round_su2_normalization_is_identity(su2, su2_model):
@@ -90,25 +91,59 @@ def _one_extra_bracket(name: str, eps: float) -> lc.LieAlgebra:
     return lc.LieAlgebra(name, algebra.dim, c)
 
 
-def _singleton_spec(algebra: lc.LieAlgebra) -> lc.HomogeneousSpec:
-    blocks = tuple([row] for row in np.eye(algebra.dim))
-    embedding = lc.SubalgebraEmbedding(parent=algebra, h_basis=[], blocks=blocks)
-    return lc.build_spec(embedding, lc.killing_metric(algebra))
+def _singletons(algebra: lc.LieAlgebra) -> lc.SubalgebraEmbedding:
+    return lc.SubalgebraEmbedding(parent=algebra, h_basis=[], blocks=tuple([row] for row in np.eye(algebra.dim)))
+
+
+def _s2_over(algebra: lc.LieAlgebra) -> lc.SubalgebraEmbedding:
+    return lc.SubalgebraEmbedding(parent=algebra, h_basis=[[0.0, 0.0, 1.0]],
+                                  blocks=([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],))
+
+
+def _flag_over(algebra: lc.LieAlgebra) -> lc.SubalgebraEmbedding:
+    e = np.eye(8)
+    return lc.SubalgebraEmbedding(parent=algebra, h_basis=[e[6], e[7]],
+                                  blocks=(np.vstack([e[0], e[3]]), np.vstack([e[1], e[4]]), np.vstack([e[2], e[5]])))
+
+
+def _skewed(algebra: lc.LieAlgebra) -> lc.SubalgebraEmbedding:
+    """Singleton blocks whose second vector is not orthogonal to the first."""
+    rows = np.eye(algebra.dim)
+    rows[1, 0] = 1.0
+    return lc.SubalgebraEmbedding(parent=algebra, h_basis=[], blocks=tuple([row] for row in rows))
+
+
+QUOTIENTS = {"su2": (_singletons, _s2_over), "su3": (_singletons, _flag_over), "so5": (_singletons,)}
 
 
 @pytest.mark.parametrize("name", ["su2", "su3", "so5"])
 def test_groups_and_quotients_share_one_bi_invariance_check(name):
     # One rule, the model's antisymmetry at tol against the largest constant,
-    # and one message, whether the metric feeds a model or a spec.
+    # and one message, whether the metric feeds a model or a spec: for
+    # singleton blocks and for quotients with a subalgebra, in the algebra's
+    # own basis and in a random orthonormal one.
     small, large = _one_extra_bracket(name, 1e-10), _one_extra_bracket(name, 1e-8)
     lc.binormalize(small, lc.killing_metric(small))
-    assert _singleton_spec(small).s == small.dim
     message = "^not bi-invariant-orthonormal: structure tensor is not totally antisymmetric$"
     with pytest.raises(ValueError, match=message):
         lc.binormalize(large, lc.killing_metric(large))
-    with pytest.raises(ValueError, match=message):
-        _singleton_spec(large)
     lc.binormalize(large, lc.killing_metric(large), tol=1e-6)
+    for quotient in QUOTIENTS[name]:
+        for seed in (None, 6):
+            embedding, gram = quotient(small), lc.killing_metric(small)
+            if seed is not None:
+                embedding, gram = _rebased(embedding, gram, seed)
+            assert lc.build_spec(embedding, gram).s == len(embedding.blocks)
+            embedding, gram = quotient(large), lc.killing_metric(large)
+            if seed is not None:
+                embedding, gram = _rebased(embedding, gram, seed)
+            with pytest.raises(ValueError, match=message):
+                lc.build_spec(embedding, gram)
+    # The metric is checked before the blocks' orthogonality, so it is named.
+    with pytest.raises(ValueError, match=message):
+        lc.build_spec(_skewed(large), lc.killing_metric(large))
+    with pytest.raises(ValueError, match="^subalgebra and blocks are not mutually orthogonal$"):
+        lc.build_spec(_skewed(small), lc.killing_metric(small))
 
 
 def test_diagonalize_identity(su2_model):

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -405,6 +406,25 @@ def test_derived_spec_vectors_are_finite_numbers(field, value, message):
         lc.spec_from_dict(derived)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("blocks", [[[1, 0, 0, 0, 1, 0]]], "^block 0 vectors must have length 3$"),
+    ("h_basis", [[[0, 0, 1]]], "^subalgebra must be a list of vectors of length 3$"),
+    ("blocks", [[[1, 0]]], "^block 0 vectors must have length 3$"),
+    ("blocks", [[[1, 0, 0], [0, 1]]], "^block 0 must be a list of vectors of length 3$"),
+    ("h_basis", 5, "^subalgebra must be a list of vectors of length 3$"),
+], ids=["six-numbers", "nested-h", "short-vector", "ragged-block", "scalar-h"])
+def test_derived_spec_vectors_have_the_algebra_dimension(field, value, message):
+    # Vectors are taken as given, never reshaped: one six-number row over
+    # su2 is not e0 and e1, and a nested h is not its one vector.
+    derived = {"algebra": "su2", "scale": 0.125, "h_basis": [[0, 0, 1]], "blocks": [[[1, 0, 0], [0, 1, 0]]]}
+    derived[field] = value
+    with pytest.raises(ValueError, match=message):
+        lc.spec_from_dict(derived)
+    embedding = {"h_basis": derived["h_basis"], "blocks": tuple(derived["blocks"])}
+    with pytest.raises(ValueError, match=message):
+        lc.SubalgebraEmbedding(parent=lc.build_su(2), **embedding)
+
+
 @pytest.mark.parametrize("build, message", [
     (lambda: lc.HomogeneousSpec(name="short", s=2, block_dims=[1], killing_ratios=[1.0, 1.0],
                                 casimirs=[0.0, 0.0], coupling=np.zeros((2, 2, 2)), provenance="raw-file"),
@@ -596,6 +616,36 @@ def test_every_change_of_basis_uses_one_rotation():
     for fn in (binorm.binormalize, binorm.diagonalize_metric, homogeneous.build_spec):
         assert "_in_frame" in fn.__code__.co_names
         assert "einsum" not in fn.__code__.co_names
+
+
+def _su5_singletons():
+    su5 = lc.build_su(5)
+    return (lc.SubalgebraEmbedding(parent=su5, h_basis=[], blocks=tuple([row] for row in np.eye(24))),
+            lc.killing_metric(su5, 1.0))
+
+
+@pytest.mark.parametrize("quotient", [_s2, _flag, _su5_singletons])
+def test_build_spec_builds_no_model_and_factors_once(quotient, monkeypatch):
+    # One Cholesky factor for the metric and every group of rows, one
+    # rotation into the adapted frame, and no OrthonormalModel.
+    from liecurv import binorm, homogeneous
+
+    embedding, gram = quotient()
+    calls = Counter()
+
+    def counted(what, fn):
+        def wrapper(*args, **kwargs):
+            calls[what] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    rotation, model = counted("rotation", binorm._in_frame), counted("model", binorm.OrthonormalModel)
+    monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
+    for module in (binorm, homogeneous):
+        monkeypatch.setattr(module, "_in_frame", rotation)
+        monkeypatch.setattr(module, "OrthonormalModel", model)
+    lc.build_spec(embedding, gram)
+    assert calls == {"cholesky": 1, "rotation": 1}
 
 
 def _block_data_by_loops(embedding, metric):
