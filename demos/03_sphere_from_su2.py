@@ -12,7 +12,7 @@ import numpy as np
 import liecurv as lc
 
 su2 = lc.build_su(2)
-metric = lc.killing_metric(su2, 0.125)
+gram = lc.killing_metric(su2, 0.125)  # the reference metric, as its Gram matrix
 
 # Subalgebra: the third Pauli direction (a circle).  Complement: the span
 # of the first two, a single invariant block.
@@ -21,7 +21,7 @@ embedding = lc.SubalgebraEmbedding(
     h_basis=[[0.0, 0.0, 1.0]],
     blocks=([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],),
 )
-sphere = lc.build_spec(embedding, metric, name="s2")
+sphere = lc.build_spec(embedding, gram, name="s2")
 
 print("block dims:    ", sphere.block_dims)
 print("killing ratios:", sphere.killing_ratios)
@@ -37,7 +37,7 @@ for t in (0.5, 1.0, 2.0, 4.0):
 # The group itself is the quotient by the trivial subgroup: singleton
 # blocks and vanishing Casimirs.  Its spec, built with the model, gives the
 # same curvature through the same evaluator.
-model = lc.binormalize(su2, metric)
+model = lc.binormalize(su2, gram)
 group = model.spec
 lam = np.array([1.0, 1.0, 2.0])
 print("\ngroup-as-quotient check:",
@@ -45,7 +45,8 @@ print("\ngroup-as-quotient check:",
       "vs", lc.scalar_curvature_closed(model, lam).R)
 
 # Central blocks are allowed in the data but flagged: their Killing ratio
-# vanishes, which is exactly what breaks rigidity later.
+# vanishes, which is exactly what breaks rigidity later.  Any positive-definite
+# Gram matrix is bi-invariant on the abelian torus.
 torus = lc.abelian(2)
 flat = lc.build_spec(
     lc.SubalgebraEmbedding(parent=torus, h_basis=[], blocks=([[1.0, 0.0]], [[0.0, 1.0]])),

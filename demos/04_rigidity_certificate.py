@@ -54,6 +54,8 @@ for name, s in (("su2", spec), ("so5", None), ("s2", None)):
 
 # Structural failure mode: a central direction.  Its Killing ratio is zero,
 # so stretching it costs no curvature and the certificate refuses to run.
+# The reference metric is a Gram matrix: su(2)'s Killing metric plus any
+# positive scale on the center is still bi-invariant.
 u2_like = lc.direct_sum(su2, lc.abelian(1))
 m = lc.binormalize(u2_like, np.diag([8.0, 8.0, 8.0, 1.0]))
 flat_spec = m.spec
