@@ -128,17 +128,18 @@ def test_groups_and_quotients_share_one_bi_invariance_check(name):
     with pytest.raises(ValueError, match=message):
         lc.binormalize(large, lc.killing_metric(large))
     lc.binormalize(large, lc.killing_metric(large), tol=1e-6)
+
+    def build(algebra, quotient, seed):
+        embedding, gram = quotient(algebra), lc.killing_metric(algebra)
+        if seed is not None:
+            embedding, gram = _rebased(embedding, gram, seed)
+        return lc.build_spec(embedding, gram)
+
     for quotient in QUOTIENTS[name]:
         for seed in (None, 6):
-            embedding, gram = quotient(small), lc.killing_metric(small)
-            if seed is not None:
-                embedding, gram = _rebased(embedding, gram, seed)
-            assert lc.build_spec(embedding, gram).s == len(embedding.blocks)
-            embedding, gram = quotient(large), lc.killing_metric(large)
-            if seed is not None:
-                embedding, gram = _rebased(embedding, gram, seed)
+            assert build(small, quotient, seed).s == len(quotient(small).blocks)
             with pytest.raises(ValueError, match=message):
-                lc.build_spec(embedding, gram)
+                build(large, quotient, seed)
     # The metric is checked before the blocks' orthogonality, so it is named.
     with pytest.raises(ValueError, match=message):
         lc.build_spec(_skewed(large), lc.killing_metric(large))

@@ -420,9 +420,8 @@ def test_derived_spec_vectors_have_the_algebra_dimension(field, value, message):
     derived[field] = value
     with pytest.raises(ValueError, match=message):
         lc.spec_from_dict(derived)
-    embedding = {"h_basis": derived["h_basis"], "blocks": tuple(derived["blocks"])}
     with pytest.raises(ValueError, match=message):
-        lc.SubalgebraEmbedding(parent=lc.build_su(2), **embedding)
+        lc.SubalgebraEmbedding(parent=lc.build_su(2), h_basis=derived["h_basis"], blocks=tuple(derived["blocks"]))
 
 
 @pytest.mark.parametrize("build, message", [
