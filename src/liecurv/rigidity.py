@@ -9,7 +9,8 @@ while :func:`verify_rigidity` hunts for counterexamples with dense sampling
 plus a projected-Newton ascent over the constrained box (Bertsekas 1982)
 that runs all starts in lockstep: an eigenvalue-modified Newton step on
 the free coordinates, a gradient step on the ones held at a bound, and
-Armijo backtracking along the projected arc.  A certificate requires that
+Armijo backtracking along the projected arc.  The verdict is one pure
+function of the batches the search evaluated: a certificate requires that
 no evaluated metric beats the reference, that near-ties sit at the
 reference, and that every start converged.  It is a falsifiable numerical
 witness, not a proof.
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -129,7 +130,10 @@ class RigidityReport:
     ``ascent_status[i]`` says how start i ended ("converged", "max-iter" or
     "line-search") and ``ascent_iterations[i]`` how many steps it took;
     ``n_evaluations`` counts every metric at which the curvature was
-    evaluated; ``sampling_time`` and ``ascent_time`` split ``wall_time``.
+    evaluated, exactly the rows the verdict read.  ``sampling_time`` (the
+    draws, the reference and the curvature of the samples and starts) and
+    ``ascent_time`` (the ascent, then the verdict over every evaluated batch)
+    split ``wall_time``.
     ``certified`` holds exactly when ``max_violation <= tol * |r0|`` (``tol``
     is relative, ``max_violation`` and ``r0`` absolute), ``equality_ok``
     holds and every ``ascent_status`` is "converged".
@@ -164,36 +168,30 @@ class RigidityReport:
         return -self.max_violation
 
 
-class _Tracker:
-    """Accumulates statistics over every metric the search evaluates; ``tol`` is relative to |r0|."""
-
-    def __init__(self, r0: float, tol: float, tol_lambda: float):
-        self.r0 = r0
-        self.tol = tol
-        self.tol_lambda = tol_lambda
-        self.best_r = -math.inf
-        self.best_lam = None
-        self.max_violation = -math.inf
-        self.equality_ok = True
-        self.worst_equality_offset = 0.0
-        self.evaluations = 0
-
-    def record(self, lams: np.ndarray, rs: np.ndarray) -> None:
-        self.evaluations += len(rs)
+def _verdict(batches, r0: float, tol: float, tol_lambda: float) -> dict:
+    """The report's fields read from the ``(lams, rs)`` batches the search
+    evaluated, in evaluation order: the first best point, the largest excess
+    over r0, and the near-ties (rows within ``tol * |r0|`` below r0) and how
+    far they sit from the all-ones vector.  An empty batch is skipped."""
+    best_lam, best_r, violation, offset, equality_ok, count = None, -math.inf, -math.inf, 0.0, True, 0
+    for lams, rs in batches:
+        if not len(rs):
+            continue
+        count += len(rs)
         top = int(np.argmax(rs))
-        if rs[top] > self.best_r:
-            self.best_r = float(rs[top])
-            self.best_lam = lams[top].copy()
+        if rs[top] > best_r:
+            best_lam, best_r = lams[top].copy(), float(rs[top])
         # A non-finite value is a violation of unknown size, never a pass.
-        excess = np.where(np.isfinite(rs), rs - self.r0, math.inf)
-        self.max_violation = max(self.max_violation, float(np.max(excess)))
-        near = _negligible(self.r0 - rs, abs(self.r0), self.tol)
+        excess = np.where(np.isfinite(rs), rs - r0, math.inf)
+        violation = max(violation, float(np.max(excess)))
+        near = _negligible(r0 - rs, abs(r0), tol)
         if np.any(near):
-            offsets = np.abs(lams[near] - 1.0).max(axis=1)
-            worst = float(offsets.max())
-            self.worst_equality_offset = max(self.worst_equality_offset, worst)
-            if not _negligible(worst, 1.0, self.tol_lambda):  # offsets from the all-ones vector
-                self.equality_ok = False
+            worst = float(np.abs(lams[near] - 1.0).max())
+            offset = max(offset, worst)
+            if not _negligible(worst, 1.0, tol_lambda):  # offsets from the all-ones vector
+                equality_ok = False
+    return dict(best_lam=best_lam, best_r=best_r, max_violation=violation, worst_equality_offset=offset,
+                equality_ok=equality_ok, n_evaluations=count)
 
 
 def _projected_gradient(lam: np.ndarray, grad: np.ndarray, hi: float) -> np.ndarray:
@@ -211,17 +209,17 @@ def _norm(x: np.ndarray) -> np.ndarray:
     return np.ldexp(np.linalg.norm(np.ldexp(x, -e[:, None]), axis=1), e)
 
 
-def _newton_direction(spec: HomogeneousSpec, lam: np.ndarray, grad: np.ndarray, hi: float) -> np.ndarray:
+def _newton_direction(spec: HomogeneousSpec, lam: np.ndarray, grad: np.ndarray,
+                      free: np.ndarray) -> np.ndarray:
     """Projected-Newton ascent direction per row (Bertsekas 1982).
 
-    Coordinates held on a bound (those :func:`_projected_gradient` zeroes)
-    follow the gradient; the free ones take a Newton step on the free block
-    of the Hessian, with every eigenvalue mu replaced by
-    -max(|mu|, EIG_FLOOR * max(max|mu|, |grad|)) so that the step ascends
-    even where the Hessian is indefinite, and stays finite where the free
-    block vanishes.
+    Coordinates held on a bound (false in ``free``, where
+    :func:`_projected_gradient` zeroes ``grad``) follow the gradient; the
+    free ones take a Newton step on the free block of the Hessian, with
+    every eigenvalue mu replaced by -max(|mu|, EIG_FLOOR * max(max|mu|,
+    |grad|)) so that the step ascends even where the Hessian is indefinite,
+    and stays finite where the free block vanishes.
     """
-    free = _projected_gradient(lam, grad, hi) == grad
     hess = _block_hessian(spec, lam) * (free[:, :, None] & free[:, None, :])
     mu, vec = np.linalg.eigh(hess)
     size = np.abs(mu)
@@ -231,22 +229,23 @@ def _newton_direction(spec: HomogeneousSpec, lam: np.ndarray, grad: np.ndarray, 
 
 
 def _line_search(spec: HomogeneousSpec, lam: np.ndarray, r: np.ndarray, grad: np.ndarray,
-                 direction: np.ndarray, hi: float, record: Callable[[np.ndarray, np.ndarray], None]):
+                 direction: np.ndarray, hi: float):
     """Armijo backtracking along the projected arc clip(lam + t d), per row.
 
     All rows try t = 1; each round, the rows not yet accepted halve t, until
     a row gains ARMIJO times the first-order gain of its move.  A row fails
     when its move vanishes or t drops below MIN_STEP.  Returns the mask of
-    rows that accepted a step, with their new points and values.
+    rows that accepted a step, with their new points and values, and the
+    ``(candidates, values)`` batch of every round.
     """
-    new_lam, new_r = lam.copy(), r.copy()
+    new_lam, new_r, batches = lam.copy(), r.copy(), []
     accepted = np.zeros(len(lam), dtype=bool)
     step = 1.0
     pending = np.arange(len(lam))
     while pending.size and step >= MIN_STEP:
         cand = np.clip(lam[pending] + step * direction[pending], 1.0, hi)
         rc = _block_curvature(spec, cand)
-        record(cand, rc)
+        batches.append((cand, rc))
         move = cand - lam[pending]
         moved = move.any(axis=1)
         ok = moved & (rc >= r[pending] + ARMIJO * np.einsum("ij,ij->i", grad[pending], move))
@@ -254,7 +253,7 @@ def _line_search(spec: HomogeneousSpec, lam: np.ndarray, r: np.ndarray, grad: np
         new_lam[done], new_r[done], accepted[done] = cand[ok], rc[ok], True
         pending = pending[moved & ~ok]
         step *= SHRINK
-    return accepted, new_lam, new_r
+    return accepted, new_lam, new_r, batches
 
 
 class _Ascent(NamedTuple):
@@ -262,19 +261,21 @@ class _Ascent(NamedTuple):
     r: np.ndarray           # (m,) curvature there
     status: np.ndarray      # (m,) "converged" | "max-iter" | "line-search"
     iterations: np.ndarray  # (m,) accepted steps
+    batches: list           # (lams, rs) evaluated, in order: the starts first
 
 
-def _ascend_all(spec: HomogeneousSpec, starts: np.ndarray, r_starts: np.ndarray, r0: float, hi: float,
-                record: Callable[[np.ndarray, np.ndarray], None]) -> _Ascent:
+def _ascend_all(spec: HomogeneousSpec, starts: np.ndarray, r_starts: np.ndarray, r0: float,
+                hi: float) -> _Ascent:
     """Projected-Newton ascent inside the box [1, hi] from every row of
     ``starts``, where the curvature is ``r_starts``, in lockstep: one batched
     gradient call per iteration, over the rows still running.  A row stops
     when its projected gradient norm reaches GRAD_STOP times |r0|, the
     reference curvature R(1, ..., 1) (converged), when its line search
-    fails, or after MAX_ITER iterations."""
+    fails, or after MAX_ITER iterations.  Returns the final points with
+    every batch it evaluated, the starts (a copy) first."""
     lam = np.array(starts, dtype=float)
     r = np.array(r_starts, dtype=float)
-    record(lam, r)
+    batches = [(lam.copy(), r.copy())]
     status = np.full(len(lam), "max-iter", dtype=object)
     iterations = np.zeros(len(lam), dtype=int)
     running = np.arange(len(lam))
@@ -283,17 +284,19 @@ def _ascend_all(spec: HomogeneousSpec, starts: np.ndarray, r_starts: np.ndarray,
             break
         x = lam[running]
         grad = _block_gradient(spec, x)
-        done = _negligible(_norm(_projected_gradient(x, grad, hi)), abs(r0), GRAD_STOP)
+        projected = _projected_gradient(x, grad, hi)
+        done = _negligible(_norm(projected), abs(r0), GRAD_STOP)
         status[running[done]] = "converged"
-        running, x, grad = running[~done], x[~done], grad[~done]
+        running, x, grad, free = running[~done], x[~done], grad[~done], (projected == grad)[~done]
         if not running.size:
             break
-        direction = _newton_direction(spec, x, grad, hi)
-        accepted, lam[running], r[running] = _line_search(spec, x, r[running], grad, direction, hi, record)
+        direction = _newton_direction(spec, x, grad, free)
+        accepted, lam[running], r[running], tried = _line_search(spec, x, r[running], grad, direction, hi)
+        batches += tried
         status[running[~accepted]] = "line-search"
         running = running[accepted]
         iterations[running] += 1
-    return _Ascent(lam, r, status, iterations)
+    return _Ascent(lam, r, status, iterations, batches)
 
 
 def verify_rigidity(spec: HomogeneousSpec, max_lambda: float = DEFAULT_MAX_LAMBDA,
@@ -335,10 +338,10 @@ def verify_rigidity(spec: HomogeneousSpec, max_lambda: float = DEFAULT_MAX_LAMBD
             f"Killing ratio: {central})")
     t_start = time.perf_counter()
     # Overflow shows up as a non-finite curvature, which the checks below and
-    # the tracker turn into an error or a violation; numpy need not warn.
+    # the verdict turn into an error or a violation; numpy need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
         rng = np.random.default_rng(seed)
-        samples = rng.uniform(1.0, max_lambda, size=(n_samples, spec.s)) if n_samples > 0 else None
+        samples = rng.uniform(1.0, max_lambda, size=(n_samples, spec.s))
         starts = np.vstack([np.ones(spec.s),
                             rng.uniform(1.0, max_lambda, size=(n_starts - 1, spec.s))])
         # R(1) once, on one row as the public evaluators take it: a row's
@@ -348,14 +351,13 @@ def verify_rigidity(spec: HomogeneousSpec, max_lambda: float = DEFAULT_MAX_LAMBD
             what = "zero" if r0 == 0.0 else "not finite"
             raise ValueError(f"reference curvature is {what} ({r0}): spec data out of range")
         r_starts = np.concatenate([[r0], _block_curvature(spec, starts[1:])])
-        tracker = _Tracker(r0, tol, tol_lambda)
-        if samples is not None:
-            tracker.record(samples, _block_curvature(spec, samples))
+        sampled = (samples, _block_curvature(spec, samples))
         t_ascent = time.perf_counter()
-        ascent = _ascend_all(spec, starts, r_starts, r0, max_lambda, tracker.record)
+        ascent = _ascend_all(spec, starts, r_starts, r0, max_lambda)
+        verdict = _verdict([sampled, *ascent.batches], r0, tol, tol_lambda)
     t_end = time.perf_counter()
 
-    certified = (_negligible(tracker.max_violation, abs(r0), tol) and tracker.equality_ok
+    certified = (_negligible(verdict["max_violation"], abs(r0), tol) and verdict["equality_ok"]
                  and bool(np.all(ascent.status == "converged")))
     return RigidityReport(
         name=spec.name,
@@ -363,13 +365,8 @@ def verify_rigidity(spec: HomogeneousSpec, max_lambda: float = DEFAULT_MAX_LAMBD
         n_starts=len(starts),
         n_samples=n_samples,
         seed=seed,
-        best_lam=tracker.best_lam,
-        best_r=tracker.best_r,
         r0=r0,
-        max_violation=tracker.max_violation,
         certified=bool(certified),
-        equality_ok=tracker.equality_ok,
-        worst_equality_offset=tracker.worst_equality_offset,
         tol=tol,
         tol_lambda=tol_lambda,
         wall_time=t_end - t_start,
@@ -377,7 +374,7 @@ def verify_rigidity(spec: HomogeneousSpec, max_lambda: float = DEFAULT_MAX_LAMBD
         ascent_values=ascent.r,
         ascent_status=tuple(ascent.status.tolist()),
         ascent_iterations=ascent.iterations,
-        n_evaluations=tracker.evaluations,
+        **verdict,
         sampling_time=t_ascent - t_start,
         ascent_time=t_end - t_ascent,
     )

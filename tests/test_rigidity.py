@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 import liecurv as lc
 from liecurv.curvature import _block_curvature, _block_gradient
-from liecurv.rigidity import GRAD_STOP, _Tracker, _ascend_all, _newton_direction, _projected_gradient
+from liecurv.rigidity import GRAD_STOP, _ascend_all, _newton_direction, _projected_gradient, _verdict
 
 
 def test_gap_polynomial_values():
@@ -184,7 +184,7 @@ def test_ascent_stationary_at_reference(group_specs):
     assert np.all(grad <= 0.0)
     assert np.all(_projected_gradient(ones, grad, 10.0) == 0.0)
     start = ones[None, :]
-    ascent = _ascend_all(spec, start, _block_curvature(spec, start), 6.0, 10.0, lambda lams, rs: None)
+    ascent = _ascend_all(spec, start, _block_curvature(spec, start), 6.0, 10.0)
     assert np.array_equal(ascent.lam[0], ones)
     assert ascent.r[0] == pytest.approx(6.0, abs=1e-12)
 
@@ -192,7 +192,7 @@ def test_ascent_stationary_at_reference(group_specs):
 def test_ascent_descends_to_reference_corner(group_specs):
     spec = group_specs["su2"]
     start = np.array([[4.0, 2.0, 7.0]])
-    ascent = _ascend_all(spec, start, _block_curvature(spec, start), 6.0, 10.0, lambda lams, rs: None)
+    ascent = _ascend_all(spec, start, _block_curvature(spec, start), 6.0, 10.0)
     assert np.abs(ascent.lam[0] - 1.0).max() <= 1e-6
     assert ascent.r[0] == pytest.approx(6.0, abs=1e-8)
 
@@ -267,11 +267,10 @@ def test_lockstep_ascent_matches_one_start_at_a_time(group_specs, flag_spec):
     for spec in (group_specs["so5"], flag_spec):
         starts = np.random.default_rng(29).uniform(1.0, 10.0, size=(6, spec.s))
         r0 = lc.scalar_curvature_closed(spec, np.ones(spec.s)).R
-        ascent = _ascend_all(spec, starts, _block_curvature(spec, starts), r0, 10.0, lambda lams, rs: None)
+        ascent = _ascend_all(spec, starts, _block_curvature(spec, starts), r0, 10.0)
         assert ascent.lam.shape == starts.shape and ascent.r.shape == (6,)
         for start, final, value in zip(starts, ascent.lam, ascent.r):
-            one = _ascend_all(spec, start[None, :], _block_curvature(spec, start[None, :]), r0, 10.0,
-                              lambda lams, rs: None)
+            one = _ascend_all(spec, start[None, :], _block_curvature(spec, start[None, :]), r0, 10.0)
             assert_allclose(final, one.lam[0], rtol=0.0, atol=1e-9)
             assert value == pytest.approx(one.r[0], rel=1e-13)
 
@@ -279,10 +278,9 @@ def test_lockstep_ascent_matches_one_start_at_a_time(group_specs, flag_spec):
 def test_lockstep_ascent_records_every_evaluation(group_specs):
     spec = group_specs["su3"]
     starts = np.random.default_rng(31).uniform(1.0, 10.0, size=(5, spec.s))
-    seen = []
     r0 = lc.scalar_curvature_closed(spec, np.ones(spec.s)).R
-    ascent = _ascend_all(spec, starts, _block_curvature(spec, starts), r0, 10.0,
-                         lambda lams, rs: seen.append((lams.copy(), rs.copy())))
+    ascent = _ascend_all(spec, starts, _block_curvature(spec, starts), r0, 10.0)
+    seen = ascent.batches
     assert np.array_equal(seen[0][0], starts)
     for lam, r in zip(ascent.lam, ascent.r):
         # each final point was recorded with the value reported for it
@@ -366,20 +364,60 @@ def test_newton_step_stays_finite_where_the_free_hessian_vanishes(scale):
     lam = np.ones((1, 8))
     lam[0, 0] = 1.107
     grad = _block_gradient(spec, lam)
+    free = _projected_gradient(lam, grad, 10.0) == grad
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        direction = _newton_direction(spec, lam, grad, 10.0)
+        direction = _newton_direction(spec, lam, grad, free)
     assert np.all(np.isfinite(direction))
     assert direction[0, 0] < 0 and grad[0, 0] < 0  # the free step still ascends
 
 
 def test_tracker_counts_non_finite_curvature_as_violation():
-    tracker = _Tracker(r0=1.0, tol=1e-8, tol_lambda=1e-6)
-    tracker.record(np.array([[2.0, 2.0], [3.0, 3.0]]), np.array([0.5, np.nan]))
-    assert tracker.max_violation == math.inf
-    tracker = _Tracker(r0=1.0, tol=1e-8, tol_lambda=1e-6)
-    tracker.record(np.array([[2.0, 2.0]]), np.array([-np.inf]))
-    assert tracker.max_violation == math.inf
-    assert tracker.evaluations == 1
+    verdict = _verdict([(np.array([[2.0, 2.0], [3.0, 3.0]]), np.array([0.5, np.nan]))], 1.0, 1e-8, 1e-6)
+    assert verdict["max_violation"] == math.inf
+    verdict = _verdict([(np.array([[2.0, 2.0]]), np.array([-np.inf]))], 1.0, 1e-8, 1e-6)
+    assert verdict["max_violation"] == math.inf
+    assert verdict["n_evaluations"] == 1
+
+
+def test_verdict_reads_the_batches_in_order():
+    r0, empty = 2.0, (np.empty((0, 2)), np.empty(0))
+    # the first of two equal maxima is the best point; a near-tie 1e-9 from (1, 1) is equality
+    verdict = _verdict([(np.array([[1.0, 1.0], [1.5, 2.0]]), np.array([r0, 1.0])), empty,
+                        (np.array([[1.0, 1.0 + 1e-9]]), np.array([r0]))], r0, 1e-8, 1e-6)
+    assert verdict["best_lam"].tolist() == [1.0, 1.0] and verdict["best_r"] == r0
+    assert verdict["max_violation"] == 0.0 and verdict["equality_ok"]
+    assert verdict["worst_equality_offset"] == pytest.approx(1e-9, rel=1e-6)
+    assert verdict["n_evaluations"] == 3
+    # NaN and -inf are violations of unknown size; a near-tie at offset 2 is no equality
+    lams, rs = np.array([[4.0, 4.0], [5.0, 5.0], [2.0, 3.0]]), np.array([-np.inf, np.nan, r0 - 1e-12])
+    verdict = _verdict([(np.array([[1.0, 1.0]]), np.array([r0])), empty, (lams, rs)], r0, 1e-8, 1e-6)
+    assert verdict["max_violation"] == math.inf and not verdict["equality_ok"]
+    assert verdict["worst_equality_offset"] == 2.0 and verdict["best_r"] == r0
+    assert verdict["n_evaluations"] == 4
+
+
+def test_ascent_records_its_starts_before_moving_them(group_specs):
+    spec = group_specs["su3"]
+    starts = np.random.default_rng(31).uniform(1.0, 10.0, size=(5, spec.s))
+    r_starts = _block_curvature(spec, starts)
+    ascent = _ascend_all(spec, starts, r_starts, lc.scalar_curvature_closed(spec, np.ones(spec.s)).R, 10.0)
+    assert not np.any(np.all(ascent.lam == starts, axis=1))  # every start moved
+    assert np.array_equal(ascent.batches[0][0], starts) and np.array_equal(ascent.batches[0][1], r_starts)
+    assert "_projected_gradient" not in _newton_direction.__code__.co_names  # one per ascent step
+
+
+@pytest.mark.parametrize("n_samples", [0, 50])
+def test_evaluations_are_the_samples_and_the_ascent_batches(group_specs, n_samples):
+    spec, seed = group_specs["so5"], 3
+    report = lc.verify_rigidity(spec, n_starts=6, n_samples=n_samples, seed=seed)
+    rng = np.random.default_rng(seed)
+    if n_samples:  # a draw of zero rows would consume nothing
+        rng.uniform(1.0, 10.0, size=(n_samples, spec.s))
+    starts = np.vstack([np.ones(spec.s), rng.uniform(1.0, 10.0, size=(5, spec.s))])
+    r_starts = np.concatenate([[report.r0], _block_curvature(spec, starts[1:])])
+    ascent = _ascend_all(spec, starts, r_starts, report.r0, 10.0)
+    assert report.n_evaluations == n_samples + sum(len(rs) for _, rs in ascent.batches)
+    assert np.array_equal(report.ascent_finals, ascent.lam)
 
 
 def test_overflow_inside_the_box_is_not_certified():
