@@ -108,7 +108,8 @@ class HomogeneousSpec:
             raise ValueError("block data must all have length s")
         if a.shape != (s, s, s):
             raise ValueError(f"coupling tensor must have shape ({s}, {s}, {s})")
-        if not np.all(np.isfinite(d) & (d == np.round(d)) & (d >= 1)):
+        # NaN and inf fail the range; 2^63 is the first float an int64 cannot hold.
+        if not np.all((d >= 1) & (d < 2.0 ** 63) & (d == np.round(d))):
             raise ValueError("block dimensions must be positive integers")
         d = d.astype(int)
         if not all(np.all(np.isfinite(x)) for x in (b, c, a)):

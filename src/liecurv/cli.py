@@ -75,21 +75,14 @@ def _parse_lambda(text: str) -> np.ndarray:
         raise ValueError(f"could not parse metric eigenvalues from {text!r}")
 
 
-def _jsonable(value):
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+def _plain(value):
+    """A numpy array or scalar as the list or number it holds (JSON's ``default``); else ``value``."""
+    return value.tolist() if isinstance(value, (np.ndarray, np.generic)) else value
 
 
 def _cell(value) -> str:
     """A table value: floats by repr, arrays as lists, None as n/a, an empty list as none."""
-    value = _jsonable(value)
+    value = _plain(value)
     if value is None:
         return "n/a"
     if isinstance(value, list) and not value:
@@ -106,7 +99,7 @@ def _emit(doc: dict, fmt: str, title: str, labels: dict[str, str], notes=(),
     NaN or an infinity is an input error in either format: it is not JSON.
     """
     try:
-        text = json.dumps(_jsonable(doc), sort_keys=True, indent=2, allow_nan=False)
+        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False, default=_plain)
     except ValueError:
         raise ValueError(f"{doc['command']} report holds a non-finite number: input out of range") from None
     if fmt == "structured":
@@ -269,7 +262,10 @@ def cmd_homogeneous(args) -> int:
 def cmd_example(args) -> int:
     if args.which != "su2-shrink":
         raise ValueError(f"unknown example {args.which!r}; available: su2-shrink")
-    lam = float(args.lam)
+    try:
+        lam = float(args.lam)
+    except ValueError:
+        raise ValueError(f"example lambda must be a number, got {args.lam!r}") from None
     record = su2_shrink_example(lam)
     doc = {
         "command": "example",
@@ -308,11 +304,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=None if algebra_only_tol else tol,
                        help=f"{what} (default {tol})" + ("; --algebra only" if algebra_only_tol else ""))
 
-    def common(p, lam=False):
+    def common(p, lam=None):
         p.add_argument("--format", choices=("table", "structured"), default="table")
         if lam:
-            p.add_argument("--lambda", dest="lam", required=True,
-                           help="comma-separated eigenvalue ratios, or @file with one per line")
+            p.add_argument("--lambda", dest="lam", required=True, help=lam)
 
     p = sub.add_parser("algebra", help="structural report for an algebra")
     p.add_argument("--algebra", required=True, help="built-in name (su2, so5, ...) or JSON file")
@@ -324,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algebra", help="built-in name or JSON file")
     p.add_argument("--homogeneous", help="homogeneous spec JSON file")
     reference(p, DEFAULT_TOL, algebra_only_tol=True)
-    common(p, lam=True)
+    common(p, lam="comma-separated eigenvalue ratios, or @file with one per line")
     p.set_defaults(func=cmd_scalar)
 
     p = sub.add_parser("rigidity", help="search certificate on the constrained box")
@@ -349,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("example", help="built-in worked examples")
     p.add_argument("which", help="example name (su2-shrink)")
-    common(p, lam=True)
+    common(p, lam="one ratio lam in (0, 1), for the metric eigenvalues (lam, lam, 1/2)")
     p.set_defaults(func=cmd_example)
 
     return parser

@@ -133,7 +133,7 @@ class RigidityReport:
     evaluated, exactly the rows the verdict read.  ``sampling_time`` (the
     draws, the reference and the curvature of the samples and starts) and
     ``ascent_time`` (the ascent, then the verdict over every evaluated batch)
-    split ``wall_time``.
+    split ``wall_time``; the CLI shows the times in its table, never in JSON.
     ``certified`` holds exactly when ``max_violation <= tol * |r0|`` (``tol``
     is relative, ``max_violation`` and ``r0`` absolute), ``equality_ok``
     holds and every ``ascent_status`` is "converged".

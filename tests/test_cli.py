@@ -520,6 +520,8 @@ def test_spec_scale_must_be_a_number(capsys, tmp_path, scale):
     (("scalar", "--algebra", "su2", "--lambda", "1,1,1,"), "0", "empty field in metric eigenvalue list"),
     (("rigidity", "--algebra", "su2", "--starts", "2", "--samples", "10"), "-1",
      "seed must be nonnegative, got -1"),
+    (("example", "su2-shrink", "--lambda", "@lam.txt"), "0", "example lambda must be a number, got '@lam.txt'"),
+    (("example", "su2-shrink", "--lambda", "0.3,"), "0", "example lambda must be a number, got '0.3,'"),
 ])
 def test_malformed_lambda_or_seed_is_an_input_error(capsys, monkeypatch, argv, seed, message):
     monkeypatch.setenv("LIECURV_SEED", seed)

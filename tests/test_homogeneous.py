@@ -331,11 +331,16 @@ def test_spec_rejects_non_finite_data(field, bad):
         lc.HomogeneousSpec(name="bad", s=2, block_dims=[1, 1], provenance="raw-file", **data)
 
 
-@pytest.mark.parametrize("dims", [[1, np.nan], [1, np.inf], [1, 1.5], [0, 1]])
+@pytest.mark.parametrize("dims", [[1, np.nan], [1, np.inf], [1, 1.5], [0, 1], [1, 1e20], [1, 2.0 ** 63]])
 def test_spec_rejects_bad_block_dims(dims):
     with pytest.raises(ValueError, match="positive integers"):
         lc.HomogeneousSpec(name="bad", s=2, block_dims=dims, killing_ratios=[1.0, 1.0],
                            casimirs=[0.0, 0.0], coupling=np.zeros((2, 2, 2)), provenance="raw-file")
+
+
+def test_largest_exact_block_dimension_is_kept():
+    spec = lc.spec_from_dict({"s": 1, "d": [2.0 ** 63 - 1024], "b": [8.0], "c": [0.0], "A": []})
+    assert spec.block_dims.tolist() == [2 ** 63 - 1024]
 
 
 def test_raw_spec_with_nan_is_rejected_not_certified():
@@ -356,6 +361,7 @@ def test_raw_spec_with_nan_is_rejected_not_certified():
     ({"s": "2"}, "number"),
     ({"s": 0, "d": [], "b": [], "c": []}, "at least 1"),
     ({"d": 2}, "lists of length s"),
+    ({"d": [1, 1e20]}, "block dimensions must be positive integers"),
     ({"b": [1.0]}, "lists of length s"),
     ({"c": [0.0, {"x": 1}]}, "number"),
     ({"c": [-1.0, 0.0]}, "Casimir constants must be nonnegative"),
