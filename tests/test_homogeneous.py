@@ -361,11 +361,11 @@ def test_raw_spec_with_nan_is_rejected_not_certified():
     ({"s": "2"}, "number"),
     ({"s": 0, "d": [], "b": [], "c": []}, "at least 1"),
     ({"d": 2}, "lists of length s"),
-    ({"d": [1, 1e20]}, "block dimensions must be positive integers"),
     ({"b": [1.0]}, "lists of length s"),
     ({"c": [0.0, {"x": 1}]}, "number"),
     ({"c": [-1.0, 0.0]}, "Casimir constants must be nonnegative"),
     ({"A": [[0, 1, 1, -1.0]]}, "coupling tensor entries must be nonnegative"),
+    ({"d": [1, 1e20]}, "block dimensions must be positive integers"),
 ])
 def test_malformed_raw_spec_is_a_value_error(change, message):
     raw = {"s": 2, "d": [1, 1], "b": [1.0, 1.0], "c": [0.0, 0.0], "A": [[0, 1, 1, 1.0]]}
