@@ -20,7 +20,6 @@ if not {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
 from .lie_core import (
     LieAlgebra,
     KillingData,
-    MatrixBasis,
     abelian,
     algebra_from_dict,
     algebra_from_file,
@@ -72,7 +71,7 @@ from .rigidity import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "LieAlgebra", "KillingData", "MatrixBasis", "abelian", "algebra_from_dict",
+    "LieAlgebra", "KillingData", "abelian", "algebra_from_dict",
     "algebra_from_file", "algebra_to_dict", "build_so", "build_su", "direct_sum",
     "from_matrix_basis", "jacobi_defect", "killing", "resolve_algebra",
     "OrthonormalModel", "antisymmetry_defect",

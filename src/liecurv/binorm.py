@@ -29,16 +29,16 @@ _NOT_ANTISYMMETRIC = "not bi-invariant-orthonormal: structure tensor is not tota
 
 
 def killing_metric(algebra: LieAlgebra, scale: float = 1.0) -> np.ndarray:
-    """The Gram matrix s * B of a reference metric, with B the negative of the
-    Killing form; s must be positive, and s and s * B finite."""
+    """The Gram matrix -s * K of a reference metric, with K the Killing form;
+    s must be positive, and s and -s * K finite."""
     if scale <= 0:
         raise ValueError("metric scale must be positive")
     if not np.isfinite(scale):
         raise ValueError(f"metric scale must be finite, got {scale}")
-    B = killing(algebra).B
-    if not np.isfinite(scale * float(np.abs(B).max())):  # exactly when s * B is not finite
-        raise ValueError(f"metric scale must be small enough for a finite gram matrix s * B, got {scale}")
-    return scale * B
+    K = killing(algebra).K
+    if not np.isfinite(scale * float(np.abs(K).max())):  # exactly when -s * K is not finite
+        raise ValueError(f"metric scale must be small enough for a finite gram matrix -s * K, got {scale}")
+    return -scale * K
 
 
 def _checked_gram(algebra: LieAlgebra, gram) -> tuple[np.ndarray, np.ndarray]:

@@ -150,7 +150,7 @@ def build_spec(embedding: SubalgebraEmbedding, gram, name: str | None = None) ->
     # Killing ratio and Casimir constant per block, each its mean diagonal
     # entry, verified scalar against one size (a block-local one is 0 on a
     # central block); -sum_a M_a^2, M_a[g, x] = cf[a, x, g], is the Casimir.
-    kf = full @ killing(algebra).B @ full.T
+    kf = -(full @ killing(algebra).K @ full.T)
     ksize = np.abs(kf).max()
     ratios, casimirs = np.zeros(s), np.zeros(s)
     for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):

@@ -96,54 +96,37 @@ class LieAlgebra:
 
 @dataclass(frozen=True)
 class KillingData:
-    """Killing form of an algebra plus the derived structural decisions."""
+    """Killing form ``K`` of an algebra plus the derived structural decisions
+    (a reference metric is a positive multiple of -K)."""
 
     K: np.ndarray
-    B: np.ndarray
     signature: tuple[int, int, int]  # (negatives, zeros, positives)
     semisimple: bool
     center_dim: int
 
 
-@dataclass(frozen=True)
-class MatrixBasis:
-    """Basis of skew-Hermitian matrices spanning a matrix Lie algebra.
+def from_matrix_basis(matrices, name: str = "matrix-basis") -> LieAlgebra:
+    """Expand all commutators of a basis of skew-Hermitian matrices into
+    structure constants.
 
-    Linear independence is checked where the basis is consumed
-    (:func:`from_matrix_basis`), via the Gram matrix of the trace pairing
-    <A, B> = -Re tr(AB).
+    The matrices must be non-empty, square, of equal size and skew-Hermitian;
+    they must be linearly independent, which the Gram matrix of the trace
+    pairing <A, B> = -Re tr(AB) decides.  All pairs i < j are expanded at
+    once, one system per pair: the coefficient vector of [M_i, M_j] solves
+    that Gram system.  The expansion residual must be negligible against
+    |M_i| |M_j| (the size of the commutator's terms) or the basis does not
+    close under the commutator; the first such pair is named.
     """
-
-    matrices: tuple
-    name: str = "matrix-basis"
-
-    def __post_init__(self):
-        mats = tuple(np.asarray(m, dtype=complex) for m in self.matrices)
-        if not mats:
-            raise ValueError("matrix basis must be non-empty")
-        d = mats[0].shape[0] if mats[0].ndim == 2 else 0
-        for m in mats:
-            if d == 0 or m.shape != (d, d):
-                raise ValueError("all basis matrices must be square and of equal size")
-            _require(np.abs(m + m.conj().T).max(), np.abs(m).max(), "basis matrices must be skew-Hermitian")
-        object.__setattr__(self, "matrices", mats)
-
-    @property
-    def dim(self) -> int:
-        return len(self.matrices)
-
-
-def from_matrix_basis(basis: MatrixBasis) -> LieAlgebra:
-    """Expand all commutators of a matrix basis into structure constants.
-
-    All pairs i < j are expanded at once, one system per pair: the
-    coefficient vector of [M_i, M_j] solves the Gram system of the trace
-    pairing <A, B> = -Re tr(AB).  The expansion residual must be negligible
-    against |M_i| |M_j| (the size of the commutator's terms) or the basis
-    does not close under the commutator; the first such pair is named.
-    """
-    stack = np.stack(basis.matrices)
-    n = basis.dim
+    mats = [np.asarray(m, dtype=complex) for m in matrices]
+    if not mats:
+        raise ValueError("matrix basis must be non-empty")
+    d = mats[0].shape[0] if mats[0].ndim == 2 else 0
+    for m in mats:
+        if d == 0 or m.shape != (d, d):
+            raise ValueError("all basis matrices must be square and of equal size")
+        _require(np.abs(m + m.conj().T).max(), np.abs(m).max(), "basis matrices must be skew-Hermitian")
+    stack = np.stack(mats)
+    n = len(mats)
     gram = -np.real(np.einsum("aij,bji->ab", stack, stack))
     svals = np.linalg.svd(gram, compute_uv=False)
     if _negligible(svals[-1], svals[0]):
@@ -166,7 +149,7 @@ def from_matrix_basis(basis: MatrixBasis) -> LieAlgebra:
     # Drop relative to the largest constant, then mirror the i < j half.
     c[_negligible(np.abs(c), np.abs(c).max(), ZERO_DROP)] = 0.0
     c[j, i] = -c[i, j]
-    return LieAlgebra(basis.name, n, c)
+    return LieAlgebra(name, n, c)
 
 
 def killing(algebra: LieAlgebra) -> KillingData:
@@ -188,7 +171,6 @@ def killing(algebra: LieAlgebra) -> KillingData:
     svals = np.linalg.svd(c.reshape(algebra.dim, -1), compute_uv=False)
     return KillingData(
         K=K,
-        B=-K,
         signature=signature,
         semisimple=(signature[1] == 0),
         center_dim=int(np.sum(_negligible(svals, svals[0]))),
@@ -256,8 +238,7 @@ def build_su(n: int) -> LieAlgebra:
     """
     if n < 2:
         raise ValueError("build_su requires n >= 2")
-    mats = tuple(-1j * g for g in _hermitian_generators(n))
-    return from_matrix_basis(MatrixBasis(mats, name=f"su{n}"))
+    return from_matrix_basis([-1j * g for g in _hermitian_generators(n)], name=f"su{n}")
 
 
 def build_so(n: int) -> LieAlgebra:
@@ -271,7 +252,7 @@ def build_so(n: int) -> LieAlgebra:
             m[i, j] = 1.0
             m[j, i] = -1.0
             mats.append(m)
-    return from_matrix_basis(MatrixBasis(tuple(mats), name=f"so{n}"))
+    return from_matrix_basis(mats, name=f"so{n}")
 
 
 def abelian(dim: int) -> LieAlgebra:

@@ -59,7 +59,7 @@ def test_antisymmetry_defect_flags_inconsistent_tensor():
 
 def test_killing_metric_on_abelian_is_rejected():
     algebra = lc.abelian(3)
-    metric = lc.killing(algebra).B
+    metric = -lc.killing(algebra).K
     with pytest.raises(ValueError, match="not a metric"):
         lc.binormalize(algebra, metric)
 

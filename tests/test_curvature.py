@@ -235,7 +235,7 @@ def test_koszul_scalar_does_not_build_the_curvature_tensor():
 
 
 def _oracle_model(name, dense_algebras):
-    """A model named by ``name`` and its Killing scale s (metric -s B)."""
+    """A model named by ``name`` and its Killing scale s (metric -s K)."""
     from conftest import canonical_model, canonical_scale
 
     if name.startswith("dense-"):
@@ -261,7 +261,7 @@ def test_gradient_is_minus_the_koszul_ricci_over_lambda(name, dense_algebras):
 
 @pytest.mark.parametrize("name", ORACLE_ALGEBRAS)
 def test_reference_metric_is_einstein(name, dense_algebras):
-    # At lam = 1 the metric -s B is Einstein with Ric = g / (4 s), so the
+    # At lam = 1 the metric -s K is Einstein with Ric = g / (4 s), so the
     # gradient -Ric / lam is negative in every coordinate.
     model, scale = _oracle_model(name, dense_algebras)
     ricci = lc.frame_curvatures(model, np.ones(model.n)).sum(axis=0)

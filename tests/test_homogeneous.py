@@ -662,7 +662,7 @@ def _block_data_by_loops(embedding, metric):
     L = np.linalg.cholesky(gram)
     z = _orthonormal_rows(embedding.h_basis, L, "subalgebra")
     frames = [_orthonormal_rows(b, L, "block") for b in embedding.blocks]
-    b_mat = lc.killing(algebra).B
+    b_mat = -lc.killing(algebra).K
     ratios = [np.diag(f @ b_mat @ f.T).mean() for f in frames]
     casimirs = []
     for f in frames:
