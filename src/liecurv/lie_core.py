@@ -5,11 +5,12 @@ rank-3 tensor ``c`` of structure constants, brackets expanding as
 
     [e_i, e_j] = sum_k c[i, j, k] e_k.
 
-Algebras can be built from an explicit basis of skew-Hermitian matrices
+Algebras can be built from a list of skew-Hermitian matrices and a name
 (:func:`from_matrix_basis`), from the fixed generator conventions for su(n)
-and so(n) (:func:`build_su`, :func:`build_so`), from direct sums, or from a
-JSON description (:func:`algebra_from_file`).  The Killing form, its
-signature, semi-simplicity and the center are all decided numerically.
+and so(n) (:func:`build_su`, :func:`build_so`, which go through it), from
+direct sums, or from a JSON description (:func:`algebra_from_file`).  The
+Killing form K, its signature, semi-simplicity and the center are all
+decided numerically; a reference metric is -s K for a scale s > 0.
 
 Every check and classification in the package asks one predicate,
 :func:`_negligible`, which never passes a NaN.

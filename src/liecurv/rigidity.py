@@ -9,11 +9,14 @@ while :func:`verify_rigidity` hunts for counterexamples with dense sampling
 plus a projected-Newton ascent over the constrained box (Bertsekas 1982)
 that runs all starts in lockstep: an eigenvalue-modified Newton step on
 the free coordinates, a gradient step on the ones held at a bound, and
-Armijo backtracking along the projected arc.  The verdict is one pure
-function of the batches the search evaluated: a certificate requires that
-no evaluated metric beats the reference, that near-ties sit at the
-reference, and that every start converged.  It is a falsifiable numerical
-witness, not a proof.
+Armijo backtracking along the projected arc.  A start converges when its
+projected gradient in mu = 1/lambda is small against the reference
+curvature, so a start far out in a wide box does not pass before it moves;
+a box too wide for that bound to be represented is refused.  The verdict
+is one pure function of the batches the search evaluated: a certificate
+requires that no evaluated metric beats the reference, that near-ties sit
+at the reference, and that every start converged.  It is a falsifiable
+numerical witness, not a proof.
 """
 
 from __future__ import annotations
@@ -38,7 +41,8 @@ DEFAULT_SAMPLES = 10_000
 DEFAULT_TOL_R = 1e-8
 DEFAULT_TOL_LAMBDA = 1e-6
 # Ascent: Armijo constant, backtracking factor and smallest step; iteration
-# cap and projected-gradient norm (times |r0|) that count a start as converged.
+# cap and the norm (times |r0|) of the projected gradient in mu = 1/lambda,
+# lambda^2 times the one in lambda, that counts a start as converged.
 ARMIJO = 1e-4
 SHRINK = 0.5
 MIN_STEP = 2.0 ** -60
@@ -127,8 +131,9 @@ def gap_breakdown(spec: HomogeneousSpec, lam) -> GapBreakdown:
 class RigidityReport:
     """Certificate data from gap sampling and constrained maximization.
 
-    ``ascent_status[i]`` says how start i ended ("converged", "max-iter" or
-    "line-search") and ``ascent_iterations[i]`` how many steps it took;
+    ``ascent_status[i]`` says how start i ended ("converged": its projected
+    gradient in mu = 1/lambda is at most GRAD_STOP times |r0|; "max-iter"
+    or "line-search") and ``ascent_iterations[i]`` how many steps it took;
     ``n_evaluations`` counts every metric at which the curvature was
     evaluated, exactly the rows the verdict read.  ``sampling_time`` (the
     draws, the reference and the curvature of the samples and starts) and
@@ -269,10 +274,14 @@ def _ascend_all(spec: HomogeneousSpec, starts: np.ndarray, r_starts: np.ndarray,
     """Projected-Newton ascent inside the box [1, hi] from every row of
     ``starts``, where the curvature is ``r_starts``, in lockstep: one batched
     gradient call per iteration, over the rows still running.  A row stops
-    when its projected gradient norm reaches GRAD_STOP times |r0|, the
-    reference curvature R(1, ..., 1) (converged), when its line search
-    fails, or after MAX_ITER iterations.  Returns the final points with
-    every batch it evaluated, the starts (a copy) first."""
+    when the norm of its projected gradient in mu = 1/lambda (the projected
+    lambda-gradient times lambda^2, since |dR/dmu| = lambda^2 |dR/dlambda|)
+    reaches GRAD_STOP times |r0|, the reference curvature R(1, ..., 1)
+    (converged), when its line search fails, or after MAX_ITER iterations.
+    In lambda the gradient falls like 1/lambda^2, so without that factor a
+    start far out in a wide box would pass the test before it moved.
+    Returns the final points with every batch it evaluated, the starts (a
+    copy) first."""
     lam = np.array(starts, dtype=float)
     r = np.array(r_starts, dtype=float)
     batches = [(lam.copy(), r.copy())]
@@ -285,7 +294,7 @@ def _ascend_all(spec: HomogeneousSpec, starts: np.ndarray, r_starts: np.ndarray,
         x = lam[running]
         grad = _block_gradient(spec, x)
         projected = _projected_gradient(x, grad, hi)
-        done = _negligible(_norm(projected), abs(r0), GRAD_STOP)
+        done = _negligible(_norm(projected * x * x), abs(r0), GRAD_STOP)
         status[running[done]] = "converged"
         running, x, grad, free = running[~done], x[~done], grad[~done], (projected == grad)[~done]
         if not running.size:
@@ -311,13 +320,17 @@ def verify_rigidity(spec: HomogeneousSpec, max_lambda: float = DEFAULT_MAX_LAMBD
     curvature beyond ``tol * |r0|`` (so the verdict does not depend on the
     metric's scale), that every point within that distance below r0 sits
     within ``tol_lambda`` of the all-ones vector, and that every ascent
-    start converged.  Specs with central blocks are refused outright: on
-    such blocks the curvature does not decay and rigidity fails
-    structurally.  A spec whose reference curvature is not finite or is
-    zero is an input error, as are a box bound that is not finite, no start,
-    a negative sample count (zero samples runs the ascent alone) and a
-    negative seed, and so is a ``tol`` or ``tol_lambda`` that is negative or
-    not finite (zero is allowed).
+    start converged, its projected gradient in mu = 1/lambda at most
+    GRAD_STOP times |r0|.  Specs with central blocks are refused outright:
+    on such blocks the curvature does not decay and rigidity fails
+    structurally.  A box so wide that GRAD_STOP * |r0| / max_lambda^2, the
+    lambda-gradient that bound allows at the far corner, underflows to zero
+    is an input error: there the gradient underflows too, so no start could
+    tell convergence from underflow.  A spec whose reference curvature is
+    not finite or is zero is an input error, as are a box bound that is not
+    finite, no start, a negative sample count (zero samples runs the ascent
+    alone) and a negative seed, and so is a ``tol`` or ``tol_lambda`` that
+    is negative or not finite (zero is allowed).
     """
     _tolerance(tol, "tol")
     _tolerance(tol_lambda, "tol_lambda")
@@ -336,11 +349,13 @@ def verify_rigidity(spec: HomogeneousSpec, max_lambda: float = DEFAULT_MAX_LAMBD
         raise CenterPresentError(
             "center present: rigidity fails structurally (blocks with zero "
             f"Killing ratio: {central})")
+    # The generator is made before the clock starts: numpy's first one in a
+    # process takes milliseconds to set up, which is not sampling time.
+    rng = np.random.default_rng(seed)
     t_start = time.perf_counter()
     # Overflow shows up as a non-finite curvature, which the checks below and
     # the verdict turn into an error or a violation; numpy need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
-        rng = np.random.default_rng(seed)
         samples = rng.uniform(1.0, max_lambda, size=(n_samples, spec.s))
         starts = np.vstack([np.ones(spec.s),
                             rng.uniform(1.0, max_lambda, size=(n_starts - 1, spec.s))])
@@ -350,6 +365,9 @@ def verify_rigidity(spec: HomogeneousSpec, max_lambda: float = DEFAULT_MAX_LAMBD
         if not math.isfinite(r0) or r0 == 0.0:
             what = "zero" if r0 == 0.0 else "not finite"
             raise ValueError(f"reference curvature is {what} ({r0}): spec data out of range")
+        if GRAD_STOP * abs(r0) / max_lambda / max_lambda == 0.0:
+            raise ValueError(f"max_lambda {max_lambda:g} is too large: the convergence bound "
+                             f"GRAD_STOP * |r0| / max_lambda^2 underflows at r0 = {r0}")
         r_starts = np.concatenate([[r0], _block_curvature(spec, starts[1:])])
         sampled = (samples, _block_curvature(spec, samples))
         t_ascent = time.perf_counter()

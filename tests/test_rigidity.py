@@ -502,3 +502,38 @@ def test_reference_curvature_is_the_single_point_value(name, s2_spec, flag_spec)
     spec = {"s2": s2_spec, "flag": flag_spec}.get(name) or canonical_model(name).spec
     report = lc.verify_rigidity(spec, n_samples=0)
     assert report.r0 == lc.scalar_curvature_closed(spec, np.ones(spec.s)).R
+
+
+@pytest.mark.parametrize("name", ["su3", "su4"])
+def test_wide_box_starts_converge_only_by_the_mu_gradient(name):
+    # In lambda the gradient falls like 1/lambda^2, so on [1, 1e12] every
+    # start passed a lambda-gradient test before it moved.  A start counts as
+    # converged only when its projected gradient in mu = 1/lambda is small.
+    algebra = lc.resolve_algebra(name)
+    spec = lc.binormalize(algebra, lc.killing_metric(algebra, 1.0)).spec
+    report = lc.verify_rigidity(spec, max_lambda=1e12, n_starts=4, n_samples=0)
+    assert not report.certified
+    converged = np.array(report.ascent_status) == "converged"
+    finals = report.ascent_finals[converged]
+    mu_grad = _projected_gradient(finals, _block_gradient(spec, finals), 1e12) * finals * finals
+    assert np.all(np.linalg.norm(mu_grad, axis=1) <= GRAD_STOP * abs(report.r0))
+    assert np.all(report.ascent_iterations[1:][converged[1:]] > 0)  # the reference start aside
+
+
+def test_a_box_whose_convergence_bound_underflows_is_an_input_error(group_specs):
+    with pytest.raises(ValueError, match=r"^max_lambda 1e\+200 is too large"):
+        lc.verify_rigidity(group_specs["su3"], max_lambda=1e200, n_starts=4, n_samples=0)
+
+
+def test_generator_is_made_before_the_clock_starts(s2_spec, monkeypatch):
+    # numpy's first generator in a process takes milliseconds to set up;
+    # that is not sampling time.
+    from types import SimpleNamespace
+    from liecurv import rigidity
+
+    calls = []
+    make_rng, clock = np.random.default_rng, rigidity.time.perf_counter
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: calls.append("default_rng") or make_rng(seed))
+    monkeypatch.setattr(rigidity, "time", SimpleNamespace(perf_counter=lambda: calls.append("clock") or clock()))
+    lc.verify_rigidity(s2_spec, n_starts=2, n_samples=0)
+    assert calls[:2] == ["default_rng", "clock"]
