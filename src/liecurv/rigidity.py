@@ -175,28 +175,20 @@ class RigidityReport:
 
 def _verdict(batches, r0: float, tol: float, tol_lambda: float) -> dict:
     """The report's fields read from the ``(lams, rs)`` batches the search
-    evaluated, in evaluation order: the first best point, the largest excess
-    over r0, and the near-ties (rows within ``tol * |r0|`` below r0) and how
-    far they sit from the all-ones vector.  An empty batch is skipped."""
-    best_lam, best_r, violation, offset, equality_ok, count = None, -math.inf, -math.inf, 0.0, True, 0
-    for lams, rs in batches:
-        if not len(rs):
-            continue
-        count += len(rs)
-        top = int(np.argmax(rs))
-        if rs[top] > best_r:
-            best_lam, best_r = lams[top].copy(), float(rs[top])
-        # A non-finite value is a violation of unknown size, never a pass.
-        excess = np.where(np.isfinite(rs), rs - r0, math.inf)
-        violation = max(violation, float(np.max(excess)))
-        near = _negligible(r0 - rs, abs(r0), tol)
-        if np.any(near):
-            worst = float(np.abs(lams[near] - 1.0).max())
-            offset = max(offset, worst)
-            if not _negligible(worst, 1.0, tol_lambda):  # offsets from the all-ones vector
-                equality_ok = False
-    return dict(best_lam=best_lam, best_r=best_r, max_violation=violation, worst_equality_offset=offset,
-                equality_ok=equality_ok, n_evaluations=count)
+    evaluated, joined in evaluation order: the first best point (NaN is never
+    the best point), the largest excess over r0, and the near-ties (rows
+    within ``tol * |r0|`` below r0) and how far they sit from the all-ones
+    vector."""
+    lams = np.concatenate([lam for lam, _ in batches])
+    rs = np.concatenate([r for _, r in batches])
+    ranked = np.where(np.isnan(rs), -math.inf, rs)
+    top = int(np.argmax(ranked))
+    # A non-finite value is a violation of unknown size, never a pass.
+    violation = float(np.max(np.where(np.isfinite(rs), rs - r0, math.inf)))
+    offset = float(np.abs(lams[_negligible(r0 - rs, abs(r0), tol)] - 1.0).max(initial=0.0))
+    return dict(best_lam=lams[top].copy(), best_r=float(ranked[top]), max_violation=violation,
+                worst_equality_offset=offset, equality_ok=_negligible(offset, 1.0, tol_lambda),
+                n_evaluations=len(rs))
 
 
 def _projected_gradient(lam: np.ndarray, grad: np.ndarray, hi: float) -> np.ndarray:

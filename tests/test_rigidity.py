@@ -394,6 +394,11 @@ def test_verdict_reads_the_batches_in_order():
     assert verdict["max_violation"] == math.inf and not verdict["equality_ok"]
     assert verdict["worst_equality_offset"] == 2.0 and verdict["best_r"] == r0
     assert verdict["n_evaluations"] == 4
+    # a NaN in a batch does not hide that batch's finite rows from the best point
+    lams, rs = np.array([[3.0, 3.0], [6.0, 6.0]]), np.array([r0 + 0.5, np.nan])
+    verdict = _verdict([(np.array([[1.0, 1.0]]), np.array([r0])), (lams, rs)], r0, 1e-8, 1e-6)
+    assert verdict["best_lam"].tolist() == [3.0, 3.0] and verdict["best_r"] == r0 + 0.5
+    assert verdict["max_violation"] == math.inf
 
 
 def test_ascent_records_its_starts_before_moving_them(group_specs):
