@@ -12,11 +12,13 @@ the free coordinates, a gradient step on the ones held at a bound, and
 Armijo backtracking along the projected arc.  A start converges when its
 projected gradient in mu = 1/lambda is small against the reference
 curvature, so a start far out in a wide box does not pass before it moves;
-a box too wide for that bound to be represented is refused.  The verdict
-is one pure function of the batches the search evaluated: a certificate
-requires that no evaluated metric beats the reference, that near-ties sit
-at the reference, and that every start converged.  It is a falsifiable
-numerical witness, not a proof.
+a box too wide for that bound to be represented is refused, and so is a
+coupling tensor that is not symmetric, which no bi-invariant reference
+has.  The verdict is one pure function of the batches the search
+evaluated, read in one pass over their join: a certificate requires that
+no evaluated metric beats the reference, that near-ties sit at the
+reference, and that every start converged.  It is a falsifiable numerical
+witness, not a proof.
 """
 
 from __future__ import annotations
@@ -67,13 +69,9 @@ def gap_polynomial(a, b, c):
     return (x * x + y * y + z * z - 2.0 * (x * y + x * z + y * z) + 3.0 * (x * y * z))[()]
 
 
-class OrderedGapTerms(NamedTuple):
-    terms: tuple
-    total: np.ndarray
-
-
-def ordered_gap_terms(a, b, c) -> OrderedGapTerms:
-    """Five-term rewrite of :func:`gap_polynomial` for 1 <= a <= b <= c.
+def ordered_gap_terms(a, b, c) -> tuple[tuple, np.ndarray]:
+    """Five-term rewrite of :func:`gap_polynomial` for 1 <= a <= b <= c,
+    returned as the pair ``(terms, total)``.
 
     Each term is individually nonnegative under the ordering, which is what
     certifies the polynomial's sign; the ordering is required, not checked
@@ -92,7 +90,7 @@ def ordered_gap_terms(a, b, c) -> OrderedGapTerms:
         2.0 * a * c * (b - 1.0),
     )
     total = terms[0] + terms[1] + terms[2] + terms[3] + terms[4]
-    return OrderedGapTerms(terms=terms, total=total)
+    return terms, total
 
 
 @dataclass(frozen=True)
@@ -105,18 +103,25 @@ class GapBreakdown:
     residual: float
 
 
-def gap_breakdown(spec: HomogeneousSpec, lam) -> GapBreakdown:
-    """Evaluate the deficit and its Casimir/polynomial split at ``lam``.
-
-    The split is an algebraic identity for every positive ``lam`` provided
-    the coupling tensor is symmetric (bi-invariant reference) and satisfies
-    the sum rule; the residual quantifies how well it holds.
-    """
+def _require_symmetric_coupling(spec: HomogeneousSpec) -> None:
+    """Refuse a coupling tensor that is not symmetric: no bi-invariant reference has one."""
     a3 = spec.coupling
     sym_defect = max(np.abs(a3 - a3.transpose(p)).max() for p in ((1, 0, 2), (0, 2, 1), (2, 1, 0)))
     # Relative to A and the Killing ratios, its units: A is all roundoff on a symmetric space.
     _require(sym_defect, max(np.abs(a3).max(), np.abs(spec.killing_ratios).max()),
              "decomposition identity requires bi-invariant reference: coupling tensor is not symmetric")
+
+
+def gap_breakdown(spec: HomogeneousSpec, lam) -> GapBreakdown:
+    """Evaluate the deficit and its Casimir/polynomial split at ``lam``.
+
+    The split is an algebraic identity for every positive ``lam`` provided
+    the coupling tensor is symmetric (bi-invariant reference) and satisfies
+    the sum rule; the residual quantifies how well it holds.  An asymmetric
+    coupling is refused, as :func:`verify_rigidity` refuses it.
+    """
+    _require_symmetric_coupling(spec)
+    a3 = spec.coupling
     values = _lambda_vector(lam, spec.s)
     gap = scalar_curvature_closed(spec, np.ones(spec.s)).R - scalar_curvature_closed(spec, values).R
     casimir = float(np.sum(spec.casimirs * spec.block_dims * (values - 1.0) / values))
@@ -315,14 +320,15 @@ def verify_rigidity(spec: HomogeneousSpec, max_lambda: float = DEFAULT_MAX_LAMBD
     start converged, its projected gradient in mu = 1/lambda at most
     GRAD_STOP times |r0|.  Specs with central blocks are refused outright:
     on such blocks the curvature does not decay and rigidity fails
-    structurally.  A box so wide that GRAD_STOP * |r0| / max_lambda^2, the
-    lambda-gradient that bound allows at the far corner, underflows to zero
-    is an input error: there the gradient underflows too, so no start could
-    tell convergence from underflow.  A spec whose reference curvature is
-    not finite or is zero is an input error, as are a box bound that is not
-    finite, no start, a negative sample count (zero samples runs the ascent
-    alone) and a negative seed, and so is a ``tol`` or ``tol_lambda`` that
-    is negative or not finite (zero is allowed).
+    structurally.  An asymmetric coupling tensor is an input error, by
+    :func:`gap_breakdown`'s rule.  A box so wide that GRAD_STOP * |r0| /
+    max_lambda^2, the lambda-gradient that bound allows at the far corner,
+    underflows to zero is an input error: there the gradient underflows
+    too, so no start could tell convergence from underflow.  A spec whose
+    reference curvature is not finite or is zero is an input error, as are
+    a box bound that is not finite, no start, a negative sample count (zero
+    samples runs the ascent alone) and a negative seed, and so is a ``tol``
+    or ``tol_lambda`` that is negative or not finite (zero is allowed).
     """
     _tolerance(tol, "tol")
     _tolerance(tol_lambda, "tol_lambda")
@@ -341,6 +347,7 @@ def verify_rigidity(spec: HomogeneousSpec, max_lambda: float = DEFAULT_MAX_LAMBD
         raise CenterPresentError(
             "center present: rigidity fails structurally (blocks with zero "
             f"Killing ratio: {central})")
+    _require_symmetric_coupling(spec)
     # The generator is made before the clock starts: numpy's first one in a
     # process takes milliseconds to set up, which is not sampling time.
     rng = np.random.default_rng(seed)

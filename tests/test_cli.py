@@ -377,8 +377,8 @@ def test_rigidity_malformed_raw_spec_exits_2(capsys, tmp_path, raw):
 
 
 @pytest.mark.parametrize("coupling", [
-    [[0, 1, 1, 1e308], [1, 0, 1, 1e308], [0, 0, 0, 1e308]],  # R(1) overflows
-    [[0, 0, 1, 1e308]],                                        # R(1) finite, R(1, 10) not
+    [[0, 1, 1, 1e308], [1, 0, 1, 1e308], [1, 1, 0, 1e308], [0, 0, 0, 1e308]],  # R(1) overflows
+    [[0, 0, 1, 5e307], [0, 1, 0, 5e307], [1, 0, 0, 5e307]],                     # R(1) finite, R(1, 10) not
 ])
 def test_rigidity_non_finite_curvature_exits_2(capsys, tmp_path, coupling):
     raw = {"s": 2, "d": [1, 1], "b": [1.0, 1.0], "c": [0.0, 0.0], "A": coupling}

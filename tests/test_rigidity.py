@@ -130,6 +130,9 @@ def test_gap_breakdown_requires_symmetric_coupling():
                               coupling=a, provenance="raw-file")
     with pytest.raises(ValueError, match="bi-invariant"):
         lc.gap_breakdown(spec, [1.0, 1.0])
+    # the certificate refuses it by the same rule
+    with pytest.raises(ValueError, match="coupling tensor is not symmetric"):
+        lc.verify_rigidity(spec, n_starts=2, n_samples=10)
 
 
 def test_gap_breakdown_accepts_a_roundoff_coupling():
@@ -324,8 +327,9 @@ def test_unconverged_search_does_not_certify(group_specs, monkeypatch):
 
 
 def _beaten_in_the_box():
-    # R = (1/l0 + 1/l1) / 2 - l1 / (2 l0^2): R(1, 1) = 0.5, R(10, 1) = 0.545.
-    return lc.spec_from_dict({"s": 2, "d": [1, 1], "b": [1.0, 1.0], "c": [0.0, 0.0], "A": [[0, 0, 1, 2.0]]})
+    # R = 1/(2 l0) - 1/(2 l1) - l1/(2 l0^2): R(1, 1) = -0.5, R(10, 10) = -0.05.
+    return lc.spec_from_dict({"s": 2, "d": [1, 1], "b": [1.0, 1.0], "c": [0.0, 0.0],
+                              "A": [[0, 0, 1, 2.0], [0, 1, 0, 2.0], [1, 0, 0, 2.0]]})
 
 
 @pytest.mark.parametrize("rigid", [True, False])
@@ -341,7 +345,7 @@ def test_certified_is_the_documented_rule(group_specs, rigid):
 
 def test_non_finite_reference_curvature_is_an_input_error():
     a = np.zeros((2, 2, 2))
-    a[0, 1, 1] = a[1, 0, 1] = a[0, 0, 0] = 1e308
+    a[0, 1, 1] = a[1, 0, 1] = a[1, 1, 0] = a[0, 0, 0] = 1e308
     spec = lc.HomogeneousSpec(name="huge", s=2, block_dims=[1, 1], killing_ratios=[1.0, 1.0],
                               casimirs=[0.0, 0.0], coupling=a, provenance="raw-file")
     with pytest.raises(ValueError, match="not finite"):
@@ -426,9 +430,9 @@ def test_evaluations_are_the_samples_and_the_ascent_batches(group_specs, n_sampl
 
 
 def test_overflow_inside_the_box_is_not_certified():
-    # Finite reference curvature, but lam_k = 10 overflows the coupling sum.
+    # Finite reference curvature, R(1) = -3.75e307, but R is -inf at (1, 10).
     a = np.zeros((2, 2, 2))
-    a[0, 0, 1] = 1e308
+    a[0, 0, 1] = a[0, 1, 0] = a[1, 0, 0] = 5e307
     spec = lc.HomogeneousSpec(name="overflow", s=2, block_dims=[1, 1], killing_ratios=[1.0, 1.0],
                               casimirs=[0.0, 0.0], coupling=a, provenance="raw-file")
     report = lc.verify_rigidity(spec, n_starts=4, n_samples=100, seed=0)
