@@ -54,8 +54,6 @@ from .homogeneous import (
     spec_from_file,
     sum_rule_defect,
 )
-# Not in __all__: old names the benchmark in perfbench/ still calls.
-from .homogeneous import group_as_homogeneous, scalar_curvature_homogeneous, scalar_gradient_homogeneous
 from .rigidity import (
     CenterPresentError,
     GapBreakdown,
@@ -69,6 +67,17 @@ from .rigidity import (
 )
 
 __version__ = "0.1.0"
+
+# Not in __all__: old names the benchmark in perfbench/ still calls, as
+# liecurv.<name>; they go once its calls move to model.spec and the
+# curvature evaluators.
+scalar_curvature_homogeneous = scalar_curvature_closed
+scalar_gradient_homogeneous = scalar_gradient
+
+
+def group_as_homogeneous(model: OrthonormalModel) -> HomogeneousSpec:
+    return model.spec
+
 
 __all__ = [
     "LieAlgebra", "KillingData", "abelian", "algebra_from_dict",

@@ -79,15 +79,17 @@ class HomogeneousSpec:
     block k; ``killing_ratios[i]`` is the factor relating the negative
     Killing form to the reference metric on block i (zero exactly when the
     block sits in the center); ``casimirs[i]`` is the scalar by which the
-    subalgebra Casimir operator acts on block i.  Two fields are derived here
-    once: ``beta``, with beta_i = b_i d_i (``killing_ratios * block_dims``),
-    the per-block coefficient of the 1/lam_i term, and ``coupling_first_two``,
-    the coupling symmetrized in its first two slots and flattened to (s, s*s);
-    with ``coupling`` they are what the curvature kernels read.
+    subalgebra Casimir operator acts on block i.  Three fields are derived
+    here once: the block count ``s``, the length of ``block_dims``, which
+    every other datum must match; ``beta``, with beta_i = b_i d_i
+    (``killing_ratios * block_dims``), the per-block coefficient of the
+    1/lam_i term; and ``coupling_first_two``, the coupling symmetrized in
+    its first two slots and flattened to (s, s*s).  With ``coupling``, the
+    last two are what the curvature kernels read.
     """
 
     name: str
-    s: int
+    s: int = field(init=False)
     block_dims: np.ndarray
     killing_ratios: np.ndarray
     casimirs: np.ndarray
@@ -101,7 +103,7 @@ class HomogeneousSpec:
         b = np.asarray(self.killing_ratios, dtype=float)
         c = np.asarray(self.casimirs, dtype=float)
         a = np.asarray(self.coupling, dtype=float)
-        s = self.s
+        s = d.size  # a block_dims that is not a vector fails the length check below
         if s < 1:
             raise ValueError(f"block count s must be at least 1, got {s}")
         if d.shape != (s,) or b.shape != (s,) or c.shape != (s,):
@@ -118,7 +120,7 @@ class HomogeneousSpec:
             raise ValueError("Casimir constants must be nonnegative")
         if np.any(a < 0):
             raise ValueError("coupling tensor entries must be nonnegative")
-        for name, arr in (("block_dims", d), ("killing_ratios", b), ("casimirs", c), ("coupling", a),
+        for name, arr in (("s", s), ("block_dims", d), ("killing_ratios", b), ("casimirs", c), ("coupling", a),
                           ("beta", b * d), ("coupling_first_two", _first_two(a))):
             object.__setattr__(self, name, arr)
 
@@ -132,52 +134,48 @@ class HomogeneousSpec:
 class OrthonormalModel:
     """Structure constants in a basis orthonormal for a bi-invariant metric.
 
-    ``t`` maps original to orthonormal coordinates (columns are the new
-    basis vectors); ``c`` is totally antisymmetric up to roundoff, checked
-    here once (at ``tol`` against the largest constant) for every consumer.
-    ``spec`` is the group's curvature data, built here once as a
-    :class:`HomogeneousSpec` of singleton blocks with no subalgebra: Killing
-    ratios minus the Killing form's diagonal (sum_jk c[i,j,k]^2), Casimirs
-    zero and coupling c * c.  The curvature kernels read it.
+    ``c`` is refused unless of shape (n, n, n) by the raw-tensor rule, and
+    must be totally antisymmetric up to roundoff, checked here once (at
+    ``tol`` against the largest constant) for every consumer.  Two fields
+    are derived from it: the dimension ``n`` and ``spec``, the group's
+    curvature data, a :class:`HomogeneousSpec` of singleton blocks with no
+    subalgebra: Killing ratios minus the Killing form's diagonal
+    (sum_jk c[i,j,k]^2), Casimirs zero and coupling c * c.  The curvature
+    kernels read it.
 
-    A pickle holds only the constructor fields ``name``, ``n``, ``t`` and
-    ``c``; loading rebuilds ``spec`` from them, bitwise as built, and skips
-    the antisymmetry check, which the model passed when it was built (at
-    whatever ``tol`` it was given).
+    A pickle holds only ``name`` and ``c``; loading derives ``n`` and
+    ``spec`` from them, bitwise as built, and skips the antisymmetry check,
+    which the model passed when it was built (at whatever ``tol`` it was
+    given).
     """
 
     name: str
-    n: int
-    t: np.ndarray
+    n: int = field(init=False)
     c: np.ndarray
     tol: InitVar[float] = DEFAULT_TOL
     spec: HomogeneousSpec = field(init=False, repr=False)
 
     def __post_init__(self, tol):
-        c = np.ascontiguousarray(self.c, dtype=float)  # the layout a pickle restores
-        n = self.n
-        if n < 1:
-            raise ValueError(f"dimension n must be at least 1, got {n}")
-        if c.shape != (n, n, n):
-            raise ValueError(f"structure tensor must have shape ({n}, {n}, {n})")
+        c = np.ascontiguousarray(_structure_tensor(self.c))  # the layout a pickle restores
+        if len(c) < 1:
+            raise ValueError(f"dimension n must be at least 1, got {len(c)}")
         _require(antisymmetry_defect(c), np.abs(c).max(), _NOT_ANTISYMMETRIC, tol)
-        object.__setattr__(self, "c", c)
-        self._build_spec()
+        self._derive(c)
 
-    def _build_spec(self):
-        c = self.c
-        object.__setattr__(self, "spec", HomogeneousSpec(
-            name=self.name, s=self.n, block_dims=np.ones(self.n, dtype=int),
-            killing_ratios=-np.einsum("iba,iab->i", c, c), casimirs=np.zeros(self.n), coupling=c * c,
-            provenance="from-algebra"))
+    def _derive(self, c):
+        n = len(c)
+        spec = HomogeneousSpec(name=self.name, block_dims=np.ones(n, dtype=int),
+                               killing_ratios=-np.einsum("iba,iab->i", c, c), casimirs=np.zeros(n),
+                               coupling=c * c, provenance="from-algebra")
+        for name, value in (("c", c), ("n", n), ("spec", spec)):
+            object.__setattr__(self, name, value)
 
     def __getstate__(self):
-        return {"name": self.name, "n": self.n, "t": self.t, "c": self.c}
+        return {"name": self.name, "c": self.c}
 
     def __setstate__(self, state):
-        for name, value in state.items():
-            object.__setattr__(self, name, value)
-        self._build_spec()
+        object.__setattr__(self, "name", state["name"])
+        self._derive(state["c"])
 
 
 def _in_frame(c: np.ndarray, t: np.ndarray, co: np.ndarray) -> np.ndarray:
@@ -202,8 +200,7 @@ def binormalize(algebra: LieAlgebra, gram, tol: float = DEFAULT_TOL) -> Orthonor
     _tolerance(tol, "tol")
     gram, L = _checked_gram(algebra, gram)
     t = np.linalg.inv(L).T
-    c_rot = _in_frame(algebra.c, t, gram @ t)
-    return OrthonormalModel(name=algebra.name, n=algebra.dim, t=t, c=c_rot, tol=tol)
+    return OrthonormalModel(name=algebra.name, c=_in_frame(algebra.c, t, gram @ t), tol=tol)
 
 
 def antisymmetry_defect(c) -> float:

@@ -162,7 +162,9 @@ def cmd_algebra(args) -> int:
             "center_dim": kd.center_dim,
             "jacobi_defect": jacobi_defect(algebra),
             "orthonormal_antisymmetry_defect": ortho_defect,
-            "compact_type": kd.signature[2] == 0,
+            # Compact type: K <= 0 and ker K = z.  ker K holds the nilradical, which holds
+            # [g, rad g]; so rad g = z, and g = s + z with K < 0 on the semisimple s.
+            "compact_type": kd.signature[2] == 0 and kd.signature[1] == kd.center_dim,
         },
     }
     _emit(doc, args.format, f"algebra: {algebra.name} (source {args.algebra}, scale {scale})", {

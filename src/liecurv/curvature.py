@@ -16,11 +16,13 @@ O(n^3).  K's sum is the scalar curvature, and its column sums, the Ricci
 curvatures, give the gradient dR/dlam_j = -Ric(F_j, F_j) / lam_j.
 
 Inputs are validated where they are built: :class:`OrthonormalModel` checks
-total antisymmetry and ``HomogeneousSpec`` its block data, and a spec
-derives the kernels' operands once.  The evaluators check only the
-eigenvalue vector: its length, then one reduction each for positive and
-finite values, so a single-point evaluation costs about what its kernel
-costs.
+its tensor's shape and total antisymmetry (a raw tensor is wrapped in
+one), ``HomogeneousSpec`` its block data, and a spec derives the kernels'
+operands once.  The evaluators check only the eigenvalue vector: its
+length, then one reduction each for positive and finite values, so a
+single-point evaluation costs about what its kernel costs.  A
+:class:`CurvatureResult` holds the value and the route, no echo of the
+inputs.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binorm import HomogeneousSpec, OrthonormalModel
-from .lie_core import _structure_tensor
 
 # Entries of the (rows, s^2) intermediate in one matrix product of
 # :func:`_block_curvature` (512 KB); 10k su(4) samples at once would need 18 MB.
@@ -39,22 +40,19 @@ CHUNK_ENTRIES = 1 << 16
 
 @dataclass(frozen=True)
 class CurvatureResult:
-    """Scalar curvature value plus an echo of what produced it."""
+    """Scalar curvature value and the route that produced it ("closed-form",
+    "homogeneous" or "koszul")."""
 
     R: float
     method: str
-    algebra: str
-    lam: np.ndarray
 
 
 def _model(model_or_tensor) -> OrthonormalModel:
-    """A model as given; a raw (n, n, n) tensor is wrapped in one, whose
-    constructor checks its total antisymmetry."""
+    """A model as given; a raw tensor is wrapped in one, whose constructor
+    checks its shape and total antisymmetry."""
     if isinstance(model_or_tensor, OrthonormalModel):
         return model_or_tensor
-    c = _structure_tensor(model_or_tensor)
-    n = c.shape[0]
-    return OrthonormalModel(name="tensor", n=n, t=np.eye(n), c=c)
+    return OrthonormalModel(name="tensor", c=model_or_tensor)
 
 
 def _lambda_vector(lam, n: int) -> np.ndarray:
@@ -153,7 +151,7 @@ def scalar_curvature_closed(source, lam) -> CurvatureResult:
     values = _lambda_vector(lam, spec.s)
     r = _block_curvature(spec, values[None, :])[0]
     method = "homogeneous" if spec is source else "closed-form"
-    return CurvatureResult(R=float(r), method=method, algebra=spec.name, lam=values.copy())
+    return CurvatureResult(R=float(r), method=method)
 
 
 def frame_curvatures(model, lam) -> np.ndarray:
@@ -183,7 +181,7 @@ def scalar_curvature_koszul(model, lam) -> CurvatureResult:
     """Scalar curvature as the sum of :func:`frame_curvatures` (the oracle route)."""
     model = _model(model)
     r = frame_curvatures(model, lam).sum()
-    return CurvatureResult(R=float(r), method="koszul", algebra=model.name, lam=np.array(lam, dtype=float))
+    return CurvatureResult(R=float(r), method="koszul")
 
 
 def scalar_gradient(source, lam) -> np.ndarray:

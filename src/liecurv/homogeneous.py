@@ -26,9 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .binorm import (_NOT_ANTISYMMETRIC, HomogeneousSpec, OrthonormalModel, _checked_gram, _in_frame,
-                     antisymmetry_defect, killing_metric)
-from .curvature import scalar_curvature_closed, scalar_gradient
+from .binorm import (_NOT_ANTISYMMETRIC, HomogeneousSpec, _checked_gram, _in_frame, antisymmetry_defect,
+                     killing_metric)
 from .lie_core import (LieAlgebra, _negligible, _real, _require, _sparse_entries, _whole_number, killing,
                        resolve_algebra)
 
@@ -169,23 +168,12 @@ def build_spec(embedding: SubalgebraEmbedding, gram, name: str | None = None) ->
 
     return HomogeneousSpec(
         name=name or f"{algebra.name}/h{h}",
-        s=s,
         block_dims=dims,
         killing_ratios=ratios,
         casimirs=casimirs,
         coupling=coupling,
         provenance="from-algebra",
     )
-
-
-# Old names, kept only because the benchmark in perfbench/ calls them; they
-# go once its calls move to model.spec and the curvature evaluators.
-scalar_curvature_homogeneous = scalar_curvature_closed
-scalar_gradient_homogeneous = scalar_gradient
-
-
-def group_as_homogeneous(model: OrthonormalModel) -> HomogeneousSpec:
-    return model.spec
 
 
 def sum_rule_defect(spec: HomogeneousSpec) -> np.ndarray:
@@ -237,7 +225,7 @@ def spec_from_dict(obj: dict, base_dir: str | Path = ".", name: str = "homogeneo
         for index, value in _sparse_entries(obj.get("A", []), s, "coupling A").items():
             a[index] = value
         return HomogeneousSpec(
-            name=name, s=s,
+            name=name,
             block_dims=[_real(x, "block dimension") for x in d],
             killing_ratios=np.array([_real(x, "Killing ratio") for x in b]),
             casimirs=np.array([_real(x, "Casimir constant") for x in c]),

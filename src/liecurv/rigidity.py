@@ -125,9 +125,13 @@ def gap_breakdown(spec: HomogeneousSpec, lam) -> GapBreakdown:
     values = _lambda_vector(lam, spec.s)
     gap = scalar_curvature_closed(spec, np.ones(spec.s)).R - scalar_curvature_closed(spec, values).R
     casimir = float(np.sum(spec.casimirs * spec.block_dims * (values - 1.0) / values))
-    q = gap_polynomial(values[:, None, None], values[None, :, None], values[None, None, :])
-    denom = np.einsum("i,j,k->ijk", values, values, values)
-    poly = float(np.sum(a3 * q / denom)) / 12.0
+    # q / (lam_i lam_j lam_k), q the gap polynomial, term by term on sorted
+    # arguments (as gap_polynomial sorts them): neither q nor the product is
+    # formed, so a lambda whose cube overflows still gives a finite part.
+    x, y, z = np.sort(np.stack(np.broadcast_arrays(values[:, None, None], values[None, :, None],
+                                                   values[None, None, :])), axis=0)
+    q_ratio = x / y / z + y / x / z + z / x / y - 2.0 * (1.0 / x + 1.0 / y + 1.0 / z) + 3.0
+    poly = float(np.sum(a3 * q_ratio)) / 12.0
     return GapBreakdown(gap=gap, casimir_part=casimir, poly_part=poly,
                         residual=abs(gap - casimir - poly))
 

@@ -10,7 +10,6 @@ from test_homogeneous import _rebased
 
 
 def test_round_su2_normalization_is_identity(su2, su2_model):
-    assert_allclose(su2_model.t, np.eye(3), atol=1e-14)
     assert_allclose(su2_model.c, su2.c, atol=1e-14)
     assert su2_model.c[0, 1, 2] == pytest.approx(2.0, abs=1e-14)
 
@@ -221,15 +220,15 @@ def test_orthonormal_model_checks_antisymmetry_when_built(su2_model):
     c = su2_model.c.copy()
     c[0, 1, 2] += 0.5  # antisymmetry now fails against (1, 0, 2) and the cyclic slots
     with pytest.raises(ValueError, match="not bi-invariant-orthonormal"):
-        lc.OrthonormalModel(name="skewed", n=3, t=np.eye(3), c=c)
+        lc.OrthonormalModel(name="skewed", c=c)
 
 
 def test_orthonormal_model_checks_shape(su2_model):
-    with pytest.raises(ValueError, match="shape"):
-        lc.OrthonormalModel(name="short", n=4, t=np.eye(4), c=su2_model.c)
-    # Every entry point that takes a raw tensor refuses one of the wrong shape.
+    # The model and every entry point that takes a raw tensor refuse one of the wrong shape.
     for c in (np.float64(2.0), np.zeros((2, 3, 4))):
         message = rf"^structure tensor must have shape \(n, n, n\), got shape {re.escape(str(c.shape))}$"
+        with pytest.raises(ValueError, match=message):
+            lc.OrthonormalModel(name="short", c=c)
         for evaluate in (lc.scalar_curvature_closed, lc.scalar_curvature_koszul, lc.scalar_gradient,
                          lc.frame_curvatures):
             with pytest.raises(ValueError, match=message):
@@ -252,7 +251,7 @@ def test_a_spec_is_not_a_structure_tensor(su2_model):
 
 def test_orthonormal_model_refuses_no_dimension():
     with pytest.raises(ValueError, match="^dimension n must be at least 1, got 0$"):
-        lc.OrthonormalModel(name="empty", n=0, t=np.eye(0), c=np.zeros((0, 0, 0)))
+        lc.OrthonormalModel(name="empty", c=np.zeros((0, 0, 0)))
     with pytest.raises(ValueError, match="^dimension n must be at least 1, got 0$"):
         lc.scalar_curvature_closed(np.zeros((0, 0, 0)), [])
 

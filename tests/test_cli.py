@@ -73,10 +73,16 @@ def test_algebra_abelian_file_is_informational(capsys, abelian_file):
     assert "n/a" in out  # no definite reference metric to normalize against
 
 
-def test_algebra_non_compact_exit(capsys, sl2_file):
-    code, out, err = run(capsys, "algebra", "--algebra", sl2_file)
-    assert code == 3
-    assert "not of compact type" in err
+def test_algebra_non_compact_exit(capsys, sl2_file, tmp_path):
+    # The Heisenberg algebra has K = 0, so no positive eigenvalue, but it is
+    # nilpotent and not abelian: ker K is larger than its center.
+    heis = tmp_path / "heis.json"
+    heis.write_text(json.dumps({"name": "heis", "dim": 3, "structure_constants": [[0, 1, 2, 1.0]]}),
+                    encoding="utf-8")
+    for source in (sl2_file, str(heis)):
+        code, out, err = run(capsys, "algebra", "--algebra", source)
+        assert code == 3
+        assert "not of compact type" in err
 
 
 @pytest.mark.parametrize("fmt", ["table", "structured"])

@@ -98,7 +98,7 @@ def test_sum_rule_for_sphere(s2_spec):
 
 def test_sum_rule_detects_missing_casimir(s2_spec):
     doctored = lc.HomogeneousSpec(
-        name="s2-no-casimir", s=1,
+        name="s2-no-casimir",
         block_dims=s2_spec.block_dims,
         killing_ratios=s2_spec.killing_ratios,
         casimirs=np.zeros(1),
@@ -328,13 +328,13 @@ def test_spec_rejects_non_finite_data(field, bad):
     data = {"killing_ratios": np.ones(2), "casimirs": np.zeros(2), "coupling": np.zeros((2, 2, 2))}
     data[field].flat[0] = bad
     with pytest.raises(ValueError, match="finite"):
-        lc.HomogeneousSpec(name="bad", s=2, block_dims=[1, 1], provenance="raw-file", **data)
+        lc.HomogeneousSpec(name="bad", block_dims=[1, 1], provenance="raw-file", **data)
 
 
 @pytest.mark.parametrize("dims", [[1, np.nan], [1, np.inf], [1, 1.5], [0, 1], [1, 1e20], [1, 2.0 ** 63]])
 def test_spec_rejects_bad_block_dims(dims):
     with pytest.raises(ValueError, match="positive integers"):
-        lc.HomogeneousSpec(name="bad", s=2, block_dims=dims, killing_ratios=[1.0, 1.0],
+        lc.HomogeneousSpec(name="bad", block_dims=dims, killing_ratios=[1.0, 1.0],
                            casimirs=[0.0, 0.0], coupling=np.zeros((2, 2, 2)), provenance="raw-file")
 
 
@@ -431,13 +431,13 @@ def test_derived_spec_vectors_have_the_algebra_dimension(field, value, message):
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: lc.HomogeneousSpec(name="short", s=2, block_dims=[1], killing_ratios=[1.0, 1.0],
+    (lambda: lc.HomogeneousSpec(name="short", block_dims=[1], killing_ratios=[1.0, 1.0],
                                 casimirs=[0.0, 0.0], coupling=np.zeros((2, 2, 2)), provenance="raw-file"),
      "block data must all have length s"),
-    (lambda: lc.HomogeneousSpec(name="flat", s=2, block_dims=[1, 1], killing_ratios=[1.0, 1.0],
+    (lambda: lc.HomogeneousSpec(name="flat", block_dims=[1, 1], killing_ratios=[1.0, 1.0],
                                 casimirs=[0.0, 0.0], coupling=np.zeros((2, 2)), provenance="raw-file"),
      r"coupling tensor must have shape \(2, 2, 2\)"),
-    (lambda: lc.HomogeneousSpec(name="empty", s=0, block_dims=[], killing_ratios=[], casimirs=[],
+    (lambda: lc.HomogeneousSpec(name="empty", block_dims=[], killing_ratios=[], casimirs=[],
                                 coupling=np.zeros((0, 0, 0)), provenance="raw-file"),
      "^block count s must be at least 1, got 0$"),
     (lambda: lc.SubalgebraEmbedding(parent=lc.build_su(2), h_basis=[[0.0, 0.0, 1.0]], blocks=()),
@@ -646,9 +646,9 @@ def test_build_spec_builds_no_model_and_factors_once(quotient, monkeypatch):
 
     rotation, model = counted("rotation", binorm._in_frame), counted("model", binorm.OrthonormalModel)
     monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
+    monkeypatch.setattr(binorm, "OrthonormalModel", model)  # homogeneous does not import the class
     for module in (binorm, homogeneous):
         monkeypatch.setattr(module, "_in_frame", rotation)
-        monkeypatch.setattr(module, "OrthonormalModel", model)
     lc.build_spec(embedding, gram)
     assert calls == {"cholesky": 1, "rotation": 1}
 

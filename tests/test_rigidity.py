@@ -108,6 +108,11 @@ def test_gap_identity_holds_for_all_positive_lambda(key, group_specs, s2_spec):
         lam = 10.0 * (1.0 - rng.random(spec.s))  # uniform on (0, 10]
         gb = lc.gap_breakdown(spec, lam)
         assert gb.residual <= 1e-10 * (1.0 + abs(gb.gap))
+    # Log-uniform on [1, 1e300]: the cubes of the large ratios overflow, the split must not.
+    with np.errstate(all="raise", under="ignore"):
+        for _ in range(200):
+            gb = lc.gap_breakdown(spec, 10.0 ** rng.uniform(0.0, 300.0, spec.s))
+            assert gb.residual <= 1e-10 * (1.0 + abs(gb.gap))
 
 
 @pytest.mark.parametrize("key", ["su3", "s2"])
@@ -125,7 +130,7 @@ def test_gap_parts_nonnegative_on_constrained_box(key, group_specs, s2_spec):
 def test_gap_breakdown_requires_symmetric_coupling():
     a = np.zeros((2, 2, 2))
     a[0, 0, 1] = 1.0
-    spec = lc.HomogeneousSpec(name="skewed", s=2, block_dims=[1, 1],
+    spec = lc.HomogeneousSpec(name="skewed", block_dims=[1, 1],
                               killing_ratios=[1.0, 1.0], casimirs=[0.0, 0.0],
                               coupling=a, provenance="raw-file")
     with pytest.raises(ValueError, match="bi-invariant"):
@@ -140,7 +145,7 @@ def test_gap_breakdown_accepts_a_roundoff_coupling():
     # against the Killing ratios, the coupling's units, not against A alone.
     a = np.zeros((2, 2, 2))
     a[0, 0, 1] = 1e-31
-    spec = lc.HomogeneousSpec(name="s2xs2", s=2, block_dims=[2, 2], killing_ratios=[8.0, 8.0],
+    spec = lc.HomogeneousSpec(name="s2xs2", block_dims=[2, 2], killing_ratios=[8.0, 8.0],
                               casimirs=[4.0, 4.0], coupling=a, provenance="raw-file")
     assert lc.gap_breakdown(spec, [2.0, 3.0]).residual <= 1e-12
 
@@ -346,7 +351,7 @@ def test_certified_is_the_documented_rule(group_specs, rigid):
 def test_non_finite_reference_curvature_is_an_input_error():
     a = np.zeros((2, 2, 2))
     a[0, 1, 1] = a[1, 0, 1] = a[1, 1, 0] = a[0, 0, 0] = 1e308
-    spec = lc.HomogeneousSpec(name="huge", s=2, block_dims=[1, 1], killing_ratios=[1.0, 1.0],
+    spec = lc.HomogeneousSpec(name="huge", block_dims=[1, 1], killing_ratios=[1.0, 1.0],
                               casimirs=[0.0, 0.0], coupling=a, provenance="raw-file")
     with pytest.raises(ValueError, match="not finite"):
         lc.verify_rigidity(spec, n_starts=2, n_samples=10)
@@ -433,7 +438,7 @@ def test_overflow_inside_the_box_is_not_certified():
     # Finite reference curvature, R(1) = -3.75e307, but R is -inf at (1, 10).
     a = np.zeros((2, 2, 2))
     a[0, 0, 1] = a[0, 1, 0] = a[1, 0, 0] = 5e307
-    spec = lc.HomogeneousSpec(name="overflow", s=2, block_dims=[1, 1], killing_ratios=[1.0, 1.0],
+    spec = lc.HomogeneousSpec(name="overflow", block_dims=[1, 1], killing_ratios=[1.0, 1.0],
                               casimirs=[0.0, 0.0], coupling=a, provenance="raw-file")
     report = lc.verify_rigidity(spec, n_starts=4, n_samples=100, seed=0)
     assert math.isfinite(report.r0)
