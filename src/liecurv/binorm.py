@@ -203,14 +203,17 @@ def binormalize(algebra: LieAlgebra, gram, tol: float = DEFAULT_TOL) -> Orthonor
     return OrthonormalModel(name=algebra.name, c=_in_frame(algebra.c, t, gram @ t), tol=tol)
 
 
+def _transposition_defect(a: np.ndarray, combine) -> float:
+    """Largest |combine(a, a^T)| over the three transpositions of a 3-tensor's
+    slots, in the order (0 1), (1 2), (0 2): ``np.subtract`` measures
+    symmetry, ``np.add`` antisymmetry."""
+    return float(max(np.abs(combine(a, a.transpose(p))).max() for p in ((1, 0, 2), (0, 2, 1), (2, 1, 0))))
+
+
 def antisymmetry_defect(c) -> float:
     """Largest violation of total antisymmetry of a structure tensor over the
     three transpositions."""
-    c = _structure_tensor(c)
-    d01 = np.abs(c + c.swapaxes(0, 1)).max()
-    d12 = np.abs(c + c.swapaxes(1, 2)).max()
-    d02 = np.abs(c + c.swapaxes(0, 2)).max()
-    return float(max(d01, d12, d02))
+    return _transposition_defect(_structure_tensor(c), np.add)
 
 
 class DiagonalMetric(NamedTuple):

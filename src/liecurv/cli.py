@@ -33,8 +33,7 @@ from .rigidity import (DEFAULT_MAX_LAMBDA, DEFAULT_SAMPLES, DEFAULT_STARTS, DEFA
 
 SEED_ENV = "LIECURV_SEED"
 # RigidityReport fields in the structured result, and those --trajectories adds.
-REPORT_FIELDS = ("name", "box", "r0", "best_r", "max_violation", "worst_gap", "equality_ok",
-                 "worst_equality_offset", "certified")
+REPORT_FIELDS = ("r0", "best_r", "max_violation", "equality_ok", "worst_equality_offset", "certified")
 TRAJECTORY_FIELDS = ("ascent_finals", "ascent_values", "ascent_status", "ascent_iterations")
 
 
@@ -210,7 +209,9 @@ def cmd_rigidity(args) -> int:
         "config": {**config, "max_lambda": args.max_lambda, "starts": args.starts,
                    "samples": args.samples, "seed": seed, "tol": args.tol,
                    "tol_lambda": args.tol_lambda},
+        # The report holds what the search found; the name, the box and the worst gap are the CLI's.
         "result": {**{field: getattr(report, field) for field in fields},
+                   "name": spec.name, "box": (1.0, args.max_lambda), "worst_gap": -report.max_violation,
                    "best_lambda": report.best_lam,
                    "note": "numerical certificate from sampling and ascent, not a proof"},
     }
@@ -221,14 +222,14 @@ def cmd_rigidity(args) -> int:
         f"  ascent starts:       {status_counts} "
         f"(at most {int(report.ascent_iterations.max())} steps)",
         f"  curvature evals:     {report.n_evaluations}",
-        f"  wall time:           {report.wall_time:.3f}s (sampling {report.sampling_time:.3f}s, "
-        f"ascent {report.ascent_time:.3f}s)",
+        f"  wall time:           {report.sampling_time + report.ascent_time:.3f}s "
+        f"(sampling {report.sampling_time:.3f}s, ascent {report.ascent_time:.3f}s)",
     ]
     if args.trajectories:
         notes += [f"    ascent final R={_cell(r)} at {_cell(lam)} ({status}, {steps} steps)"
                   for lam, r, status, steps in zip(report.ascent_finals, report.ascent_values,
                                                    report.ascent_status, report.ascent_iterations)]
-    _emit(doc, args.format, f"rigidity search: {report.name} on [1, {report.box[1]}]^{spec.s}", {
+    _emit(doc, args.format, f"rigidity search: {spec.name} on [1, {args.max_lambda}]^{spec.s}", {
         "starts": "starts", "samples": "samples", "seed": "seed",
         "r0": "reference curvature", "best_r": "best curvature", "best_lambda": "best lambda",
         "max_violation": "max violation", "tol": "tol", "equality_ok": "equality localized",

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .binorm import killing_metric, binormalize
+from .binorm import _transposition_defect, binormalize, killing_metric
 from .curvature import (_block_curvature, _block_gradient, _block_hessian, _lambda_vector,
                         scalar_curvature_closed, scalar_curvature_koszul)
 from .homogeneous import HomogeneousSpec
@@ -106,9 +106,8 @@ class GapBreakdown:
 def _require_symmetric_coupling(spec: HomogeneousSpec) -> None:
     """Refuse a coupling tensor that is not symmetric: no bi-invariant reference has one."""
     a3 = spec.coupling
-    sym_defect = max(np.abs(a3 - a3.transpose(p)).max() for p in ((1, 0, 2), (0, 2, 1), (2, 1, 0)))
     # Relative to A and the Killing ratios, its units: A is all roundoff on a symmetric space.
-    _require(sym_defect, max(np.abs(a3).max(), np.abs(spec.killing_ratios).max()),
+    _require(_transposition_defect(a3, np.subtract), max(np.abs(a3).max(), np.abs(spec.killing_ratios).max()),
              "decomposition identity requires bi-invariant reference: coupling tensor is not symmetric")
 
 
@@ -138,26 +137,26 @@ def gap_breakdown(spec: HomogeneousSpec, lam) -> GapBreakdown:
 
 @dataclass(frozen=True)
 class RigidityReport:
-    """Certificate data from gap sampling and constrained maximization.
+    """What the search of :func:`verify_rigidity` found, not the settings it
+    was given: the caller holds those (the CLI echoes them in its config).
 
-    ``ascent_status[i]`` says how start i ended ("converged": its projected
-    gradient in mu = 1/lambda is at most GRAD_STOP times |r0|; "max-iter"
-    or "line-search") and ``ascent_iterations[i]`` how many steps it took;
-    ``n_evaluations`` counts every metric at which the curvature was
-    evaluated, exactly the rows the verdict read.  ``sampling_time`` (the
-    draws, the reference and the curvature of the samples and starts) and
-    ``ascent_time`` (the ascent, then the verdict over every evaluated batch)
-    split ``wall_time``; the CLI shows the times in its table, never in JSON.
-    ``certified`` holds exactly when ``max_violation <= tol * |r0|`` (``tol``
-    is relative, ``max_violation`` and ``r0`` absolute), ``equality_ok``
-    holds and every ``ascent_status`` is "converged".
+    ``best_lam`` and ``best_r`` are the first best point evaluated and its
+    curvature, ``r0`` the reference curvature R(1, ..., 1) and
+    ``max_violation`` the largest excess over it (its negative is the
+    smallest deficit seen).  ``ascent_status[i]`` says how start i ended
+    ("converged": its projected gradient in mu = 1/lambda is at most
+    GRAD_STOP times |r0|; "max-iter" or "line-search") and
+    ``ascent_iterations[i]`` how many steps it took; ``n_evaluations``
+    counts every metric at which the curvature was evaluated, exactly the
+    rows the verdict read.  ``sampling_time`` (the draws, the reference and
+    the curvature of the samples and starts) and ``ascent_time`` (the
+    ascent, then the verdict over every evaluated batch) sum to the search's
+    wall time; the CLI shows the times in its table, never in JSON.
+    ``certified`` holds exactly when ``max_violation <= tol * |r0|`` (the
+    search's ``tol`` is relative, ``max_violation`` and ``r0`` absolute),
+    ``equality_ok`` holds and every ``ascent_status`` is "converged".
     """
 
-    name: str
-    box: tuple[float, float]
-    n_starts: int
-    n_samples: int
-    seed: int
     best_lam: np.ndarray
     best_r: float
     r0: float
@@ -165,9 +164,6 @@ class RigidityReport:
     certified: bool
     equality_ok: bool
     worst_equality_offset: float
-    tol: float
-    tol_lambda: float
-    wall_time: float
     ascent_finals: np.ndarray
     ascent_values: np.ndarray
     ascent_status: tuple[str, ...]
@@ -175,11 +171,6 @@ class RigidityReport:
     n_evaluations: int
     sampling_time: float
     ascent_time: float
-
-    @property
-    def worst_gap(self) -> float:
-        """Smallest deficit seen over all evaluated points."""
-        return -self.max_violation
 
 
 def _verdict(batches, r0: float, tol: float, tol_lambda: float) -> dict:
@@ -316,7 +307,9 @@ def verify_rigidity(spec: HomogeneousSpec, max_lambda: float = DEFAULT_MAX_LAMBD
 
     Dense uniform sampling plus a lockstep projected-Newton ascent from
     every start (the all-ones candidate is always the first start, and the
-    reference curvature r0 is its value).
+    reference curvature r0 is its value).  The report holds what the search
+    found; the box, the effort, the seed and the tolerances are the
+    caller's, and are not echoed back.
     Certification requires that no evaluated point exceeds the reference
     curvature beyond ``tol * |r0|`` (so the verdict does not depend on the
     metric's scale), that every point within that distance below r0 sits
@@ -381,16 +374,8 @@ def verify_rigidity(spec: HomogeneousSpec, max_lambda: float = DEFAULT_MAX_LAMBD
     certified = (_negligible(verdict["max_violation"], abs(r0), tol) and verdict["equality_ok"]
                  and bool(np.all(ascent.status == "converged")))
     return RigidityReport(
-        name=spec.name,
-        box=(1.0, float(max_lambda)),
-        n_starts=len(starts),
-        n_samples=n_samples,
-        seed=seed,
         r0=r0,
         certified=bool(certified),
-        tol=tol,
-        tol_lambda=tol_lambda,
-        wall_time=t_end - t_start,
         ascent_finals=ascent.lam,
         ascent_values=ascent.r,
         ascent_status=tuple(ascent.status.tolist()),
@@ -405,7 +390,6 @@ def verify_rigidity(spec: HomogeneousSpec, max_lambda: float = DEFAULT_MAX_LAMBD
 class ShrinkExample:
     """One member of the shrinking SU(2) family, evaluated both ways."""
 
-    lam: float
     R_g: float
     R_g_koszul: float
     R_g0: float
@@ -432,7 +416,6 @@ def su2_shrink_example(lam: float) -> ShrinkExample:
     koszul = scalar_curvature_koszul(model, vec)
     r0 = scalar_curvature_closed(model, np.ones(3)).R
     return ShrinkExample(
-        lam=float(lam),
         R_g=closed.R,
         R_g_koszul=koszul.R,
         R_g0=r0,

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -403,6 +404,31 @@ def test_rigidity_table_shows_ascent_diagnostics(capsys):
     assert "4 converged" in out
     assert "curvature evals:" in out
     assert "sampling" in out and "ascent" in out
+    # The total is the sum of the two phases, each printed to 1 ms: it matches to that precision.
+    wall = next(line for line in out.splitlines() if line.startswith("  wall time:"))
+    total, sampling, ascent = (float(x) for x in re.findall(r"(\d+\.\d{3})s", wall))
+    assert abs(total - (sampling + ascent)) <= 1e-3 + 1e-12
+
+
+@pytest.mark.parametrize("source", ["algebra", "homogeneous"])
+def test_rigidity_result_echoes_name_box_and_worst_gap(capsys, s2_spec_file, source):
+    # The report holds what the search found; the CLI adds the name, the box and the worst gap.
+    if source == "algebra":
+        su2 = lc.build_su(2)
+        argv, spec = ["--algebra", "su2"], lc.binormalize(su2, lc.killing_metric(su2, 0.125)).spec
+    else:
+        argv, spec = ["--homogeneous", s2_spec_file], lc.spec_from_file(s2_spec_file)
+    code, out, _ = run(capsys, "rigidity", *argv, "--max-lambda", "5", "--starts", "4",
+                       "--samples", "50", "--format", "structured")
+    result = json.loads(out)["result"]
+    assert code == 0
+    assert set(result) == {"name", "box", "r0", "best_r", "best_lambda", "max_violation", "worst_gap",
+                           "equality_ok", "worst_equality_offset", "certified", "note"}
+    assert result["worst_gap"] == -result["max_violation"]
+    assert result["box"] == [1.0, 5.0]
+    assert result["name"] == spec.name
+    code, out, _ = run(capsys, "rigidity", *argv, "--max-lambda", "5", "--starts", "4", "--samples", "50")
+    assert out.splitlines()[0] == f"rigidity search: {spec.name} on [1, 5.0]^{spec.s}"
 
 
 def test_rigidity_trajectories_add_status_and_iterations(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,8 @@ from numpy.testing import assert_allclose
 
 import liecurv as lc
 from liecurv.curvature import _block_curvature, _block_gradient
-from liecurv.rigidity import GRAD_STOP, _ascend_all, _newton_direction, _projected_gradient, _verdict
+from liecurv.rigidity import (DEFAULT_STARTS, DEFAULT_TOL_R, GRAD_STOP, _ascend_all, _newton_direction,
+                              _projected_gradient, _verdict)
 
 
 def test_gap_polynomial_values():
@@ -158,7 +160,6 @@ def test_verify_rigidity_su2(group_specs):
     assert report.best_r == pytest.approx(6.0, abs=1e-8)
     assert np.abs(report.best_lam - 1.0).max() <= 1e-6
     assert report.r0 == pytest.approx(6.0, abs=1e-12)
-    assert report.worst_gap == -report.max_violation
 
 
 def test_verify_rigidity_sphere(s2_spec):
@@ -260,15 +261,19 @@ def test_shrink_example_domain(lam):
         lc.su2_shrink_example(lam)
 
 
-def test_report_records_configuration(group_specs):
+def test_report_holds_results_not_settings(group_specs):
+    # The box, effort, seed and tolerances are the caller's; no derived value is stored.
+    assert [f.name for f in dataclasses.fields(lc.RigidityReport)] == [
+        "best_lam", "best_r", "r0", "max_violation", "certified", "equality_ok",
+        "worst_equality_offset", "ascent_finals", "ascent_values", "ascent_status",
+        "ascent_iterations", "n_evaluations", "sampling_time", "ascent_time"]
+    assert not hasattr(lc.RigidityReport, "worst_gap")
+    assert [f.name for f in dataclasses.fields(lc.ShrinkExample)] == [
+        "R_g", "R_g_koszul", "R_g0", "g_is_smaller", "scalar_is_smaller", "crossover"]
     report = lc.verify_rigidity(group_specs["su2"], max_lambda=5.0,
                                 n_starts=4, n_samples=100, seed=123)
-    assert report.box == (1.0, 5.0)
-    assert report.seed == 123
-    assert report.n_starts == 4
-    assert report.n_samples == 100
     assert report.ascent_finals.shape == (4, 3)
-    assert report.wall_time > 0.0
+    assert report.sampling_time + report.ascent_time > 0.0
 
 
 def test_lockstep_ascent_matches_one_start_at_a_time(group_specs, flag_spec):
@@ -304,7 +309,7 @@ def test_every_start_converges(name, seed):
     spec = lc.binormalize(algebra, lc.killing_metric(algebra, 1.0)).spec
     report = lc.verify_rigidity(spec, seed=seed)
     assert report.certified
-    assert report.ascent_status == ("converged",) * report.n_starts
+    assert report.ascent_status == ("converged",) * DEFAULT_STARTS
     for lam in report.ascent_finals:
         grad = lc.scalar_gradient(spec, lam)
         assert np.linalg.norm(_projected_gradient(lam, grad, 10.0)) <= GRAD_STOP
@@ -318,7 +323,6 @@ def test_report_diagnostics(group_specs):
     # the samples, the starts (r0 is the all-ones start's value) and at least one trial point per step
     assert report.n_evaluations >= 300 + 8 + int(report.ascent_iterations.sum())
     assert report.sampling_time > 0.0 and report.ascent_time > 0.0
-    assert report.sampling_time + report.ascent_time <= report.wall_time
 
 
 def test_unconverged_search_does_not_certify(group_specs, monkeypatch):
@@ -327,7 +331,7 @@ def test_unconverged_search_does_not_certify(group_specs, monkeypatch):
     monkeypatch.setattr(rigidity, "MAX_ITER", 1)
     report = lc.verify_rigidity(group_specs["su3"], n_starts=8, n_samples=100, seed=0)
     assert "max-iter" in report.ascent_status
-    assert report.max_violation <= report.tol and report.equality_ok
+    assert report.max_violation <= DEFAULT_TOL_R and report.equality_ok
     assert not report.certified
 
 
@@ -341,7 +345,7 @@ def _beaten_in_the_box():
 def test_certified_is_the_documented_rule(group_specs, rigid):
     spec = group_specs["su3"] if rigid else _beaten_in_the_box()
     report = lc.verify_rigidity(spec, n_starts=8, n_samples=200, seed=0)
-    within = report.max_violation <= report.tol * abs(report.r0)
+    within = report.max_violation <= DEFAULT_TOL_R * abs(report.r0)
     assert within == rigid
     assert report.certified == (within and report.equality_ok
                                 and all(status == "converged" for status in report.ascent_status))
@@ -474,7 +478,7 @@ def test_search_parameters_are_validated(s2_spec, change, match):
 
 def test_zero_samples_runs_the_ascent_alone(s2_spec):
     report = lc.verify_rigidity(s2_spec, n_starts=3, n_samples=0, seed=1)
-    assert report.n_samples == 0 and report.n_starts == 3
+    assert len(report.ascent_status) == 3
     assert report.certified
 
 
@@ -504,8 +508,9 @@ def test_tolerances_must_be_finite_and_nonnegative(s2_spec, name, value):
 
 @pytest.mark.parametrize("name", ["tol", "tol_lambda"])
 def test_zero_tolerance_is_allowed(s2_spec, name):
+    # Zero asks for an exact verdict: on S^2 the reference start is the exact maximum.
     report = lc.verify_rigidity(s2_spec, n_starts=2, n_samples=10, **{name: 0.0})
-    assert getattr(report, name) == 0.0
+    assert report.certified
 
 
 @pytest.mark.parametrize("name", ["su2", "su3", "su4", "su5", "so5", "so7", "s2", "flag"])
