@@ -3,9 +3,11 @@
 The private kernel :func:`_block_curvature`, its gradient
 :func:`_block_gradient` and its Hessian :func:`_block_hessian` hold the one
 block formula, used for groups and for homogeneous quotients.  Each takes a
-``HomogeneousSpec`` and rows of ``lams``.  The public evaluators
-:func:`scalar_curvature_closed` and :func:`scalar_gradient` take one point
-and a spec, a model or a raw structure tensor; a group is the quotient by
+``HomogeneousSpec`` and ``lams``: the curvature and gradient kernels one
+point of shape (s,) or rows of shape (m, s), the Hessian rows.  The public
+evaluators :func:`scalar_curvature_closed` and :func:`scalar_gradient` take
+one point and a spec, a model or a raw structure tensor, and pass the
+validated point straight to the one-point kernel; a group is the quotient by
 the trivial subgroup, whose spec is ``model.spec`` (singleton blocks,
 A = c^2).
 :func:`scalar_curvature_koszul` rebuilds the same number from first
@@ -74,25 +76,34 @@ def _lambda_vector(lam, n: int) -> np.ndarray:
 
 
 def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Row-wise outer products, flattened: out[m, i*s + j] = x[m, i] y[m, j]."""
+    """Outer products, flattened, of one point (s,) or row-wise of rows (m, s):
+    out[i*s + j] = x[i] y[j], or out[m, i*s + j] = x[m, i] y[m, j]."""
+    if x.ndim == 1:
+        return np.multiply.outer(x, y).ravel()
     return (x[:, :, None] * y[:, None, :]).reshape(len(x), -1)
 
 
 def _block_curvature(spec: HomogeneousSpec, lams: np.ndarray) -> np.ndarray:
-    """R = 1/2 sum_i beta_i / lam_i - 1/4 sum_ijk a[i,j,k] lam_k / (lam_i lam_j) per row of
-    ``lams``.
+    """R = 1/2 sum_i beta_i / lam_i - 1/4 sum_ijk a[i,j,k] lam_k / (lam_i lam_j) at
+    one point ``lams`` of shape (s,), a 0-d value, or per row of ``lams``
+    of shape (m, s).
 
     The three kernels read the spec's ``beta`` (beta_i = b_i d_i; for a
     group, -K[i,i] = sum_jk c[i,j,k]^2), ``coupling`` (a, shape (s, s, s);
     for a group, c^2) and ``coupling_first_two`` (a + a^T01 flattened to
     (s, s*s), the gradient's and Hessian's operand).  The coupling sum is a
     matrix product over chunks of rows, so the (rows, s^2) intermediate
-    stays within CHUNK_ENTRIES however many rows come in.
+    stays within CHUNK_ENTRIES however many rows come in.  One point takes
+    the same products as one row (numpy's matmul sends both to its
+    vector special cases) and the same ``einsum`` reduction, without the
+    chunk loop, so it gives the row's bits.
     """
     s = spec.s
     a_flat = spec.coupling.reshape(s * s, s)
     inv = 1.0 / lams
     out = 0.5 * (inv @ spec.beta)
+    if lams.ndim == 1:
+        return out - 0.25 * np.einsum("k,k->", _outer(inv, inv) @ a_flat, lams)
     chunk = max(1, CHUNK_ENTRIES // (s * s))
     for lo in range(0, len(lams), chunk):
         rows = slice(lo, lo + chunk)
@@ -102,8 +113,9 @@ def _block_curvature(spec: HomogeneousSpec, lams: np.ndarray) -> np.ndarray:
 
 
 def _block_gradient(spec: HomogeneousSpec, lams: np.ndarray) -> np.ndarray:
-    """Gradient of :func:`_block_curvature` per row of ``lams``, accumulating
-    the three index roles a coordinate plays in the coupling term.
+    """Gradient of :func:`_block_curvature` at one point (s,) or per row of
+    ``lams`` (m, s), accumulating the three index roles a coordinate plays
+    in the coupling term.
     """
     s = spec.s
     inv = 1.0 / lams
@@ -148,8 +160,7 @@ def scalar_curvature_closed(source, lam) -> CurvatureResult:
     this reduces to one quarter of the sum of squared structure constants.
     """
     spec = source if isinstance(source, HomogeneousSpec) else _model(source).spec
-    values = _lambda_vector(lam, spec.s)
-    r = _block_curvature(spec, values[None, :])[0]
+    r = _block_curvature(spec, _lambda_vector(lam, spec.s))
     method = "homogeneous" if spec is source else "closed-form"
     return CurvatureResult(R=float(r), method=method)
 
@@ -188,5 +199,4 @@ def scalar_gradient(source, lam) -> np.ndarray:
     """Analytic gradient of :func:`scalar_curvature_closed` in ``lam``, for
     the same sources; the result has the shape of ``lam``."""
     spec = source if isinstance(source, HomogeneousSpec) else _model(source).spec
-    values = _lambda_vector(lam, spec.s)
-    return _block_gradient(spec, values[None, :])[0]
+    return _block_gradient(spec, _lambda_vector(lam, spec.s))

@@ -122,7 +122,7 @@ def gap_breakdown(spec: HomogeneousSpec, lam) -> GapBreakdown:
     _require_symmetric_coupling(spec)
     a3 = spec.coupling
     values = _lambda_vector(lam, spec.s)
-    gap = scalar_curvature_closed(spec, np.ones(spec.s)).R - scalar_curvature_closed(spec, values).R
+    gap = float(_block_curvature(spec, np.ones(spec.s)) - _block_curvature(spec, values))
     casimir = float(np.sum(spec.casimirs * spec.block_dims * (values - 1.0) / values))
     # q / (lam_i lam_j lam_k), q the gap polynomial, term by term on sorted
     # arguments (as gap_polynomial sorts them): neither q nor the product is
@@ -355,9 +355,9 @@ def verify_rigidity(spec: HomogeneousSpec, max_lambda: float = DEFAULT_MAX_LAMBD
         samples = rng.uniform(1.0, max_lambda, size=(n_samples, spec.s))
         starts = np.vstack([np.ones(spec.s),
                             rng.uniform(1.0, max_lambda, size=(n_starts - 1, spec.s))])
-        # R(1) once, on one row as the public evaluators take it: a row's
+        # R(1) once, at one point as the public evaluators take it: a row's
         # value can move by ulps with the number of rows in its product.
-        r0 = float(_block_curvature(spec, starts[:1])[0])
+        r0 = float(_block_curvature(spec, starts[0]))
         if not math.isfinite(r0) or r0 == 0.0:
             what = "zero" if r0 == 0.0 else "not finite"
             raise ValueError(f"reference curvature is {what} ({r0}): spec data out of range")

@@ -369,14 +369,25 @@ def _bitwise_cases(group_models, flag_spec):
     return models, specs
 
 
-def test_single_point_results_equal_the_row_kernels_bitwise(group_models, flag_spec):
+def test_single_point_results_equal_the_row_kernels_bitwise(group_models, flag_spec, s2_spec):
+    from pathlib import Path
+
+    from conftest import canonical_model
     from liecurv.curvature import _block_curvature, _block_gradient
 
     models, specs = _bitwise_cases(group_models, flag_spec)
+    models["so8"] = canonical_model("so8")
+    specs.update(so8=models["so8"].spec, s2=s2_spec, asymmetric=_asymmetric_raw_spec(),
+                 raw=lc.spec_from_file(Path(__file__).resolve().parent / "data" / "raw.spec"))
     rng = np.random.default_rng(31)
     for name, spec in specs.items():
         for lam in rng.uniform(0.1, 10.0, size=(20, spec.s)):
             row = lam[None, :]
+            # The one-point kernels give a 0-d value and an (s,) gradient, the row's bits.
+            r, grad = _block_curvature(spec, lam), _block_gradient(spec, lam)
+            assert np.ndim(r) == 0 and grad.shape == (spec.s,)
+            assert r == _block_curvature(spec, row)[0]
+            assert np.all(grad == _block_gradient(spec, row)[0])
             if name in models:
                 model = models[name]
                 assert lc.scalar_curvature_closed(model, lam).R == _block_curvature(model.spec, row)[0]
