@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -362,22 +364,18 @@ def test_a_subnormal_eigenvalue_passes_validation(su2_model, group_specs, which)
 def _bitwise_cases(group_models, flag_spec):
     from conftest import canonical_model
 
-    models = {"su3": group_models["su3"], "so5": group_models["so5"],
-              "so7": canonical_model("so7"), "su5": canonical_model("su5")}
+    models = {"su3": group_models["su3"], "so5": group_models["so5"], "so7": canonical_model("so7"),
+              "su5": canonical_model("su5"), "so8": canonical_model("so8")}
     specs = {name: model.spec for name, model in models.items()}
     specs["flag"] = flag_spec
     return models, specs
 
 
 def test_single_point_results_equal_the_row_kernels_bitwise(group_models, flag_spec, s2_spec):
-    from pathlib import Path
-
-    from conftest import canonical_model
     from liecurv.curvature import _block_curvature, _block_gradient
 
     models, specs = _bitwise_cases(group_models, flag_spec)
-    models["so8"] = canonical_model("so8")
-    specs.update(so8=models["so8"].spec, s2=s2_spec, asymmetric=_asymmetric_raw_spec(),
+    specs.update(s2=s2_spec, asymmetric=_asymmetric_raw_spec(),
                  raw=lc.spec_from_file(Path(__file__).resolve().parent / "data" / "raw.spec"))
     rng = np.random.default_rng(31)
     for name, spec in specs.items():
