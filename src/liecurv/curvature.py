@@ -7,9 +7,8 @@ block formula, used for groups and for homogeneous quotients.  Each takes a
 point of shape (s,) or rows of shape (m, s), the Hessian rows.  The public
 evaluators :func:`scalar_curvature_closed` and :func:`scalar_gradient` take
 one point and a spec, a model or a raw structure tensor, and pass the
-validated point straight to the one-point kernel; a group is the quotient by
-the trivial subgroup, whose spec is ``model.spec`` (singleton blocks,
-A = c^2).
+validated point straight to the kernels; a group is the quotient by the
+trivial subgroup, whose spec is ``model.spec`` (singleton blocks, A = c^2).
 :func:`scalar_curvature_koszul` rebuilds the same number from first
 principles and shares no algebra with the kernel, which makes it a genuine
 oracle: frame brackets give the Koszul connection, and the connection the
