@@ -358,13 +358,14 @@ def algebra_to_dict(algebra: LieAlgebra) -> dict:
     return {"name": algebra.name, "dim": algebra.dim, "structure_constants": entries}
 
 
-_BUILTIN_RE = re.compile(r"^(su|so)(\d+)$")
+# Canonical spelling only: ASCII digits, no leading zero, nothing after them.
+_BUILTIN_RE = re.compile(r"(su|so)([1-9][0-9]*)")
 
 
 def resolve_algebra(source: str | Path) -> LieAlgebra:
     """Resolve a built-in name (``su2``, ``so5``, ...) or a file path."""
     text = str(source)
-    m = _BUILTIN_RE.match(text)
+    m = _BUILTIN_RE.fullmatch(text)
     if m:
         n = int(m.group(2))
         return build_su(n) if m.group(1) == "su" else build_so(n)

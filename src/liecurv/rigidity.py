@@ -4,7 +4,7 @@ Scaling any block of a diagonal invariant metric up from the bi-invariant
 reference can only lower the scalar curvature; the deficit splits into a
 Casimir part and a part controlled by the symmetric cubic
 :func:`gap_polynomial`, both nonnegative once every eigenvalue ratio is at
-least one.  :func:`gap_breakdown` evaluates that split and its residual,
+least one.  :func:`gap_breakdown` evaluates the deficit and its two parts,
 while :func:`verify_rigidity` hunts for counterexamples with dense sampling
 plus a projected-Newton ascent over the constrained box (Bertsekas 1982)
 that runs all starts in lockstep: an eigenvalue-modified Newton step on
@@ -69,9 +69,9 @@ def gap_polynomial(a, b, c):
     return (x * x + y * y + z * z - 2.0 * (x * y + x * z + y * z) + 3.0 * (x * y * z))[()]
 
 
-def ordered_gap_terms(a, b, c) -> tuple[tuple, np.ndarray]:
+def ordered_gap_terms(a, b, c) -> tuple:
     """Five-term rewrite of :func:`gap_polynomial` for 1 <= a <= b <= c,
-    returned as the pair ``(terms, total)``.
+    returned as the five terms; their left-to-right sum is the polynomial.
 
     Each term is individually nonnegative under the ordering, which is what
     certifies the polynomial's sign; the ordering is required, not checked
@@ -82,25 +82,22 @@ def ordered_gap_terms(a, b, c) -> tuple[tuple, np.ndarray]:
     c = np.asarray(c)
     if not (np.all(a >= 1) and np.all(a <= b) and np.all(b <= c)):
         raise ValueError("ordered decomposition requires 1 <= a <= b <= c")
-    terms = (
+    return (
         (a - b) ** 2,
         (c - b) ** 2,
         b * c * (a - 1.0),
         b * (c - b),
         2.0 * a * c * (b - 1.0),
     )
-    total = terms[0] + terms[1] + terms[2] + terms[3] + terms[4]
-    return terms, total
 
 
 @dataclass(frozen=True)
 class GapBreakdown:
-    """Split of the curvature deficit R(reference) - R(metric)."""
+    """The curvature deficit R(reference) - R(metric) and its Casimir and polynomial parts."""
 
     gap: float
     casimir_part: float
     poly_part: float
-    residual: float
 
 
 def _require_symmetric_coupling(spec: HomogeneousSpec) -> None:
@@ -116,8 +113,9 @@ def gap_breakdown(spec: HomogeneousSpec, lam) -> GapBreakdown:
 
     The split is an algebraic identity for every positive ``lam`` provided
     the coupling tensor is symmetric (bi-invariant reference) and satisfies
-    the sum rule; the residual quantifies how well it holds.  An asymmetric
-    coupling is refused, as :func:`verify_rigidity` refuses it.
+    the sum rule; ``gap - casimir_part - poly_part`` shows how well it
+    holds.  An asymmetric coupling is refused, as :func:`verify_rigidity`
+    refuses it.
     """
     _require_symmetric_coupling(spec)
     a3 = spec.coupling
@@ -131,8 +129,7 @@ def gap_breakdown(spec: HomogeneousSpec, lam) -> GapBreakdown:
                                                    values[None, None, :])), axis=0)
     q_ratio = x / y / z + y / x / z + z / x / y - 2.0 * (1.0 / x + 1.0 / y + 1.0 / z) + 3.0
     poly = float(np.sum(a3 * q_ratio)) / 12.0
-    return GapBreakdown(gap=gap, casimir_part=casimir, poly_part=poly,
-                        residual=abs(gap - casimir - poly))
+    return GapBreakdown(gap=gap, casimir_part=casimir, poly_part=poly)
 
 
 @dataclass(frozen=True)
@@ -388,24 +385,26 @@ def verify_rigidity(spec: HomogeneousSpec, max_lambda: float = DEFAULT_MAX_LAMBD
 
 @dataclass(frozen=True)
 class ShrinkExample:
-    """One member of the shrinking SU(2) family, evaluated both ways."""
+    """One member of the shrinking SU(2) family, evaluated both ways, and
+    the reference value; the curvature is smaller when ``R_g < R_g0``."""
 
     R_g: float
     R_g_koszul: float
     R_g0: float
-    g_is_smaller: bool
-    scalar_is_smaller: bool
-    crossover: float
+
+
+# The lam below which the family's curvature falls under the reference value.
+SHRINK_CROSSOVER = (4.0 - math.sqrt(10.0)) / 6.0
 
 
 def su2_shrink_example(lam: float) -> ShrinkExample:
     """SU(2) metrics below the reference that also lower scalar curvature.
 
     Uses the round reference metric on SU(2) and the eigenvalues
-    (lam, lam, 1/2) with 0 < lam < 1, so the metric is strictly smaller
-    than the reference; for small lam the scalar curvature drops like
-    -1/lam^2.  ``crossover`` is the ratio below which the curvature falls
-    under the reference value.
+    (lam, lam, 1/2) with 0 < lam < 1, so every member's metric is strictly
+    smaller than the reference; for small lam the scalar curvature drops
+    like -1/lam^2, and it falls under the reference value for lam below
+    :data:`SHRINK_CROSSOVER`.
     """
     if not 0.0 < lam < 1.0:
         raise ValueError("shrink example requires 0 < lam < 1")
@@ -415,11 +414,4 @@ def su2_shrink_example(lam: float) -> ShrinkExample:
     closed = scalar_curvature_closed(model, vec)
     koszul = scalar_curvature_koszul(model, vec)
     r0 = scalar_curvature_closed(model, np.ones(3)).R
-    return ShrinkExample(
-        R_g=closed.R,
-        R_g_koszul=koszul.R,
-        R_g0=r0,
-        g_is_smaller=True,
-        scalar_is_smaller=bool(closed.R < r0),
-        crossover=(4.0 - math.sqrt(10.0)) / 6.0,
-    )
+    return ShrinkExample(R_g=closed.R, R_g_koszul=koszul.R, R_g0=r0)

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import numpy as np
@@ -124,6 +125,15 @@ def test_algebra_unknown_source(capsys):
     code, _, err = run(capsys, "algebra", "--algebra", "nosuch")
     assert code == 2
     assert "unknown algebra source" in err
+
+
+@pytest.mark.parametrize("name", ["su02", "so005", "su\u0662", "su2\n", "su0"])
+def test_noncanonical_builtin_name_is_refused(capsys, name):
+    # Not read as su2 at scale 1.0 (the su2 default is 0.125): not a built-in at all.
+    code, out, err = run(capsys, "scalar", "--algebra", name, "--lambda", "1,1,1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: unknown algebra source")
 
 
 def test_scalar_round_value(capsys):
@@ -285,6 +295,16 @@ def test_example_shrink_near_crossover(capsys):
     assert code == 0
     doc = json.loads(out)
     assert abs(doc["result"]["R_g"] - 6.0) < 1e-2
+
+
+@pytest.mark.parametrize("lam", ["0.05", "0.3", "0.9"])
+def test_example_fills_its_derived_values(capsys, lam):
+    code, out, _ = run(capsys, "example", "su2-shrink", "--lambda", lam, "--format", "structured")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["g_is_smaller"] is True
+    assert result["scalar_is_smaller"] is (result["R_g"] < result["R_g0"])
+    assert result["crossover"] == (4.0 - math.sqrt(10.0)) / 6.0
 
 
 def test_example_domain_error(capsys):

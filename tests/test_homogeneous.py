@@ -230,7 +230,7 @@ def test_flag_manifold_from_su3():
     # both deficit mechanisms are active on this space
     gb = lc.gap_breakdown(flag, [2.0, 1.5, 3.0])
     assert gb.casimir_part > 0.5 and gb.poly_part > 0.1
-    assert gb.residual <= 1e-12
+    assert abs(gb.gap - gb.casimir_part - gb.poly_part) <= 1e-12
     assert lc.verify_rigidity(flag, n_starts=16, n_samples=2000, seed=0).certified
 
 

@@ -435,8 +435,19 @@ def test_algebra_dict_index_range():
 def test_resolve_algebra():
     assert lc.resolve_algebra("su3").dim == 8
     assert lc.resolve_algebra("so5").dim == 10
+    assert lc.resolve_algebra("su10").dim == 99
+    assert lc.resolve_algebra("so10").dim == 45
     with pytest.raises(ValueError, match="unknown algebra source"):
         lc.resolve_algebra("sp4")
+
+
+@pytest.mark.parametrize("name", ["su02", "so003", "su\u0662", "su2\n", "su0", "so0"])
+def test_resolve_algebra_takes_only_canonical_builtin_names(name, tmp_path, monkeypatch):
+    # su<n> and so<n> with n in ASCII digits and no leading zero; any other
+    # spelling is a file path, and no such file exists here.
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ValueError, match="unknown algebra source"):
+        lc.resolve_algebra(name)
 
 
 @pytest.mark.parametrize("change, message", [

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 import liecurv as lc
 from liecurv.curvature import _block_curvature, _block_gradient
 from liecurv.rigidity import (DEFAULT_STARTS, DEFAULT_TOL_R, GRAD_STOP, _ascend_all, _newton_direction,
-                              _projected_gradient, _verdict)
+                              SHRINK_CROSSOVER, _projected_gradient, _verdict)
 
 
 def test_gap_polynomial_values():
@@ -32,20 +32,25 @@ def test_gap_polynomial_vectorized():
     assert_allclose(out, [0.0, 2.0], atol=1e-14)
 
 
+def _left_to_right_sum(terms):
+    return terms[0] + terms[1] + terms[2] + terms[3] + terms[4]
+
+
 def test_ordered_terms_equality_case():
-    terms, total = lc.ordered_gap_terms(1.0, 1.0, 1.0)
+    terms = lc.ordered_gap_terms(1.0, 1.0, 1.0)
     assert all(t == 0.0 for t in terms)
-    assert total == 0.0
+    assert _left_to_right_sum(terms) == 0.0
 
 
 def test_ordered_terms_one_one_two():
-    terms, total = lc.ordered_gap_terms(1.0, 1.0, 2.0)
+    terms = lc.ordered_gap_terms(1.0, 1.0, 2.0)
     assert_allclose([float(t) for t in terms], [0.0, 1.0, 0.0, 1.0, 0.0], atol=1e-14)
-    assert total == pytest.approx(2.0, abs=1e-14)
+    assert _left_to_right_sum(terms) == pytest.approx(2.0, abs=1e-14)
 
 
 def test_ordered_terms_generic_point():
-    terms, total = lc.ordered_gap_terms(1.5, 2.0, 3.0)
+    terms = lc.ordered_gap_terms(1.5, 2.0, 3.0)
+    total = _left_to_right_sum(terms)
     assert total == pytest.approx(15.25, abs=1e-12)
     assert total == pytest.approx(lc.gap_polynomial(1.5, 2.0, 3.0), abs=1e-12)
     assert all(float(t) >= 0.0 for t in terms)
@@ -54,9 +59,9 @@ def test_ordered_terms_generic_point():
 def test_ordered_terms_match_polynomial_on_random_points():
     rng = np.random.default_rng(13)
     triples = np.sort(rng.uniform(1.0, 10.0, size=(200, 3)), axis=1)
-    terms, total = lc.ordered_gap_terms(triples[:, 0], triples[:, 1], triples[:, 2])
+    terms = lc.ordered_gap_terms(triples[:, 0], triples[:, 1], triples[:, 2])
     q = lc.gap_polynomial(triples[:, 0], triples[:, 1], triples[:, 2])
-    assert np.abs(total - q).max() <= 1e-12 * (1.0 + np.abs(q).max())
+    assert np.abs(_left_to_right_sum(terms) - q).max() <= 1e-12 * (1.0 + np.abs(q).max())
     for t in terms:
         assert t.min() >= 0.0
 
@@ -84,7 +89,7 @@ def test_gap_breakdown_su2_stretched(group_specs):
     assert gb.gap == pytest.approx(2.0, abs=1e-12)
     assert gb.casimir_part == 0.0
     assert gb.poly_part == pytest.approx(2.0, abs=1e-12)
-    assert gb.residual <= 1e-12
+    assert abs(gb.gap - gb.casimir_part - gb.poly_part) <= 1e-12
 
 
 def test_gap_breakdown_identity_metric(group_specs):
@@ -99,7 +104,7 @@ def test_gap_breakdown_sphere(s2_spec):
     assert gb.gap == pytest.approx(4.0, abs=1e-12)
     assert gb.casimir_part == pytest.approx(4.0, abs=1e-12)
     assert gb.poly_part == 0.0
-    assert gb.residual <= 1e-12
+    assert abs(gb.gap - gb.casimir_part - gb.poly_part) <= 1e-12
 
 
 @pytest.mark.parametrize("key", ["su2", "su3", "so4", "so5", "s2"])
@@ -109,12 +114,12 @@ def test_gap_identity_holds_for_all_positive_lambda(key, group_specs, s2_spec):
     for _ in range(200):
         lam = 10.0 * (1.0 - rng.random(spec.s))  # uniform on (0, 10]
         gb = lc.gap_breakdown(spec, lam)
-        assert gb.residual <= 1e-10 * (1.0 + abs(gb.gap))
+        assert abs(gb.gap - gb.casimir_part - gb.poly_part) <= 1e-10 * (1.0 + abs(gb.gap))
     # Log-uniform on [1, 1e300]: the cubes of the large ratios overflow, the split must not.
     with np.errstate(all="raise", under="ignore"):
         for _ in range(200):
             gb = lc.gap_breakdown(spec, 10.0 ** rng.uniform(0.0, 300.0, spec.s))
-            assert gb.residual <= 1e-10 * (1.0 + abs(gb.gap))
+            assert abs(gb.gap - gb.casimir_part - gb.poly_part) <= 1e-10 * (1.0 + abs(gb.gap))
 
 
 @pytest.mark.parametrize("key", ["su3", "s2"])
@@ -149,7 +154,8 @@ def test_gap_breakdown_accepts_a_roundoff_coupling():
     a[0, 0, 1] = 1e-31
     spec = lc.HomogeneousSpec(name="s2xs2", block_dims=[2, 2], killing_ratios=[8.0, 8.0],
                               casimirs=[4.0, 4.0], coupling=a, provenance="raw-file")
-    assert lc.gap_breakdown(spec, [2.0, 3.0]).residual <= 1e-12
+    gb = lc.gap_breakdown(spec, [2.0, 3.0])
+    assert abs(gb.gap - gb.casimir_part - gb.poly_part) <= 1e-12
 
 
 def test_verify_rigidity_su2(group_specs):
@@ -220,21 +226,18 @@ def test_shrink_example_deep():
     assert record.R_g == pytest.approx(-240.0, abs=1e-9)
     assert abs(record.R_g - record.R_g_koszul) <= 1e-9 * (1.0 + abs(record.R_g))
     assert record.R_g0 == pytest.approx(6.0, abs=1e-12)
-    assert record.g_is_smaller
-    assert record.scalar_is_smaller
+    assert record.R_g < record.R_g0
 
 
 def test_shrink_example_moderate():
     record = lc.su2_shrink_example(0.2)
     assert record.R_g == pytest.approx(15.0, abs=1e-9)
-    assert record.g_is_smaller
-    assert not record.scalar_is_smaller
+    assert not record.R_g < record.R_g0
 
 
 def test_shrink_crossover_location():
     expected = (4.0 - math.sqrt(10.0)) / 6.0
-    record = lc.su2_shrink_example(0.5)
-    assert record.crossover == pytest.approx(expected, abs=1e-15)
+    assert SHRINK_CROSSOVER == pytest.approx(expected, abs=1e-15)
 
     # the curvature drop changes sign exactly once on (0, 1), at the crossover
     def drop(lam):
@@ -268,8 +271,9 @@ def test_report_holds_results_not_settings(group_specs):
         "worst_equality_offset", "ascent_finals", "ascent_values", "ascent_status",
         "ascent_iterations", "n_evaluations", "sampling_time", "ascent_time"]
     assert not hasattr(lc.RigidityReport, "worst_gap")
-    assert [f.name for f in dataclasses.fields(lc.ShrinkExample)] == [
-        "R_g", "R_g_koszul", "R_g0", "g_is_smaller", "scalar_is_smaller", "crossover"]
+    # The other records hold what their function computed, not constants or sums of their fields.
+    assert [f.name for f in dataclasses.fields(lc.GapBreakdown)] == ["gap", "casimir_part", "poly_part"]
+    assert [f.name for f in dataclasses.fields(lc.ShrinkExample)] == ["R_g", "R_g_koszul", "R_g0"]
     report = lc.verify_rigidity(group_specs["su2"], max_lambda=5.0,
                                 n_starts=4, n_samples=100, seed=123)
     assert report.ascent_finals.shape == (4, 3)
