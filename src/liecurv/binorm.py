@@ -17,12 +17,12 @@ that a model can build its group's spec (singleton blocks) once.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .lie_core import DEFAULT_TOL, LieAlgebra, _negligible, _require, _structure_tensor, _tolerance, killing
+from .lie_core import LieAlgebra, _negligible, _require, _structure_tensor, killing
 
 # The one bi-invariance failure, for a model's constants and a quotient's alike.
 _NOT_ANTISYMMETRIC = "not bi-invariant-orthonormal: structure tensor is not totally antisymmetric"
@@ -135,9 +135,10 @@ class OrthonormalModel:
     """Structure constants in a basis orthonormal for a bi-invariant metric.
 
     ``c`` is refused unless of shape (n, n, n) by the raw-tensor rule, and
-    must be totally antisymmetric up to roundoff, checked here once (at
-    ``tol`` against the largest constant) for every consumer.  Two fields
-    are derived from it: the dimension ``n`` and ``spec``, the group's
+    must be totally antisymmetric up to roundoff, checked here once for
+    every consumer, at ``DEFAULT_TOL`` against the largest constant (the
+    one bi-invariance threshold, which no argument moves).  Two fields are
+    derived from it: the dimension ``n`` and ``spec``, the group's
     curvature data, a :class:`HomogeneousSpec` of singleton blocks with no
     subalgebra: Killing ratios minus the Killing form's diagonal
     (sum_jk c[i,j,k]^2), Casimirs zero and coupling c * c.  The curvature
@@ -145,21 +146,19 @@ class OrthonormalModel:
 
     A pickle holds only ``name`` and ``c``; loading derives ``n`` and
     ``spec`` from them, bitwise as built, and skips the antisymmetry check,
-    which the model passed when it was built (at whatever ``tol`` it was
-    given).
+    which the model passed when it was built.
     """
 
     name: str
     n: int = field(init=False)
     c: np.ndarray
-    tol: InitVar[float] = DEFAULT_TOL
     spec: HomogeneousSpec = field(init=False, repr=False)
 
-    def __post_init__(self, tol):
+    def __post_init__(self):
         c = np.ascontiguousarray(_structure_tensor(self.c))  # the layout a pickle restores
         if len(c) < 1:
             raise ValueError(f"dimension n must be at least 1, got {len(c)}")
-        _require(antisymmetry_defect(c), np.abs(c).max(), _NOT_ANTISYMMETRIC, tol)
+        _require(antisymmetry_defect(c), np.abs(c).max(), _NOT_ANTISYMMETRIC)
         self._derive(c)
 
     def _derive(self, c):
@@ -186,7 +185,7 @@ def _in_frame(c: np.ndarray, t: np.ndarray, co: np.ndarray) -> np.ndarray:
     return np.einsum("ia,jb,kc,ijk->abc", t, t, co, c, optimize=True)
 
 
-def binormalize(algebra: LieAlgebra, gram, tol: float = DEFAULT_TOL) -> OrthonormalModel:
+def binormalize(algebra: LieAlgebra, gram) -> OrthonormalModel:
     """Rotate the structure constants into a metric-orthonormal basis.
 
     The change of basis comes from the Cholesky factor of the Gram matrix,
@@ -195,12 +194,11 @@ def binormalize(algebra: LieAlgebra, gram, tol: float = DEFAULT_TOL) -> Orthonor
     negligible against its largest).  Bi-invariance is checked by the model:
     a metric is bi-invariant exactly when every ad(x) is skew-adjoint, that
     is when the constants in an orthonormal frame are totally antisymmetric,
-    at ``tol`` against the largest.  ``tol`` must be finite and nonnegative.
+    at ``DEFAULT_TOL`` against the largest, as for every other check.
     """
-    _tolerance(tol, "tol")
     gram, L = _checked_gram(algebra, gram)
     t = np.linalg.inv(L).T
-    return OrthonormalModel(name=algebra.name, c=_in_frame(algebra.c, t, gram @ t), tol=tol)
+    return OrthonormalModel(name=algebra.name, c=_in_frame(algebra.c, t, gram @ t))
 
 
 def _transposition_defect(a: np.ndarray, combine) -> float:

@@ -27,7 +27,7 @@ import numpy as np
 from .binorm import HomogeneousSpec, antisymmetry_defect, binormalize, killing_metric
 from .curvature import scalar_curvature_closed, scalar_curvature_koszul
 from .homogeneous import spec_from_file, sum_rule_defect
-from .lie_core import DEFAULT_TOL, _tolerance, jacobi_defect, killing, resolve_algebra
+from .lie_core import DEFAULT_TOL, jacobi_defect, killing, resolve_algebra
 from .rigidity import (DEFAULT_MAX_LAMBDA, DEFAULT_SAMPLES, DEFAULT_STARTS, DEFAULT_TOL_LAMBDA,
                        DEFAULT_TOL_R, SHRINK_CROSSOVER, CenterPresentError, su2_shrink_example,
                        verify_rigidity)
@@ -114,19 +114,18 @@ def _emit(doc: dict, fmt: str, title: str, labels: dict[str, str], notes=(),
         print(note)
 
 
-def _source(args, command: str, *algebra_only: str):
+def _source(args, command: str):
     """The model (``--algebra``) or spec (``--homogeneous``) ``command`` runs
-    on, with its config echo.  ``algebra_only`` names the options refused
-    with ``--homogeneous``; where ``--tol`` is one of them it is the
-    normalization tolerance and is echoed with the scale.  ``rigidity``
-    refuses an algebra with a center before normalizing it.
+    on, with its config echo.  ``--scale`` is refused with
+    ``--homogeneous``; either source is checked for bi-invariance at
+    ``DEFAULT_TOL``.  ``rigidity`` refuses an algebra with a center before
+    normalizing it.
     """
     if (args.algebra is None) == (args.homogeneous is None):
         raise ValueError(f"{command} needs exactly one of --algebra or --homogeneous")
-    for option in algebra_only:
-        if args.homogeneous is not None and getattr(args, option) is not None:
-            raise ValueError(f"--{option} applies only with --algebra; a homogeneous spec carries "
-                             "its own reference scale and is checked when loaded")
+    if args.homogeneous is not None and args.scale is not None:
+        raise ValueError("--scale applies only with --algebra; a homogeneous spec carries "
+                         "its own reference scale and is checked when loaded")
     if args.homogeneous is not None:
         return spec_from_file(args.homogeneous), {"homogeneous": str(args.homogeneous)}
     algebra = resolve_algebra(args.algebra)
@@ -135,10 +134,7 @@ def _source(args, command: str, *algebra_only: str):
             "center present: rigidity fails structurally "
             f"({algebra.name} has a nontrivial center)")
     config = {"algebra": args.algebra, "scale": _scale(args)}
-    if "tol" in algebra_only:
-        config["tol"] = DEFAULT_TOL if args.tol is None else args.tol
-    metric = killing_metric(algebra, config["scale"])
-    return binormalize(algebra, metric, tol=config.get("tol", DEFAULT_TOL)), config
+    return binormalize(algebra, killing_metric(algebra, config["scale"])), config
 
 
 def cmd_algebra(args) -> int:
@@ -146,14 +142,13 @@ def cmd_algebra(args) -> int:
     scale = _scale(args)
     metric = killing_metric(algebra, scale)  # a bad scale is an input error, not "n/a"
     kd = killing(algebra)
-    _tolerance(args.tol, "tol")  # a bad tolerance is an input error too, not "n/a"
     # Only a definite negative Killing form gives a reference to normalize
     # against; once it does, a failure to normalize is an error (exit 2).
     definite = kd.signature[0] == algebra.dim
-    ortho_defect = antisymmetry_defect(binormalize(algebra, metric, tol=args.tol).c) if definite else None
+    ortho_defect = antisymmetry_defect(binormalize(algebra, metric).c) if definite else None
     doc = {
         "command": "algebra",
-        "config": {"algebra": args.algebra, "scale": scale, "tol": args.tol},
+        "config": {"algebra": args.algebra, "scale": scale, "tol": DEFAULT_TOL},
         "result": {
             "name": algebra.name,
             "dim": algebra.dim,
@@ -178,7 +173,7 @@ def cmd_algebra(args) -> int:
 
 
 def cmd_scalar(args) -> int:
-    source, config = _source(args, "scalar", "scale", "tol")
+    source, config = _source(args, "scalar")
     lam = _parse_lambda(args.lam)
     closed = scalar_curvature_closed(source, lam)
     if isinstance(source, HomogeneousSpec):
@@ -187,6 +182,7 @@ def cmd_scalar(args) -> int:
         title = f"scalar curvature: {source.name} (lambda {_cell(lam)})"
     else:
         koszul = scalar_curvature_koszul(source, lam).R
+        config["tol"] = DEFAULT_TOL  # the bi-invariance threshold the model passed
         result = {"R_closed": closed.R, "R_koszul": koszul, "discrepancy": abs(closed.R - koszul)}
         labels = {"R_closed": "closed form", "R_koszul": "koszul", "discrepancy": "discrepancy"}
         title = f"scalar curvature: {source.name} (scale {config['scale']}, lambda {_cell(lam)})"
@@ -196,7 +192,7 @@ def cmd_scalar(args) -> int:
 
 
 def cmd_rigidity(args) -> int:
-    source, config = _source(args, "rigidity", "scale")
+    source, config = _source(args, "rigidity")
     seed = _resolve_seed(args)
     spec = source if isinstance(source, HomogeneousSpec) else source.spec
     report = verify_rigidity(spec, max_lambda=args.max_lambda, n_starts=args.starts,
@@ -302,12 +298,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def reference(p, tol, algebra_only_tol=False, what="tolerance"):
+    def scale(p):
         p.add_argument("--scale", type=float, default=None,
                        help="reference metric scale s (metric = s * negative Killing form); "
                             "default 0.125 for built-in su2, else 1; --algebra only")
-        p.add_argument("--tol", type=float, default=None if algebra_only_tol else tol,
-                       help=f"{what} (default {tol})" + ("; --algebra only" if algebra_only_tol else ""))
 
     def common(p, lam=None):
         p.add_argument("--format", choices=("table", "structured"), default="table")
@@ -316,21 +310,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("algebra", help="structural report for an algebra")
     p.add_argument("--algebra", required=True, help="built-in name (su2, so5, ...) or JSON file")
-    reference(p, DEFAULT_TOL)
+    scale(p)
     common(p)
     p.set_defaults(func=cmd_algebra)
 
     p = sub.add_parser("scalar", help="scalar curvature of a diagonal metric")
     p.add_argument("--algebra", help="built-in name or JSON file")
     p.add_argument("--homogeneous", help="homogeneous spec JSON file")
-    reference(p, DEFAULT_TOL, algebra_only_tol=True)
+    scale(p)
     common(p, lam="comma-separated eigenvalue ratios, or @file with one per line")
     p.set_defaults(func=cmd_scalar)
 
     p = sub.add_parser("rigidity", help="search certificate on the constrained box")
     p.add_argument("--algebra", help="built-in name or JSON file")
     p.add_argument("--homogeneous", help="homogeneous spec JSON file")
-    reference(p, DEFAULT_TOL_R, what="allowed curvature excess, relative to |r0|")
+    scale(p)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL_R,
+                   help=f"allowed curvature excess, relative to |r0| (default {DEFAULT_TOL_R})")
     common(p)
     p.add_argument("--max-lambda", dest="max_lambda", type=float, default=DEFAULT_MAX_LAMBDA)
     p.add_argument("--starts", type=int, default=DEFAULT_STARTS)

@@ -28,8 +28,8 @@ import numpy as np
 
 from .binorm import (_NOT_ANTISYMMETRIC, HomogeneousSpec, _checked_gram, _in_frame, antisymmetry_defect,
                      killing_metric)
-from .lie_core import (LieAlgebra, _negligible, _real, _require, _sparse_entries, _whole_number, killing,
-                       resolve_algebra)
+from .lie_core import (LieAlgebra, _algebra_in, _negligible, _real, _require, _sparse_entries, _whole_number,
+                       killing)
 
 
 @dataclass(frozen=True)
@@ -204,10 +204,9 @@ def spec_from_dict(obj: dict, base_dir: str | Path = ".", name: str = "homogeneo
     Raw form: keys ``s``, ``d``, ``b``, ``c`` and ``A`` as sparse
     ``[i, j, k, value]`` triplets; accepted verbatim with provenance
     "raw-file" (the sum rule is reported downstream, not enforced).
-    Derived form: keys ``algebra`` (built-in name or path relative to
-    ``base_dir``), ``scale`` (a finite positive number, default 1),
-    ``h_basis`` and ``blocks``; runs
-    :func:`build_spec`.
+    Derived form: keys ``algebra`` (a built-in name, else a path relative
+    to ``base_dir``), ``scale`` (a finite positive number, default 1),
+    ``h_basis`` and ``blocks``; runs :func:`build_spec`.
     """
     if not isinstance(obj, dict):
         raise ValueError("homogeneous spec must be a JSON object")
@@ -233,9 +232,7 @@ def spec_from_dict(obj: dict, base_dir: str | Path = ".", name: str = "homogeneo
             provenance="raw-file",
         )
     if "algebra" in obj:
-        source = str(obj["algebra"])
-        candidate = Path(base_dir) / source
-        algebra = resolve_algebra(candidate if candidate.exists() else source)
+        algebra = _algebra_in(Path(base_dir), str(obj["algebra"]))
         scale = _real(obj.get("scale", 1.0), "scale")
         if not isinstance(obj.get("blocks"), (list, tuple)):
             raise ValueError("derived homogeneous spec needs a 'blocks' list")

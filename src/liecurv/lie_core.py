@@ -40,9 +40,10 @@ def _negligible(defect, size, tol=DEFAULT_TOL):
     return defect <= tol * size
 
 
-def _require(defect, size, message: str, tol=DEFAULT_TOL) -> None:
-    """Raise ``ValueError(message)`` unless the scalar ``defect`` is negligible."""
-    if not _negligible(defect, size, tol):
+def _require(defect, size, message: str) -> None:
+    """Raise ``ValueError(message)`` unless the scalar ``defect`` is
+    negligible at ``DEFAULT_TOL``, a threshold no caller moves."""
+    if not _negligible(defect, size):
         raise ValueError(message)
 
 
@@ -362,14 +363,20 @@ def algebra_to_dict(algebra: LieAlgebra) -> dict:
 _BUILTIN_RE = re.compile(r"(su|so)([1-9][0-9]*)")
 
 
-def resolve_algebra(source: str | Path) -> LieAlgebra:
-    """Resolve a built-in name (``su2``, ``so5``, ...) or a file path."""
-    text = str(source)
+def _algebra_in(base_dir: Path, text: str) -> LieAlgebra:
+    """The algebra ``text`` names: a built-in name (``su2``, ``so5``, ...)
+    always means the built-in, and any other text is a file path relative
+    to ``base_dir``."""
     m = _BUILTIN_RE.fullmatch(text)
     if m:
         n = int(m.group(2))
         return build_su(n) if m.group(1) == "su" else build_so(n)
-    path = Path(text)
+    path = base_dir / text
     if path.exists():
         return algebra_from_file(path)
     raise ValueError(f"unknown algebra source: {text!r} (not a built-in name or readable file)")
+
+
+def resolve_algebra(source: str | Path) -> LieAlgebra:
+    """Resolve a built-in name (``su2``, ``so5``, ...) or a file path."""
+    return _algebra_in(Path(), str(source))

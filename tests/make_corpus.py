@@ -52,7 +52,8 @@ def _dim(name: str) -> int:
 
 def cases() -> list[list[str]]:
     """Argv of every corpus case: groups, quotients, the worked example and
-    the exit-2 cases CI runs, each in the structured format."""
+    exit-2 cases (the perturbed su2 of ``su2-perturbed.json`` among them),
+    each in the structured format."""
     out = []
     for name in ALGEBRAS:
         out += [["algebra", "--algebra", name],
@@ -65,7 +66,7 @@ def cases() -> list[list[str]]:
     out += [["example", "su2-shrink", "--lambda", x] for x in ("0.05", "0.3", "0.9")]
     out += [["scalar", "--algebra", "su2", "--lambda", "1e-320,1,1"],
             ["rigidity", "--algebra", "su2", "--scale", "1e-308"],
-            ["algebra", "--algebra", "su3", "--tol", "0"]]
+            ["algebra", "--algebra", "su2-perturbed.json"]]
     return [argv + ["--format", "structured"] for argv in out]
 
 

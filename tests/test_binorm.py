@@ -1,4 +1,3 @@
-import math
 import re
 
 import numpy as np
@@ -63,14 +62,18 @@ def test_killing_metric_on_abelian_is_rejected():
         lc.binormalize(algebra, metric)
 
 
-@pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
-def test_binormalize_refuses_a_bad_tolerance(su2, tol):
-    with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
-        lc.binormalize(su2, lc.killing_metric(su2, 0.125), tol=tol)
+def test_the_bi_invariance_threshold_is_not_a_parameter(su2):
+    # DEFAULT_TOL is the one threshold: neither constructor takes another.
+    gram = lc.killing_metric(su2, 0.125)
+    with pytest.raises(TypeError, match="tol"):
+        lc.binormalize(su2, gram, tol=1e-6)
+    model = lc.binormalize(su2, gram)
+    with pytest.raises(TypeError, match="tol"):
+        lc.OrthonormalModel(name="su2", c=model.c, tol=1e-6)
 
 
 def test_binormalize_allows_zero_tolerance(su2):
-    model = lc.binormalize(su2, lc.killing_metric(su2, 0.125), tol=0.0)
+    model = lc.binormalize(su2, lc.killing_metric(su2, 0.125))
     assert lc.antisymmetry_defect(model.c) == 0.0
 
 
@@ -117,16 +120,15 @@ QUOTIENTS = {"su2": (_singletons, _s2_over), "su3": (_singletons, _flag_over), "
 
 @pytest.mark.parametrize("name", ["su2", "su3", "so5"])
 def test_groups_and_quotients_share_one_bi_invariance_check(name):
-    # One rule, the model's antisymmetry at tol against the largest constant,
-    # and one message, whether the metric feeds a model or a spec: for
-    # singleton blocks and for quotients with a subalgebra, in the algebra's
-    # own basis and in a random orthonormal one.
+    # One rule, the model's antisymmetry at DEFAULT_TOL against the largest
+    # constant, and one message, whether the metric feeds a model or a spec:
+    # for singleton blocks and for quotients with a subalgebra, in the
+    # algebra's own basis and in a random orthonormal one.
     small, large = _one_extra_bracket(name, 1e-10), _one_extra_bracket(name, 1e-8)
     lc.binormalize(small, lc.killing_metric(small))
     message = "^not bi-invariant-orthonormal: structure tensor is not totally antisymmetric$"
     with pytest.raises(ValueError, match=message):
         lc.binormalize(large, lc.killing_metric(large))
-    lc.binormalize(large, lc.killing_metric(large), tol=1e-6)
 
     def build(algebra, quotient, seed):
         embedding, gram = quotient(algebra), lc.killing_metric(algebra)

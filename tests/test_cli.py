@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -87,29 +88,73 @@ def test_algebra_non_compact_exit(capsys, sl2_file, tmp_path):
         assert "not of compact type" in err
 
 
-@pytest.mark.parametrize("fmt", ["table", "structured"])
-def test_algebra_normalization_failure_is_an_input_error(capsys, fmt):
-    # su3's own Killing metric has a roundoff invariance defect (antisymmetry
-    # in its orthonormal frame), which a zero tolerance refuses: an error
-    # naming the cause, not "n/a".
-    code, out, err = run(capsys, "algebra", "--algebra", "su3", "--tol", "0", "--format", fmt)
-    assert code == 2
-    assert err == "error: not bi-invariant-orthonormal: structure tensor is not totally antisymmetric\n"
-    assert out == ""
+NOT_BI_INVARIANT = "error: not bi-invariant-orthonormal: structure tensor is not totally antisymmetric\n"
 
 
-def test_algebra_perturbed_file_exits_2(capsys, tmp_path):
-    # su2 with [e0, e1] = e2 + 1e-8 e0 breaks Jacobi by 1e-8 and keeps a
-    # definite Killing form, which then fails bi-invariance (antisymmetry in
-    # its orthonormal frame): an error naming the check, not a report with "n/a".
+def _su2_plus(directory, eps: float):
+    """su2 with [e0, e1] = e2 + eps e0, written to ``directory/su2p.json``:
+    Jacobi breaks by eps and the Killing form stays definite, so the Killing
+    metric's bi-invariance defect is about eps."""
     obj = {"name": "su2p", "dim": 3, "structure_constants": [
-        [0, 1, 2, 1.0], [1, 2, 0, 1.0], [2, 0, 1, 1.0], [0, 1, 0, 1e-8]]}
-    path = tmp_path / "su2p.json"
+        [0, 1, 2, 1.0], [1, 2, 0, 1.0], [2, 0, 1, 1.0], [0, 1, 0, eps]]}
+    path = directory / "su2p.json"
     path.write_text(json.dumps(obj), encoding="utf-8")
-    code, out, err = run(capsys, "algebra", "--algebra", str(path))
+    return path
+
+
+@pytest.mark.parametrize("fmt", ["table", "structured"])
+def test_algebra_normalization_failure_is_an_input_error(capsys, tmp_path, fmt):
+    # A definite Killing form whose metric fails bi-invariance (antisymmetry
+    # in its orthonormal frame): an error naming the check, not a report with "n/a".
+    code, out, err = run(capsys, "algebra", "--algebra", str(_su2_plus(tmp_path, 1e-8)), "--format", fmt)
     assert code == 2
-    assert err == "error: not bi-invariant-orthonormal: structure tensor is not totally antisymmetric\n"
+    assert err == NOT_BI_INVARIANT
     assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("algebra", "--algebra", "{file}"),
+    ("scalar", "--algebra", "{file}", "--lambda", "1,1,1"),
+    ("rigidity", "--algebra", "{file}", "--starts", "2", "--samples", "10"),
+    ("homogeneous", "--homogeneous", "{spec}"),
+])
+def test_every_entry_point_applies_one_bi_invariance_threshold(capsys, tmp_path, argv):
+    # su2 + 1e-12 e0 in [e0, e1] is bi-invariant at DEFAULT_TOL and su2 + 1e-8
+    # e0 is not, whether the algebra is normalized or is a derived spec's.
+    spec = tmp_path / "s2p.spec"
+    spec.write_text(json.dumps({"algebra": "su2p.json", "h_basis": [[0, 0, 1]], "blocks": [[[1, 0, 0], [0, 1, 0]]]}),
+                    encoding="utf-8")
+    for eps, refused in ((1e-12, False), (1e-8, True)):
+        file = _su2_plus(tmp_path, eps)
+        code, out, err = run(capsys, *(a.format(file=file, spec=spec) for a in argv), "--format", "structured")
+        if refused:
+            assert (code, out, err) == (2, "", NOT_BI_INVARIANT)
+        else:
+            assert code == 0 and err == "" and json.loads(out)["result"]
+
+
+@pytest.mark.parametrize("cwd, spec, other_spec", [("sub", "g.spec", "../other/h.spec"),
+                                                   (".", "sub/g.spec", "other/h.spec")])
+def test_spec_algebra_does_not_depend_on_the_working_directory(capsys, tmp_path, monkeypatch, cwd, spec,
+                                                               other_spec):
+    # A built-in name is the built-in even beside a file of that name, and
+    # any other text is a path relative to the spec, never to the cwd.
+    su2 = json.dumps(lc.algebra_to_dict(lc.build_su(2)))
+    flag = json.loads((Path(__file__).parent / "data" / "flag.spec").read_text(encoding="utf-8"))
+    for directory in ("sub", "other"):
+        (tmp_path / directory).mkdir()
+    (tmp_path / "sub" / "g.spec").write_text(json.dumps({**flag, "algebra": "su3"}), encoding="utf-8")
+    (tmp_path / "sub" / "su3").write_text(su2, encoding="utf-8")
+    (tmp_path / "other" / "h.spec").write_text(json.dumps(
+        {"algebra": "su2.json", "h_basis": [[0, 0, 1]], "blocks": [[[1, 0, 0], [0, 1, 0]]]}), encoding="utf-8")
+    monkeypatch.chdir(tmp_path / cwd)
+    Path("su2.json").write_text(su2, encoding="utf-8")  # beside the cwd only, not beside h.spec
+    code, out, err = run(capsys, "homogeneous", "--homogeneous", spec, "--format", "structured")
+    assert code == 0 and err == ""
+    assert json.loads(out)["result"]["block_dims"] == [2, 2, 2]
+    code, out, err = run(capsys, "homogeneous", "--homogeneous", other_spec)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: unknown algebra source: 'su2.json'")
 
 
 def test_algebra_only_an_indefinite_killing_form_is_not_applicable(capsys, sl2_file):
@@ -187,13 +232,14 @@ def test_scalar_lambda_from_file(capsys, tmp_path):
     (("rigidity", "--algebra", "su2", "--tol", "-1"), "tol"),
     (("rigidity", "--algebra", "su2", "--tol-lambda", "-1"), "tol_lambda"),
     (("rigidity", "--algebra", "su2", "--tol", "inf"), "tol"),
-    (("algebra", "--algebra", "su2", "--tol", "-1"), "tol"),
-    (("algebra", "--algebra", "su2", "--tol", "nan"), "tol"),
-    (("scalar", "--algebra", "su2", "--tol", "-1", "--lambda", "1,1,1"), "tol"),
+    (("rigidity", "--algebra", "su2", "--tol", "nan"), "tol"),
+    (("rigidity", "--algebra", "su2", "--tol=-inf"), "tol"),
+    (("rigidity", "--homogeneous", "{s2}", "--tol", "-1"), "tol"),
 ])
 @pytest.mark.parametrize("fmt", ["table", "structured"])
-def test_bad_tolerance_is_an_input_error(capsys, argv, name, fmt):
-    code, out, err = run(capsys, *argv, "--format", fmt)
+def test_bad_tolerance_is_an_input_error(capsys, s2_spec_file, argv, name, fmt):
+    # The certificate's tolerances are the only ones the CLI takes.
+    code, out, err = run(capsys, *(a.format(s2=s2_spec_file) for a in argv), "--format", fmt)
     assert code == 2
     assert err.startswith(f"error: {name} must be finite and nonnegative") and err.count("\n") == 1
     assert out == ""
@@ -354,6 +400,7 @@ def test_rigidity_non_finite_spec_is_input_error(capsys, tmp_path, fmt, raw):
     ("homogeneous", "--homogeneous", "x.spec", "--tol", "1e-6"),
     ("example", "su2-shrink", "--lambda", "0.5", "--scale", "2"),
     ("example", "su2-shrink", "--lambda", "0.5", "--tol", "1e-6"),
+    ("algebra", "--algebra", "su2", "--tol", "1e-6"),
 ])
 def test_unused_reference_options_are_refused(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -484,10 +531,12 @@ def test_malformed_algebra_file_exits_2(capsys, tmp_path, change):
 
 
 def test_tol_with_homogeneous_scalar_is_refused(capsys, s2_spec_file):
-    code, out, err = run(capsys, "scalar", "--homogeneous", s2_spec_file, "--lambda", "2", "--tol", "5")
-    assert code == 2
-    assert err.startswith("error:") and "--tol" in err
-    assert out == ""
+    with pytest.raises(SystemExit) as exc:
+        main(["scalar", "--homogeneous", s2_spec_file, "--lambda", "2", "--tol", "5"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol 5" in captured.err
+    assert captured.out == ""
     code, out, _ = run(capsys, "scalar", "--homogeneous", s2_spec_file, "--lambda", "2",
                        "--format", "structured")
     assert code == 0
@@ -499,9 +548,13 @@ def test_scalar_tol_still_applies_with_algebra(capsys):
 
     code, out, _ = run(capsys, "scalar", "--algebra", "su2", "--lambda", "1,1,1", "--format", "structured")
     assert code == 0 and json.loads(out)["config"]["tol"] == DEFAULT_TOL
-    code, out, _ = run(capsys, "scalar", "--algebra", "su2", "--lambda", "1,1,1", "--tol", "1e-6",
-                       "--format", "structured")
-    assert code == 0 and json.loads(out)["config"]["tol"] == 1e-6
+    # The echo is the threshold the model passed; no option moves it.
+    with pytest.raises(SystemExit) as exc:
+        main(["scalar", "--algebra", "su2", "--lambda", "1,1,1", "--tol", "1e-6", "--format", "structured"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol 1e-6" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("option, value", [
@@ -521,7 +574,7 @@ def test_rigidity_search_parameters_are_input_errors(capsys, option, value, fmt)
     ("scalar", "--algebra", "su2", "--lambda", "1e-320,1,1"),
     ("scalar", "--homogeneous", "{s2}", "--lambda", "inf"),
     ("example", "su2-shrink", "--lambda", "1e-200"),
-    ("algebra", "--algebra", "su2", "--tol", "nan"),
+    ("scalar", "--algebra", "su2", "--scale", "1e-308", "--lambda", "1,1,1"),
 ])
 @pytest.mark.parametrize("fmt", ["table", "structured"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # the error line is all stderr shows
