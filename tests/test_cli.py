@@ -112,6 +112,16 @@ def test_algebra_normalization_failure_is_an_input_error(capsys, tmp_path, fmt):
     assert out == ""
 
 
+def test_algebra_perturbed_file_exits_2(capsys, tmp_path):
+    # su2 with [e0, e1] = e2 + 1e-8 e0 breaks Jacobi by 1e-8 and keeps a
+    # definite Killing form; with no --format the default report refuses it
+    # with the same error.
+    code, out, err = run(capsys, "algebra", "--algebra", str(_su2_plus(tmp_path, 1e-8)))
+    assert code == 2
+    assert err == NOT_BI_INVARIANT
+    assert out == ""
+
+
 @pytest.mark.parametrize("argv", [
     ("algebra", "--algebra", "{file}"),
     ("scalar", "--algebra", "{file}", "--lambda", "1,1,1"),
