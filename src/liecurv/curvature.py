@@ -82,6 +82,13 @@ def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x[:, :, None] * y[:, None, :]).reshape(len(x), -1)
 
 
+def _chunk_rows(s: int) -> int:
+    """Rows in one matrix product of :func:`_block_curvature` on ``s`` blocks:
+    its (rows, s^2) intermediate holds at most CHUNK_ENTRIES entries, or one
+    row where s^2 exceeds that."""
+    return max(1, CHUNK_ENTRIES // (s * s))
+
+
 def _block_curvature(spec: HomogeneousSpec, lams: np.ndarray) -> np.ndarray:
     """R = 1/2 sum_i beta_i / lam_i - 1/4 sum_ijk a[i,j,k] lam_k / (lam_i lam_j) at
     one point ``lams`` of shape (s,), a 0-d value, or per row of ``lams``
@@ -103,7 +110,7 @@ def _block_curvature(spec: HomogeneousSpec, lams: np.ndarray) -> np.ndarray:
     out = 0.5 * (inv @ spec.beta)
     if lams.ndim == 1:
         return out - 0.25 * np.einsum("k,k->", _outer(inv, inv) @ a_flat, lams)
-    chunk = max(1, CHUNK_ENTRIES // (s * s))
+    chunk = _chunk_rows(s)
     for lo in range(0, len(lams), chunk):
         rows = slice(lo, lo + chunk)
         coupling = np.einsum("mk,mk->m", _outer(inv[rows], inv[rows]) @ a_flat, lams[rows])

@@ -366,7 +366,7 @@ _BUILTIN_RE = re.compile(r"(su|so)([1-9][0-9]*)")
 def _algebra_in(base_dir: Path, text: str) -> LieAlgebra:
     """The algebra ``text`` names: a built-in name (``su2``, ``so5``, ...)
     always means the built-in, and any other text is a file path relative
-    to ``base_dir``."""
+    to ``base_dir``, which a refusal names as the path it tried."""
     m = _BUILTIN_RE.fullmatch(text)
     if m:
         n = int(m.group(2))
@@ -374,7 +374,8 @@ def _algebra_in(base_dir: Path, text: str) -> LieAlgebra:
     path = base_dir / text
     if path.exists():
         return algebra_from_file(path)
-    raise ValueError(f"unknown algebra source: {text!r} (not a built-in name or readable file)")
+    raise ValueError(f"unknown algebra source: {text!r} (not a built-in name or readable file; "
+                     f"tried {str(path)!r})")
 
 
 def resolve_algebra(source: str | Path) -> LieAlgebra:

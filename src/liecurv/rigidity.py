@@ -15,7 +15,9 @@ curvature, so a start far out in a wide box does not pass before it moves;
 a box too wide for that bound to be represented is refused, and so is a
 coupling tensor that is not symmetric, which no bi-invariant reference
 has.  The verdict is one pure function of the batches the search
-evaluated, read in one pass over their join: a certificate requires that
+evaluated, folded over them one batch at a time in evaluation order, so
+the samples are drawn, evaluated and judged one kernel chunk at a time
+and memory does not grow with their number: a certificate requires that
 no evaluated metric beats the reference, that near-ties sit at the
 reference, and that every start converged.  It is a falsifiable numerical
 witness, not a proof.
@@ -31,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .binorm import _transposition_defect, binormalize, killing_metric
-from .curvature import (_block_curvature, _block_gradient, _block_hessian, _lambda_vector,
+from .curvature import (_block_curvature, _block_gradient, _block_hessian, _chunk_rows, _lambda_vector,
                         scalar_curvature_closed, scalar_curvature_koszul)
 from .homogeneous import HomogeneousSpec
 from .lie_core import _negligible, _require, _tolerance, build_su
@@ -145,10 +147,11 @@ class RigidityReport:
     GRAD_STOP times |r0|; "max-iter" or "line-search") and
     ``ascent_iterations[i]`` how many steps it took; ``n_evaluations``
     counts every metric at which the curvature was evaluated, exactly the
-    rows the verdict read.  ``sampling_time`` (the draws, the reference and
-    the curvature of the samples and starts) and ``ascent_time`` (the
-    ascent, then the verdict over every evaluated batch) sum to the search's
-    wall time; the CLI shows the times in its table, never in JSON.
+    rows the verdict read.  ``sampling_time`` (the reference, the draws,
+    the curvature of the samples and starts, and the verdict's fold over
+    the samples) and ``ascent_time`` (the ascent, then the verdict's fold
+    over its batches) sum to the search's wall time; the CLI shows the
+    times in its table, never in JSON.
     ``certified`` holds exactly when ``max_violation <= tol * |r0|`` (the
     search's ``tol`` is relative, ``max_violation`` and ``r0`` absolute),
     ``equality_ok`` holds and every ``ascent_status`` is "converged".
@@ -172,20 +175,38 @@ class RigidityReport:
 
 def _verdict(batches, r0: float, tol: float, tol_lambda: float) -> dict:
     """The report's fields read from the ``(lams, rs)`` batches the search
-    evaluated, joined in evaluation order: the first best point (NaN is never
-    the best point), the largest excess over r0, and the near-ties (rows
-    within ``tol * |r0|`` below r0) and how far they sit from the all-ones
-    vector."""
-    lams = np.concatenate([lam for lam, _ in batches])
-    rs = np.concatenate([r for _, r in batches])
-    ranked = np.where(np.isnan(rs), -math.inf, rs)
-    top = int(np.argmax(ranked))
-    # A non-finite value is a violation of unknown size, never a pass.
-    violation = float(np.max(np.where(np.isfinite(rs), rs - r0, math.inf)))
-    offset = float(np.abs(lams[_negligible(r0 - rs, abs(r0), tol)] - 1.0).max(initial=0.0))
-    return dict(best_lam=lams[top].copy(), best_r=float(ranked[top]), max_violation=violation,
-                worst_equality_offset=offset, equality_ok=_negligible(offset, 1.0, tol_lambda),
-                n_evaluations=len(rs))
+    evaluated, folded one batch at a time in evaluation order, so no batch
+    need outlive its turn: the first best point (NaN is never the best
+    point), the largest excess over r0, and the near-ties (rows within
+    ``tol * |r0|`` below r0) and how far they sit from the all-ones
+    vector.  Maxima do not depend on where the rows are split into
+    batches, and a later batch takes the best point only with a strictly
+    larger value, so the fields are those of the batches' join."""
+    best_lam, best_r, violation, offset, count = None, -math.inf, -math.inf, 0.0, 0
+    for lams, rs in batches:
+        if not len(rs):
+            continue
+        ranked = np.where(np.isnan(rs), -math.inf, rs)
+        top = int(np.argmax(ranked))
+        if best_lam is None or ranked[top] > best_r:
+            best_lam, best_r = lams[top].copy(), float(ranked[top])
+        # A non-finite value is a violation of unknown size, never a pass.
+        violation = max(violation, float(np.max(np.where(np.isfinite(rs), rs - r0, math.inf))))
+        offset = max(offset, float(np.abs(lams[_negligible(r0 - rs, abs(r0), tol)] - 1.0).max(initial=0.0)))
+        count += len(rs)
+    return dict(best_lam=best_lam, best_r=best_r, max_violation=violation, worst_equality_offset=offset,
+                equality_ok=_negligible(offset, 1.0, tol_lambda), n_evaluations=count)
+
+
+def _sample_batches(spec: HomogeneousSpec, rng: np.random.Generator, n_samples: int, hi: float):
+    """``n_samples`` uniform draws from [1, hi]^s with their curvature, as
+    ``(lams, rs)`` batches of the rows one matrix product of
+    :func:`_block_curvature` takes, so memory does not grow with
+    ``n_samples``.  Drawn chunk by chunk, the rows are one draw's rows."""
+    rows = _chunk_rows(spec.s)
+    for lo in range(0, n_samples, rows):
+        lams = rng.uniform(1.0, hi, size=(min(rows, n_samples - lo), spec.s))
+        yield lams, _block_curvature(spec, lams)
 
 
 def _projected_gradient(lam: np.ndarray, grad: np.ndarray, hi: float) -> np.ndarray:
@@ -304,9 +325,11 @@ def verify_rigidity(spec: HomogeneousSpec, max_lambda: float = DEFAULT_MAX_LAMBD
 
     Dense uniform sampling plus a lockstep projected-Newton ascent from
     every start (the all-ones candidate is always the first start, and the
-    reference curvature r0 is its value).  The report holds what the search
-    found; the box, the effort, the seed and the tolerances are the
-    caller's, and are not echoed back.
+    reference curvature r0 is its value).  The samples are drawn, evaluated
+    and judged one kernel chunk at a time, before the starts are drawn, so
+    memory does not depend on ``n_samples``; more samples cost time only.
+    The report holds what the search found; the box, the effort, the seed
+    and the tolerances are the caller's, and are not echoed back.
     Certification requires that no evaluated point exceeds the reference
     curvature beyond ``tol * |r0|`` (so the verdict does not depend on the
     metric's scale), that every point within that distance below r0 sits
@@ -349,23 +372,30 @@ def verify_rigidity(spec: HomogeneousSpec, max_lambda: float = DEFAULT_MAX_LAMBD
     # Overflow shows up as a non-finite curvature, which the checks below and
     # the verdict turn into an error or a violation; numpy need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
-        samples = rng.uniform(1.0, max_lambda, size=(n_samples, spec.s))
-        starts = np.vstack([np.ones(spec.s),
-                            rng.uniform(1.0, max_lambda, size=(n_starts - 1, spec.s))])
         # R(1) once, at one point as the public evaluators take it: a row's
         # value can move by ulps with the number of rows in its product.
-        r0 = float(_block_curvature(spec, starts[0]))
+        r0 = float(_block_curvature(spec, np.ones(spec.s)))
         if not math.isfinite(r0) or r0 == 0.0:
             what = "zero" if r0 == 0.0 else "not finite"
             raise ValueError(f"reference curvature is {what} ({r0}): spec data out of range")
         if GRAD_STOP * abs(r0) / max_lambda / max_lambda == 0.0:
             raise ValueError(f"max_lambda {max_lambda:g} is too large: the convergence bound "
                              f"GRAD_STOP * |r0| / max_lambda^2 underflows at r0 = {r0}")
-        r_starts = np.concatenate([[r0], _block_curvature(spec, starts[1:])])
-        sampled = (samples, _block_curvature(spec, samples))
-        t_ascent = time.perf_counter()
-        ascent = _ascend_all(spec, starts, r_starts, r0, max_lambda)
-        verdict = _verdict([sampled, *ascent.batches], r0, tol, tol_lambda)
+        ascent = t_ascent = None
+
+        def evaluated():
+            # Every batch in evaluation order, each dropped once the verdict
+            # has read it: the samples, then the starts (drawn after them)
+            # and the ascent's rounds.
+            nonlocal ascent, t_ascent
+            yield from _sample_batches(spec, rng, n_samples, max_lambda)
+            starts = np.vstack([np.ones(spec.s), rng.uniform(1.0, max_lambda, size=(n_starts - 1, spec.s))])
+            r_starts = np.concatenate([[r0], _block_curvature(spec, starts[1:])])
+            t_ascent = time.perf_counter()
+            ascent = _ascend_all(spec, starts, r_starts, r0, max_lambda)
+            yield from ascent.batches
+
+        verdict = _verdict(evaluated(), r0, tol, tol_lambda)
     t_end = time.perf_counter()
 
     certified = (_negligible(verdict["max_violation"], abs(r0), tol) and verdict["equality_ok"]

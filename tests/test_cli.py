@@ -165,6 +165,7 @@ def test_spec_algebra_does_not_depend_on_the_working_directory(capsys, tmp_path,
     code, out, err = run(capsys, "homogeneous", "--homogeneous", other_spec)
     assert (code, out) == (2, "")
     assert err.startswith("error: unknown algebra source: 'su2.json'")
+    assert str(Path("other", "su2.json")) in err  # the path tried, beside the spec
 
 
 def test_algebra_only_an_indefinite_killing_form_is_not_applicable(capsys, sl2_file):

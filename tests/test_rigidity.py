@@ -418,6 +418,39 @@ def test_verdict_reads_the_batches_in_order():
     assert verdict["max_violation"] == math.inf
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_verdict_does_not_depend_on_the_batch_split(seed):
+    # NaN, +-inf, tied maxima and near-ties within tol * |r0|, split at random
+    # row boundaries (empty batches included): the fold gives the join's bits.
+    rng, r0, tol = np.random.default_rng(seed), 2.0, 1e-8
+    n = int(rng.integers(1, 40))
+    lams = 1.0 + rng.choice([0.0, 1e-9, 1e-3, 2.0], size=(n, 3)) * rng.uniform(size=(n, 3))
+    rs = rng.choice([r0, r0 + 0.5, r0 - 0.5e-8 * r0, r0 - 1.0, np.nan, np.inf, -np.inf], size=n)
+    cuts = np.sort(rng.integers(0, n + 1, size=int(rng.integers(0, 6))))
+    batches = [(lam, r) for lam, r in zip(np.split(lams, cuts), np.split(rs, cuts))]
+    whole, split = _verdict([(lams, rs)], r0, tol, 1e-6), _verdict(batches, r0, tol, 1e-6)
+    assert whole.keys() == split.keys()
+    for key, value in whole.items():
+        assert np.asarray(split[key]).tobytes() == np.asarray(value).tobytes(), key
+
+
+@pytest.mark.parametrize("name", ["su3", "so5"])
+def test_sampling_memory_does_not_grow_with_the_sample_count(group_specs, name):
+    # The samples are drawn, evaluated and judged one kernel chunk at a time:
+    # holding 200k so5 samples at once would take 16 MB, three times over.
+    import tracemalloc
+
+    spec = group_specs[name]
+    lc.verify_rigidity(spec, n_starts=4, n_samples=0, seed=0)  # the modules a first search imports
+    tracemalloc.start()
+    try:
+        lc.verify_rigidity(spec, n_starts=4, n_samples=200_000, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
 def test_ascent_records_its_starts_before_moving_them(group_specs):
     spec = group_specs["su3"]
     starts = np.random.default_rng(31).uniform(1.0, 10.0, size=(5, spec.s))
