@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lie_core import LieAlgebra, _negligible, _require, _structure_tensor, killing
+from .lie_core import LieAlgebra, _killing_form, _negligible, _require, _structure_tensor
 
 # The one bi-invariance failure, for a model's constants and a quotient's alike.
 _NOT_ANTISYMMETRIC = "not bi-invariant-orthonormal: structure tensor is not totally antisymmetric"
@@ -35,7 +35,7 @@ def killing_metric(algebra: LieAlgebra, scale: float = 1.0) -> np.ndarray:
         raise ValueError("metric scale must be positive")
     if not np.isfinite(scale):
         raise ValueError(f"metric scale must be finite, got {scale}")
-    K = killing(algebra).K
+    K = _killing_form(algebra)
     if not np.isfinite(scale * float(np.abs(K).max())):  # exactly when -s * K is not finite
         raise ValueError(f"metric scale must be small enough for a finite gram matrix -s * K, got {scale}")
     return -scale * K

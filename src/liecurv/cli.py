@@ -331,8 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-lambda", dest="max_lambda", type=float, default=DEFAULT_MAX_LAMBDA)
     p.add_argument("--starts", type=int, default=DEFAULT_STARTS)
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
-                   help=f"uniform samples of the box, judged a chunk at a time, so more cost time, "
-                        f"not memory (default {DEFAULT_SAMPLES}; 0 runs the ascent alone)")
+                   help=f"uniform samples of the box, judged a chunk at a time, like the ascent's rounds: "
+                        f"more cost time, not memory (default {DEFAULT_SAMPLES}; 0 runs the ascent alone)")
     p.add_argument("--seed", type=int, default=None,
                    help=f"search seed (falls back to ${SEED_ENV}, then 0)")
     p.add_argument("--tol-lambda", dest="tol_lambda", type=float, default=DEFAULT_TOL_LAMBDA)

@@ -28,8 +28,8 @@ import numpy as np
 
 from .binorm import (_NOT_ANTISYMMETRIC, HomogeneousSpec, _checked_gram, _in_frame, antisymmetry_defect,
                      killing_metric)
-from .lie_core import (LieAlgebra, _algebra_in, _negligible, _real, _require, _sparse_entries, _whole_number,
-                       killing)
+from .lie_core import (LieAlgebra, _algebra_in, _killing_form, _negligible, _real, _require, _sparse_entries,
+                       _whole_number)
 
 
 @dataclass(frozen=True)
@@ -149,7 +149,7 @@ def build_spec(embedding: SubalgebraEmbedding, gram, name: str | None = None) ->
     # Killing ratio and Casimir constant per block, each its mean diagonal
     # entry, verified scalar against one size (a block-local one is 0 on a
     # central block); -sum_a M_a^2, M_a[g, x] = cf[a, x, g], is the Casimir.
-    kf = -(full @ killing(algebra).K @ full.T)
+    kf = -(full @ _killing_form(algebra) @ full.T)
     ksize = np.abs(kf).max()
     ratios, casimirs = np.zeros(s), np.zeros(s)
     for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):

@@ -154,6 +154,14 @@ def from_matrix_basis(matrices, name: str = "matrix-basis") -> LieAlgebra:
     return LieAlgebra(name, n, c)
 
 
+def _killing_form(algebra: LieAlgebra) -> np.ndarray:
+    """The Killing form of :func:`killing` alone, for callers that read none of its flags."""
+    K = np.einsum("iba,jab->ij", algebra.c, algebra.c)
+    if not np.all(np.isfinite(K)):
+        raise ValueError(f"Killing form of {algebra.name} overflows: structure constants are too large")
+    return 0.5 * (K + K.T)  # contraction order can leave last-ulp asymmetry
+
+
 def killing(algebra: LieAlgebra) -> KillingData:
     """Killing form K(e_i, e_j) = tr(ad e_i ad e_j) and structural flags.
 
@@ -162,15 +170,11 @@ def killing(algebra: LieAlgebra) -> KillingData:
     x -> ad(x), counted by its negligible singular values.  Structure
     constants whose squares overflow are refused.
     """
-    c = algebra.c
-    K = np.einsum("iba,jab->ij", c, c)
-    if not np.all(np.isfinite(K)):
-        raise ValueError(f"Killing form of {algebra.name} overflows: structure constants are too large")
-    K = 0.5 * (K + K.T)  # contraction order can leave last-ulp asymmetry
+    K = _killing_form(algebra)
     eigs = np.linalg.eigvalsh(K)
     zero = _negligible(np.abs(eigs), np.abs(eigs).max())
     signature = tuple(int(np.sum(x)) for x in (~zero & (eigs < 0), zero, ~zero & (eigs > 0)))
-    svals = np.linalg.svd(c.reshape(algebra.dim, -1), compute_uv=False)
+    svals = np.linalg.svd(algebra.c.reshape(algebra.dim, -1), compute_uv=False)
     return KillingData(
         K=K,
         signature=signature,

@@ -15,12 +15,10 @@ curvature, so a start far out in a wide box does not pass before it moves;
 a box too wide for that bound to be represented is refused, and so is a
 coupling tensor that is not symmetric, which no bi-invariant reference
 has.  The verdict is one pure function of the batches the search
-evaluated, folded over them one batch at a time in evaluation order, so
-the samples are drawn, evaluated and judged one kernel chunk at a time
-and memory does not grow with their number: a certificate requires that
-no evaluated metric beats the reference, that near-ties sit at the
-reference, and that every start converged.  It is a falsifiable numerical
-witness, not a proof.
+evaluated, folded over each as it is evaluated, so memory grows with the
+number of starts only: a certificate requires that no evaluated metric
+beats the reference, that near-ties sit at the reference, and that every
+start converged.  It is a falsifiable numerical witness, not a proof.
 """
 
 from __future__ import annotations
@@ -149,7 +147,7 @@ class RigidityReport:
     counts every metric at which the curvature was evaluated, exactly the
     rows the verdict read.  ``sampling_time`` (the reference, the draws,
     the curvature of the samples and starts, and the verdict's fold over
-    the samples) and ``ascent_time`` (the ascent, then the verdict's fold
+    the samples) and ``ascent_time`` (the ascent and the verdict's fold
     over its batches) sum to the search's wall time; the CLI shows the
     times in its table, never in JSON.
     ``certified`` holds exactly when ``max_violation <= tol * |r0|`` (the
@@ -249,18 +247,18 @@ def _line_search(spec: HomogeneousSpec, lam: np.ndarray, r: np.ndarray, grad: np
 
     All rows try t = 1; each round, the rows not yet accepted halve t, until
     a row gains ARMIJO times the first-order gain of its move.  A row fails
-    when its move vanishes or t drops below MIN_STEP.  Returns the mask of
-    rows that accepted a step, with their new points and values, and the
-    ``(candidates, values)`` batch of every round.
+    when its move vanishes or t drops below MIN_STEP.  Yields each round's
+    ``(candidates, values)`` batch once evaluated; returns the mask of rows
+    that accepted a step, with their new points and values.
     """
-    new_lam, new_r, batches = lam.copy(), r.copy(), []
+    new_lam, new_r = lam.copy(), r.copy()
     accepted = np.zeros(len(lam), dtype=bool)
     step = 1.0
     pending = np.arange(len(lam))
     while pending.size and step >= MIN_STEP:
         cand = np.clip(lam[pending] + step * direction[pending], 1.0, hi)
         rc = _block_curvature(spec, cand)
-        batches.append((cand, rc))
+        yield cand, rc
         move = cand - lam[pending]
         moved = move.any(axis=1)
         ok = moved & (rc >= r[pending] + ARMIJO * np.einsum("ij,ij->i", grad[pending], move))
@@ -268,19 +266,19 @@ def _line_search(spec: HomogeneousSpec, lam: np.ndarray, r: np.ndarray, grad: np
         new_lam[done], new_r[done], accepted[done] = cand[ok], rc[ok], True
         pending = pending[moved & ~ok]
         step *= SHRINK
-    return accepted, new_lam, new_r, batches
+    return accepted, new_lam, new_r
 
 
 class _Ascent(NamedTuple):
+    """Where and how each start of :func:`_ascend_all` ended; its batches went to its caller."""
+
     lam: np.ndarray         # (m, s) final points
     r: np.ndarray           # (m,) curvature there
     status: np.ndarray      # (m,) "converged" | "max-iter" | "line-search"
     iterations: np.ndarray  # (m,) accepted steps
-    batches: list           # (lams, rs) evaluated, in order: the starts first
 
 
-def _ascend_all(spec: HomogeneousSpec, starts: np.ndarray, r_starts: np.ndarray, r0: float,
-                hi: float) -> _Ascent:
+def _ascend_all(spec: HomogeneousSpec, starts: np.ndarray, r_starts: np.ndarray, r0: float, hi: float):
     """Projected-Newton ascent inside the box [1, hi] from every row of
     ``starts``, where the curvature is ``r_starts``, in lockstep: one batched
     gradient call per iteration, over the rows still running.  A row stops
@@ -290,11 +288,11 @@ def _ascend_all(spec: HomogeneousSpec, starts: np.ndarray, r_starts: np.ndarray,
     (converged), when its line search fails, or after MAX_ITER iterations.
     In lambda the gradient falls like 1/lambda^2, so without that factor a
     start far out in a wide box would pass the test before it moved.
-    Returns the final points with every batch it evaluated, the starts (a
-    copy) first."""
+    Yields every ``(lams, rs)`` batch once evaluated, the starts (a copy)
+    first, and returns the final points as an :class:`_Ascent`."""
     lam = np.array(starts, dtype=float)
     r = np.array(r_starts, dtype=float)
-    batches = [(lam.copy(), r.copy())]
+    yield lam.copy(), r.copy()
     status = np.full(len(lam), "max-iter", dtype=object)
     iterations = np.zeros(len(lam), dtype=int)
     running = np.arange(len(lam))
@@ -310,12 +308,11 @@ def _ascend_all(spec: HomogeneousSpec, starts: np.ndarray, r_starts: np.ndarray,
         if not running.size:
             break
         direction = _newton_direction(spec, x, grad, free)
-        accepted, lam[running], r[running], tried = _line_search(spec, x, r[running], grad, direction, hi)
-        batches += tried
+        accepted, lam[running], r[running] = yield from _line_search(spec, x, r[running], grad, direction, hi)
         status[running[~accepted]] = "line-search"
         running = running[accepted]
         iterations[running] += 1
-    return _Ascent(lam, r, status, iterations, batches)
+    return _Ascent(lam, r, status, iterations)
 
 
 def verify_rigidity(spec: HomogeneousSpec, max_lambda: float = DEFAULT_MAX_LAMBDA,
@@ -325,9 +322,9 @@ def verify_rigidity(spec: HomogeneousSpec, max_lambda: float = DEFAULT_MAX_LAMBD
 
     Dense uniform sampling plus a lockstep projected-Newton ascent from
     every start (the all-ones candidate is always the first start, and the
-    reference curvature r0 is its value).  The samples are drawn, evaluated
-    and judged one kernel chunk at a time, before the starts are drawn, so
-    memory does not depend on ``n_samples``; more samples cost time only.
+    reference curvature r0 is its value).  Each batch is judged as it is
+    evaluated, the samples one kernel chunk at a time, so memory grows with
+    ``n_starts`` only, not with ``n_samples`` or the ascent's length.
     The report holds what the search found; the box, the effort, the seed
     and the tolerances are the caller's, and are not echoed back.
     Certification requires that no evaluated point exceeds the reference
@@ -392,8 +389,7 @@ def verify_rigidity(spec: HomogeneousSpec, max_lambda: float = DEFAULT_MAX_LAMBD
             starts = np.vstack([np.ones(spec.s), rng.uniform(1.0, max_lambda, size=(n_starts - 1, spec.s))])
             r_starts = np.concatenate([[r0], _block_curvature(spec, starts[1:])])
             t_ascent = time.perf_counter()
-            ascent = _ascend_all(spec, starts, r_starts, r0, max_lambda)
-            yield from ascent.batches
+            ascent = yield from _ascend_all(spec, starts, r_starts, r0, max_lambda)
 
         verdict = _verdict(evaluated(), r0, tol, tol_lambda)
     t_end = time.perf_counter()

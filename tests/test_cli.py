@@ -177,6 +177,26 @@ def test_algebra_only_an_indefinite_killing_form_is_not_applicable(capsys, sl2_f
     assert json.loads(out)["result"]["orthonormal_antisymmetry_defect"] >= 0.0
 
 
+def test_the_killing_analysis_runs_once_and_only_where_its_flags_are_read(capsys, monkeypatch):
+    # killing() pays for an eigendecomposition and an SVD on top of K: the
+    # commands that read its signature or center run it once, and what reads
+    # K alone (the reference metric, a derived spec's Killing ratios) never.
+    from liecurv import lie_core
+
+    analyses = []
+    analysis = lie_core.KillingData
+    monkeypatch.setattr(lie_core, "KillingData", lambda **fields: analyses.append(1) or analysis(**fields))
+    for argv, count in ((["algebra", "--algebra", "su3"], 1),
+                        (["rigidity", "--algebra", "su3", "--starts", "2", "--samples", "0"], 1),
+                        (["scalar", "--algebra", "su3", "--lambda", "1,2,3,4,5,6,7,8"], 0)):
+        analyses.clear()
+        code, _, _ = run(capsys, *argv, "--format", "structured")
+        assert code == 0 and len(analyses) == count, argv
+    analyses.clear()
+    lc.spec_from_file(Path(__file__).parent / "data" / "flag.spec")
+    assert not analyses
+
+
 def test_algebra_unknown_source(capsys):
     code, _, err = run(capsys, "algebra", "--algebra", "nosuch")
     assert code == 2

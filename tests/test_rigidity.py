@@ -11,6 +11,16 @@ from liecurv.rigidity import (DEFAULT_STARTS, DEFAULT_TOL_R, GRAD_STOP, _ascend_
                               SHRINK_CROSSOVER, _projected_gradient, _verdict)
 
 
+def _ascend(*args):
+    """Run :func:`_ascend_all` to its end: its result and every batch it yielded, in order."""
+    run, batches = _ascend_all(*args), []
+    try:
+        while True:
+            batches.append(next(run))
+    except StopIteration as stop:
+        return stop.value, batches
+
+
 def test_gap_polynomial_values():
     assert lc.gap_polynomial(1.0, 1.0, 1.0) == 0.0
     assert lc.gap_polynomial(2.0, 1.0, 1.0) == pytest.approx(2.0, abs=1e-14)
@@ -199,7 +209,7 @@ def test_ascent_stationary_at_reference(group_specs):
     assert np.all(grad <= 0.0)
     assert np.all(_projected_gradient(ones, grad, 10.0) == 0.0)
     start = ones[None, :]
-    ascent = _ascend_all(spec, start, _block_curvature(spec, start), 6.0, 10.0)
+    ascent, _ = _ascend(spec, start, _block_curvature(spec, start), 6.0, 10.0)
     assert np.array_equal(ascent.lam[0], ones)
     assert ascent.r[0] == pytest.approx(6.0, abs=1e-12)
 
@@ -207,7 +217,7 @@ def test_ascent_stationary_at_reference(group_specs):
 def test_ascent_descends_to_reference_corner(group_specs):
     spec = group_specs["su2"]
     start = np.array([[4.0, 2.0, 7.0]])
-    ascent = _ascend_all(spec, start, _block_curvature(spec, start), 6.0, 10.0)
+    ascent, _ = _ascend(spec, start, _block_curvature(spec, start), 6.0, 10.0)
     assert np.abs(ascent.lam[0] - 1.0).max() <= 1e-6
     assert ascent.r[0] == pytest.approx(6.0, abs=1e-8)
 
@@ -284,10 +294,10 @@ def test_lockstep_ascent_matches_one_start_at_a_time(group_specs, flag_spec):
     for spec in (group_specs["so5"], flag_spec):
         starts = np.random.default_rng(29).uniform(1.0, 10.0, size=(6, spec.s))
         r0 = lc.scalar_curvature_closed(spec, np.ones(spec.s)).R
-        ascent = _ascend_all(spec, starts, _block_curvature(spec, starts), r0, 10.0)
+        ascent, _ = _ascend(spec, starts, _block_curvature(spec, starts), r0, 10.0)
         assert ascent.lam.shape == starts.shape and ascent.r.shape == (6,)
         for start, final, value in zip(starts, ascent.lam, ascent.r):
-            one = _ascend_all(spec, start[None, :], _block_curvature(spec, start[None, :]), r0, 10.0)
+            one, _ = _ascend(spec, start[None, :], _block_curvature(spec, start[None, :]), r0, 10.0)
             assert_allclose(final, one.lam[0], rtol=0.0, atol=1e-9)
             assert value == pytest.approx(one.r[0], rel=1e-13)
 
@@ -296,8 +306,7 @@ def test_lockstep_ascent_records_every_evaluation(group_specs):
     spec = group_specs["su3"]
     starts = np.random.default_rng(31).uniform(1.0, 10.0, size=(5, spec.s))
     r0 = lc.scalar_curvature_closed(spec, np.ones(spec.s)).R
-    ascent = _ascend_all(spec, starts, _block_curvature(spec, starts), r0, 10.0)
-    seen = ascent.batches
+    ascent, seen = _ascend(spec, starts, _block_curvature(spec, starts), r0, 10.0)
     assert np.array_equal(seen[0][0], starts)
     for lam, r in zip(ascent.lam, ascent.r):
         # each final point was recorded with the value reported for it
@@ -434,30 +443,36 @@ def test_verdict_does_not_depend_on_the_batch_split(seed):
         assert np.asarray(split[key]).tobytes() == np.asarray(value).tobytes(), key
 
 
-@pytest.mark.parametrize("name", ["su3", "so5"])
-def test_sampling_memory_does_not_grow_with_the_sample_count(group_specs, name):
+@pytest.mark.parametrize("name, search, bound", [
+    ("su3", dict(n_starts=4, n_samples=200_000), 2 * 2**20),
+    ("so5", dict(n_starts=4, n_samples=200_000), 2 * 2**20),
+    ("su3", dict(n_starts=64, max_lambda=1e12, n_samples=0), 2**20),
+], ids=["su3-samples", "so5-samples", "su3-ascent"])
+def test_search_memory_grows_with_neither_the_samples_nor_the_ascent(group_specs, name, search, bound):
     # The samples are drawn, evaluated and judged one kernel chunk at a time:
     # holding 200k so5 samples at once would take 16 MB, three times over.
+    # The ascent's rounds are judged as they are evaluated: 64 starts on
+    # [1, 1e12] run to max-iter, and holding their rounds would take 2.5 MB.
     import tracemalloc
 
     spec = group_specs[name]
     lc.verify_rigidity(spec, n_starts=4, n_samples=0, seed=0)  # the modules a first search imports
     tracemalloc.start()
     try:
-        lc.verify_rigidity(spec, n_starts=4, n_samples=200_000, seed=0)
+        lc.verify_rigidity(spec, seed=0, **search)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 2**20
+    assert peak < bound
 
 
 def test_ascent_records_its_starts_before_moving_them(group_specs):
     spec = group_specs["su3"]
     starts = np.random.default_rng(31).uniform(1.0, 10.0, size=(5, spec.s))
     r_starts = _block_curvature(spec, starts)
-    ascent = _ascend_all(spec, starts, r_starts, lc.scalar_curvature_closed(spec, np.ones(spec.s)).R, 10.0)
+    ascent, batches = _ascend(spec, starts, r_starts, lc.scalar_curvature_closed(spec, np.ones(spec.s)).R, 10.0)
     assert not np.any(np.all(ascent.lam == starts, axis=1))  # every start moved
-    assert np.array_equal(ascent.batches[0][0], starts) and np.array_equal(ascent.batches[0][1], r_starts)
+    assert np.array_equal(batches[0][0], starts) and np.array_equal(batches[0][1], r_starts)
     assert "_projected_gradient" not in _newton_direction.__code__.co_names  # one per ascent step
 
 
@@ -470,8 +485,8 @@ def test_evaluations_are_the_samples_and_the_ascent_batches(group_specs, n_sampl
         rng.uniform(1.0, 10.0, size=(n_samples, spec.s))
     starts = np.vstack([np.ones(spec.s), rng.uniform(1.0, 10.0, size=(5, spec.s))])
     r_starts = np.concatenate([[report.r0], _block_curvature(spec, starts[1:])])
-    ascent = _ascend_all(spec, starts, r_starts, report.r0, 10.0)
-    assert report.n_evaluations == n_samples + sum(len(rs) for _, rs in ascent.batches)
+    ascent, batches = _ascend(spec, starts, r_starts, report.r0, 10.0)
+    assert report.n_evaluations == n_samples + sum(len(rs) for _, rs in batches)
     assert np.array_equal(report.ascent_finals, ascent.lam)
 
 
